@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, InternalError
-from .graph import MultiGraph
+from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate, interval_counts, realize
 
@@ -29,22 +29,25 @@ def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
     matching edge, which keeps both copies at 2*deg+1 without putting
     self-loops on embedded vertices.
     """
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(g.vertex_count):
-        edges[(2 * i, 2 * i + 1)] = 1
-    for (u, v), m in g.edge_dict().items():
-        if u == v:
-            if loops != "to_matching":
-                raise InputError("doubling is defined for simple graphs (self-loop found)")
-            edges[(2 * u, 2 * u + 1)] += 4 * m
-            continue
-        if m != 1:
-            raise InputError("doubling is defined for simple graphs (multi-edge found)")
-        for a in (2 * u, 2 * u + 1):
-            for b in (2 * v, 2 * v + 1):
-                key = (a, b) if a < b else (b, a)
-                edges[key] = 1
-    return MultiGraph(2 * g.vertex_count, edges)
+    n = g.vertex_count
+    u, v, mult = g.arrays()
+    loop = u == v
+    bad = (loop & (loops != "to_matching")) | (~loop & (mult != 1))
+    if bad.any():
+        kind = "self-loop" if loop[np.argmax(bad)] else "multi-edge"
+        raise InputError(f"doubling is defined for simple graphs ({kind} found)")
+    matching = np.ones(n, dtype=np.int64)
+    matching[u[loop]] += 4 * mult[loop]
+    a, b = 2 * u[~loop], 2 * v[~loop]
+    pairs = 2 * np.arange(n, dtype=np.int64)
+    return MultiGraph(
+        2 * n,
+        EdgeArrays(
+            np.concatenate([pairs, a, a, a + 1, a + 1]),
+            np.concatenate([pairs + 1, b, b + 1, b, b + 1]),
+            np.concatenate([matching, np.ones(4 * len(a), dtype=np.int64)]),
+        ),
+    )
 
 
 def top_interval_slots(p: PowerLawParams, a_x: int) -> np.ndarray:
@@ -104,10 +107,12 @@ def assemble(
     (vertex, target) pairs).
     """
     n_embed = doubled.vertex_count
-    edges = dict(doubled.edge_dict())
+    columns = [doubled.arrays()]  # summed into the final graph's multiplicities
     deg = doubled.degrees()
 
     surplus_count = 0
+    raised: list[int] = []
+    raise_units: list[int] = []
     for i, (t1, t2) in enumerate(pair_targets):
         d1 = int(deg[2 * i])
         if int(deg[2 * i + 1]) != d1:
@@ -117,9 +122,11 @@ def assemble(
         if t2 - t1 not in (0, 1):
             raise AssertionError("pair slots must be equal or adjacent degrees")
         if t1 > d1:
-            key = (2 * i, 2 * i + 1)
-            edges[key] = edges.get(key, 0) + (t1 - d1)
+            raised.append(2 * i)
+            raise_units.append(t1 - d1)
         surplus_count += t2 - t1
+    first = np.array(raised, dtype=np.int64)
+    columns.append((first, first + 1, np.array(raise_units, dtype=np.int64)))
 
     # Route surpluses into the designated part: lower its largest targets by
     # one unit each (round-robin when there are more surpluses than vertices).
@@ -148,7 +155,7 @@ def assemble(
     offset = n_embed
     certs: dict[str, CliqueCoverCertificate] = {}
     deficits: list[tuple[int, int]] = []
-    labels = {v: "embedded" for v in range(n_embed)}
+    labels = dict.fromkeys(range(n_embed), "embedded")
     part_position: dict[str, np.ndarray] = {}
     for part in parts:
         part.offset = offset
@@ -163,8 +170,8 @@ def assemble(
         position = np.empty(len(srt), dtype=np.int64)
         position[srt] = np.arange(len(srt)) + offset
         part_position[part.name] = position
-        for (u, v), m in graph_part.edge_dict().items():
-            edges[(u + offset, v + offset)] = m
+        pu, pv, pm = graph_part.arrays()
+        columns.append((pu + offset, pv + offset, pm))
         cert = cert.shifted(offset)
         part.certificate = cert
         certs[part.name] = cert
@@ -176,22 +183,13 @@ def assemble(
                 # restores it, so the deficit is against the original class.
                 intended += recv_units.get(int(srt[local]), 0)
             deficits.append((cert.parity_deficit_vertex, intended))
-        for v in range(offset, offset + len(sorted_targets)):
-            labels[v] = part.label
+        labels.update(dict.fromkeys(range(offset, offset + len(sorted_targets)), part.label))
         offset += len(sorted_targets)
 
     # Now add the routed surplus edges from pair seconds to their receivers.
-    surplus_edges: list[tuple[int, int]] = []
-    ptr = 0
-    for i, (t1, t2) in enumerate(pair_targets):
-        if t2 == t1:
-            continue
-        v = 2 * i + 1
-        w = int(part_position[surplus_part][receivers[ptr]])
-        ptr += 1
-        key = (v, w) if v < w else (w, v)
-        edges[key] = edges.get(key, 0) + 1
-        surplus_edges.append((v, w))
+    seconds = np.array([2 * i + 1 for i, (t1, t2) in enumerate(pair_targets) if t2 != t1], dtype=np.int64)
+    receiver_ids = part_position[surplus_part][np.array(receivers, dtype=np.int64)]
+    columns.append((seconds, receiver_ids, np.ones(len(seconds), dtype=np.int64)))
 
-    graph = MultiGraph(offset, edges, labels)
+    graph = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in zip(*columns))), labels)
     return graph, certs, deficits

@@ -23,6 +23,9 @@ from .solver import exact_mis, greedy_maximal_is
 
 _MAX_BUMPS = 64
 WALK_VERTEX_CAP = 200_000
+# The edge rule is tested once per pair of walks, in Python at about 2 us a
+# pair, so this cap stops products that would take more than about 40 s.
+WALK_PAIR_CAP = 20_000_000
 
 
 # -- expander supply ----------------------------------------------------------
@@ -176,8 +179,9 @@ def walk_product(
 ) -> WalkProduct:
     """Build the k-walk product of g over the expander h.
 
-    Edge work is quadratic in the walk count n*d^(k-1); the cap guards the
-    vertex count only.
+    Edge work is quadratic in the walk count n*d^(k-1): ``cap`` bounds the
+    walk count and ``WALK_PAIR_CAP`` the number of walk pairs, both checked
+    before any walk is enumerated.
     """
     if not g.is_simple():
         raise InputError("walk products are defined for simple base graphs")
@@ -190,6 +194,11 @@ def walk_product(
     if count > cap:
         raise ResourceLimitError(
             f"walk product would have {count} vertices (cap {cap})"
+        )
+    pairs = count * (count - 1) // 2
+    if pairs > WALK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"walk product would test {pairs} walk pairs (cap {WALK_PAIR_CAP})"
         )
     nbrs = [sorted(s) for s in h.graph.adjacency_sets()]
     walks: list[tuple[int, ...]] = []

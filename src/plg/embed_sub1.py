@@ -19,7 +19,7 @@ from ._assembly import AssembledPart, assemble, assign_pair_slots, double_with_p
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
-from .realizer import interval_degree_sequence
+from .realizer import DEFAULT_EDGE_CAP, interval_degree_sequence
 from .report import Conformance, EmbeddingReport, degree_conformance
 from .solver import greedy_maximal_is
 
@@ -29,7 +29,6 @@ _MAX_BUMPS = 64
 # edges with x = (1/2)^(1/(1-beta)); betas near 1 explode.  Materialization is
 # guarded rather than letting the process exhaust memory.
 DEFAULT_VERTEX_CAP = 2_000_000
-DEFAULT_EDGE_CAP = 10_000_000
 
 
 def double_graph(g: MultiGraph) -> MultiGraph:

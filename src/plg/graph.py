@@ -4,117 +4,206 @@ Degree convention: a self-loop contributes 2 to its vertex's degree per
 multiplicity unit.  A vertex carrying a self-loop is adjacent to itself and
 therefore never belongs to an independent set; multi-edges are equivalent to
 single edges for independence.
+
+Storage is columnar: three int64 arrays ``(u, v, mult)``, one entry per
+distinct edge with ``u <= v``, sorted by the key ``u * base + v`` (``base`` is
+the vertex count whenever its square fits in int64), and that key array
+itself.  Degrees, the text format, pair lookups and independence tests run
+as numpy passes over these arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InputError, ParseError
 
+# Largest key base whose keys u * base + v (u, v < base) stay below 2^63.
+_MAX_KEY_BASE = 3_037_000_499
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+class EdgeArrays(NamedTuple):
+    """Edges as equal-length integer columns: entry i is edge (u[i], v[i])
+    with multiplicity mult[i].  The third ``MultiGraph`` constructor form;
+    ``MultiGraph.arrays()`` returns the graph's own, sorted and read-only."""
+
+    u: np.ndarray
+    v: np.ndarray
+    mult: np.ndarray
+
+
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, mult) int64 columns of any constructor edge form, in input order."""
+    try:
+        if isinstance(edges, EdgeArrays):
+            cols = [np.asarray(c, dtype=np.int64) for c in edges]
+            if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
+                raise InputError("edge arrays must be 1-d and of equal length")
+            return cols[0], cols[1], cols[2]
+        if not edges:
+            return _EMPTY, _EMPTY, _EMPTY
+        if isinstance(edges, dict):
+            k = len(edges)
+            u = np.fromiter((e[0] for e in edges), np.int64, k)
+            v = np.fromiter((e[1] for e in edges), np.int64, k)
+            return u, v, np.fromiter(edges.values(), np.int64, k)
+        pairs = np.array([tuple(e) for e in edges], dtype=np.int64)
+        if len(pairs) == 0:
+            return _EMPTY, _EMPTY, _EMPTY
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InputError("edges must be (u, v) pairs")
+        return pairs[:, 0], pairs[:, 1], np.ones(len(pairs), dtype=np.int64)
+    except OverflowError:
+        raise InputError("edge endpoints and multiplicities must fit in int64") from None
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 class MultiGraph:
     """Undirected multigraph on vertices 0..n-1 with positive edge multiplicities.
 
-    Treated as immutable after construction: all mutation happens through the
-    edge dict handed to ``__init__``.  Labels are optional per-vertex text tags
-    used by the embedders to record provenance ("embedded", "residual-G1", ...).
+    The edge set is fixed at construction, given as a dict {(u, v): mult},
+    an iterable of (u, v) pairs (multiplicity 1 each) or ``EdgeArrays``;
+    repeated pairs, in either orientation, sum their multiplicities.  Labels
+    are optional per-vertex text tags used by the embedders to record
+    provenance ("embedded", "residual-G1", ...).
     """
 
-    __slots__ = ("vertex_count", "_edges", "labels", "_degrees")
+    __slots__ = ("vertex_count", "_u", "_v", "_mult", "_edges", "_base", "labels", "_degrees")
 
     def __init__(
         self,
         vertex_count: int,
-        edges: dict[tuple[int, int], int] | Iterable[tuple[int, int]] | None = None,
+        edges: dict[tuple[int, int], int] | Iterable[tuple[int, int]] | EdgeArrays | None = None,
         labels: dict[int, str] | None = None,
     ):
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
-        self.vertex_count = int(vertex_count)
-        normalized: dict[tuple[int, int], int] = {}
-        if edges:
-            items = edges.items() if isinstance(edges, dict) else ((e, 1) for e in edges)
-            for (u, v), mult in items:
-                if u > v:
-                    u, v = v, u
-                if not (0 <= u and v < self.vertex_count):
-                    raise InputError(f"edge ({u},{v}) out of range for n={vertex_count}")
-                if mult <= 0:
-                    raise InputError(f"edge ({u},{v}) has non-positive multiplicity {mult}")
-                normalized[(u, v)] = normalized.get((u, v), 0) + int(mult)
-        self._edges = normalized
+        n = self.vertex_count = int(vertex_count)
+        a, b, mult = _edge_columns(edges)
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        bad = (u < 0) | (v >= n) | (mult <= 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if u[i] < 0 or v[i] >= n:
+                raise InputError(f"edge ({u[i]},{v[i]}) out of range for n={vertex_count}")
+            raise InputError(f"edge ({u[i]},{v[i]}) has non-positive multiplicity {mult[i]}")
+        base = n if n <= _MAX_KEY_BASE else int(v.max(initial=0)) + 1
+        if base > _MAX_KEY_BASE:
+            raise InputError(f"vertex ids above {_MAX_KEY_BASE - 1} are not supported")
+        key = u * base + v
+        if len(key) > 1 and not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, u, v, mult = key[order], u[order], v[order], mult[order]
+            first = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                starts = np.flatnonzero(first)
+                mult = np.add.reduceat(mult, starts)
+                key, u, v = key[starts], u[starts], v[starts]
+        self._base = base
+        self._edges = _frozen(key)
+        self._u, self._v = _frozen(u), _frozen(v)
+        self._mult = _frozen(np.array(mult, dtype=np.int64))
         self.labels = dict(labels) if labels else {}
-        for v in self.labels:
-            if not (0 <= v < self.vertex_count):
-                raise InputError(f"label on unknown vertex {v}")
+        for w in self.labels:
+            if not (0 <= w < n):
+                raise InputError(f"label on unknown vertex {w}")
         self._degrees: np.ndarray | None = None
 
     # -- queries ------------------------------------------------------------
 
+    def arrays(self) -> EdgeArrays:
+        """The sorted, read-only (u, v, mult) columns."""
+        return EdgeArrays(self._u, self._v, self._mult)
+
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u <= v, in sorted order."""
-        for (u, v) in sorted(self._edges):
-            yield u, v, self._edges[(u, v)]
+        yield from zip(self._u.tolist(), self._v.tolist(), self._mult.tolist())
 
     def edge_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self._edges)
+        return dict(zip(zip(self._u.tolist(), self._v.tolist()), self._mult.tolist()))
 
     def multiplicity(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
-        return self._edges.get((u, v), 0)
+        if not (0 <= u and v < self._base):
+            return 0
+        key = u * self._base + v
+        i = int(np.searchsorted(self._edges, key))
+        if i < len(self._edges) and self._edges[i] == key:
+            return int(self._mult[i])
+        return 0
+
+    def multiplicities(self, a, b) -> np.ndarray:
+        """Vectorised ``multiplicity``: int64 array, 0 where (a[i], b[i]) is absent."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        if len(self._edges) == 0:
+            return out
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ok = (lo >= 0) & (hi < self._base)
+        key = np.where(ok, lo * self._base + hi, -1)
+        idx = np.minimum(np.searchsorted(self._edges, key), len(self._edges) - 1)
+        found = ok & (self._edges[idx] == key)
+        out[found] = self._mult[idx[found]]
+        return out
 
     def distinct_edge_count(self) -> int:
         return len(self._edges)
 
     def total_multiplicity(self) -> int:
-        return sum(self._edges.values())
+        return int(self._mult.sum())
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degrees; self-loops count 2 per multiplicity unit."""
         if self._degrees is None:
-            deg = np.zeros(self.vertex_count, dtype=np.int64)
-            for (u, v), m in self._edges.items():
-                if u == v:
-                    deg[u] += 2 * m
-                else:
-                    deg[u] += m
-                    deg[v] += m
-            self._degrees = deg
+            # bincount sums in float64, exact for degrees below 2^53.
+            n = self.vertex_count
+            deg = np.bincount(self._u, weights=self._mult, minlength=n)
+            deg += np.bincount(self._v, weights=self._mult, minlength=n)
+            self._degrees = deg.astype(np.int64)
         return self._degrees
 
     def degree(self, v: int) -> int:
         return int(self.degrees()[v])
 
     def has_loop(self, v: int) -> bool:
-        return (v, v) in self._edges
+        return self.multiplicity(v, v) > 0
 
     def adjacency_sets(self) -> list[set[int]]:
         """Distinct neighbours per vertex, self excluded."""
         adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for (u, v) in self._edges:
+        for u, v in zip(self._u.tolist(), self._v.tolist()):
             if u != v:
                 adj[u].add(v)
                 adj[v].add(u)
         return adj
 
     def is_simple(self) -> bool:
-        return all(u != v and m == 1 for (u, v), m in self._edges.items())
+        return bool((self._u != self._v).all() and (self._mult == 1).all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
         return (
             self.vertex_count == other.vertex_count
-            and self._edges == other._edges
+            and np.array_equal(self._u, other._u)
+            and np.array_equal(self._v, other._v)
+            and np.array_equal(self._mult, other._mult)
             and self.labels == other.labels
         )
 
     def __hash__(self):
-        return hash((self.vertex_count, frozenset(self._edges.items())))
+        return hash((self.vertex_count, self._u.tobytes(), self._v.tobytes(), self._mult.tobytes()))
 
     def __repr__(self):
         return f"MultiGraph(n={self.vertex_count}, edges={len(self._edges)})"
@@ -138,19 +227,15 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
             return False
     if len(s) < 2:
         return True
-    # Scan whichever side is smaller: member pairs or the edge dict.
+    mem = np.fromiter(s, np.int64, len(s))
+    # Look up whichever side is smaller: member pairs or the edge arrays.
     if len(s) * (len(s) - 1) // 2 <= g.distinct_edge_count():
-        mem = sorted(s)
-        ed = g._edges
-        for i, u in enumerate(mem):
-            for v in mem[i + 1 :]:
-                if (u, v) in ed:
-                    return False
-        return True
-    for (u, v) in g._edges:
-        if u != v and u in s and v in s:
-            return False
-    return True
+        i, j = np.triu_indices(len(mem), 1)
+        return not g.multiplicities(mem[i], mem[j]).any()
+    inside = np.zeros(g.vertex_count, dtype=bool)
+    inside[mem] = True
+    u, v, _ = g.arrays()
+    return not (inside[u] & inside[v] & (u != v)).any()
 
 
 # -- text format ------------------------------------------------------------
@@ -159,18 +244,124 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 # Edges:    e <u> <v> <multiplicity>       (u <= v, zero-based, one line per
 #                                           distinct edge, sorted)
 # Labels:   l <v> <tag>                    (optional, sorted by v)
+#
+# ``write_graph`` emits exactly this canonical form.  ``read_graph`` parses
+# canonical text with numpy and hands anything else (extra whitespace, CRLF,
+# signs, unsorted lines, any error) to the line parser, the only producer of
+# ParseError.
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MAX_DIGITS = 18  # every 18-digit decimal fits in int64
+_HEADER = re.compile(r"p plg ([0-9]+) ([0-9]+)\n")
+_LABEL = re.compile(r"l ([0-9]+) ([!-~]+)\n")
+_E_TO_SPACE = bytes.maketrans(b"e", b" ")
+
+
+def _format_edges(cols: EdgeArrays) -> str:
+    """One line 'e <u> <v> <mult>' per edge, digit places written by numpy."""
+    if len(cols.u) == 0:
+        return ""
+    widths = [np.maximum(np.searchsorted(_POW10, c, side="right"), 1) for c in cols]
+    line_len = 2 + sum(w + 1 for w in widths)
+    ends = np.cumsum(line_len)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    pos = ends - line_len
+    out[pos] = ord("e")
+    for c, w in zip(cols, widths):
+        out[pos + 1] = ord(" ")
+        last = pos + w + 1  # the field's last digit
+        val = c.copy()
+        for k in range(int(w.max())):
+            # Place k from the right, in every field that has one.
+            sel = slice(None) if k < w.min() else np.flatnonzero(w > k)
+            out[last[sel] - k] = ord("0") + val[sel] % 10
+            val //= 10
+        pos = last
+    out[ends - 1] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 def write_graph(g: MultiGraph) -> str:
-    lines = [f"p plg {g.vertex_count} {g.distinct_edge_count()}"]
-    for u, v, m in g.edges():
-        lines.append(f"e {u} {v} {m}")
-    for v in sorted(g.labels):
-        lines.append(f"l {v} {g.labels[v]}")
-    return "\n".join(lines) + "\n"
+    header = f"p plg {g.vertex_count} {g.distinct_edge_count()}\n"
+    labels = "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels))
+    return header + _format_edges(g.arrays()) + labels
+
+
+def _scan_edges(data: bytes, rows: int) -> np.ndarray | None:
+    """(rows, 3) table of ``rows`` lines 'e <d> <d> <d>' (fields of 1 to 18
+    ASCII digits, single spaces, '\\n'-terminated), or None when ``data`` is
+    anything else."""
+    if rows == 0:
+        return np.zeros((0, 3), dtype=np.int64) if not data else None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    nl = np.flatnonzero(buf == ord("\n"))
+    sp = np.flatnonzero(buf == ord(" "))
+    if len(nl) != rows or nl[-1] != len(buf) - 1 or len(sp) != 3 * rows:
+        return None
+    starts = np.empty(rows, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = nl[:-1] + 1
+    sep = sp.reshape(rows, 3)
+    if not ((buf[starts] == ord("e")).all() and (sep[:, 0] == starts + 1).all()):
+        return None
+    ends = np.empty_like(sep)
+    ends[:, :-1] = sep[:, 1:]
+    ends[:, -1] = nl
+    width = ends - sep - 1
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    # 'e', three spaces and the newline are 5 bytes a row; all others are digits.
+    if np.count_nonzero(np.subtract(buf, ord("0"), dtype=np.uint8) < 10) != len(buf) - 5 * rows:
+        return None
+    # Now every field is a plain decimal that fits int64, so numpy's text
+    # reader cannot stop early or wrap.
+    return np.fromstring(data.translate(_E_TO_SPACE), dtype=np.int64, sep=" ").reshape(rows, 3)
+
+
+def _scan_labels(text: str, n: int) -> dict[int, str] | None:
+    """Labels of canonical 'l v tag' lines with ascending v < n, or None."""
+    labels: dict[int, str] = {}
+    pos, last = 0, -1
+    for m in _LABEL.finditer(text):
+        v = int(m[1])
+        if m.start() != pos or v <= last or v >= n:
+            return None
+        labels[v] = m[2]
+        pos, last = m.end(), v
+    return labels if pos == len(text) else None
+
+
+def _read_canonical(text: str) -> MultiGraph | None:
+    """Vectorised parse of text in ``write_graph``'s canonical form; None for
+    any other text, valid or not."""
+    head = _HEADER.match(text)
+    if head is None or not text.isascii():
+        return None
+    n, declared = int(head[1]), int(head[2])
+    cut = text.find("\nl ", head.end() - 1) + 1 or len(text)  # first label line
+    table = _scan_edges(text[head.end() : cut].encode("ascii"), declared)
+    if table is None:
+        return None
+    u, v, mult = table.T
+    if declared:
+        du, dv = np.diff(u), np.diff(v)
+        if int(v.max()) >= n or (u > v).any() or (mult == 0).any():
+            return None
+        if not ((du > 0) | ((du == 0) & (dv > 0))).all():
+            return None
+    labels = _scan_labels(text[cut:], n)
+    if labels is None:
+        return None
+    return MultiGraph(n, EdgeArrays(u, v, mult), labels)
 
 
 def read_graph(text: str) -> MultiGraph:
+    g = _read_canonical(text)
+    return g if g is not None else _read_lines(text)
+
+
+def _read_lines(text: str) -> MultiGraph:
+    """Line-by-line parser for any valid text; raises ParseError otherwise."""
     n = None
     declared_edges = None
     edges: dict[tuple[int, int], int] = {}

@@ -24,9 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .graph import MultiGraph
+from .errors import InputError, ResourceLimitError
+from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, cover_ceiling_sum
+
+# Materialization cap on distinct edges, shared with the embedders: the
+# interval at alpha = 10, beta = 1 alone needs 156,445,379 clique edges.
+DEFAULT_EDGE_CAP = 10_000_000
 
 
 @dataclass
@@ -120,13 +124,33 @@ def _pick_deficit_vertex(d: np.ndarray, cliques: list[range]) -> int:
     raise AssertionError("odd degree total implies a positive residual somewhere")
 
 
+def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Member pairs (u < v) of the cliques range(start, start + size), as
+    (u, v, clique index) int64 arrays grouped by clique size; cliques of
+    fewer than two members contribute none."""
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    us, vs, ids = [], [], []
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        i, j = np.triu_indices(s, 1)
+        which = np.flatnonzero(sizes == s)
+        first = starts[which][:, None]
+        us.append((first + i).ravel())
+        vs.append((first + j).ravel())
+        ids.append(np.repeat(which, len(i)))
+    if not us:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(ids)
+
+
 def _fill_clique(
     members: range,
-    residuals: np.ndarray,
+    residuals: list[int],
     edges: dict[tuple[int, int], int],
 ) -> int | None:
     """Consume residuals inside one clique; returns the pending vertex, if any."""
-    heap = [(-int(residuals[v - members.start]), v) for v in members if residuals[v - members.start] > 0]
+    heap = [(-r, v) for v, r in zip(members, residuals) if r > 0]
     heapq.heapify(heap)
     while heap:
         r1, v1 = heapq.heappop(heap)
@@ -156,7 +180,9 @@ def realize(
 
     With ``materialize=False`` only the cover, parity accounting and realized
     degrees are computed (identical to the materialized ones); the graph is
-    returned as None.  Use it when the edge set would be too large to store.
+    returned as None.  Use it when the edge set would be too large to store:
+    materializing more than ``DEFAULT_EDGE_CAP`` clique edges raises
+    ResourceLimitError before anything is allocated.
     """
     target = np.asarray(degrees, dtype=np.int64)
     if target.ndim != 1 or len(target) == 0:
@@ -168,6 +194,13 @@ def realize(
 
     m = len(target)
     cliques, starts = _clique_walk(target)
+    sizes = np.array([len(c) for c in cliques], dtype=np.int64)
+    if materialize:
+        clique_edges = int((sizes * (sizes - 1) // 2).sum())
+        if clique_edges > DEFAULT_EDGE_CAP:
+            raise ResourceLimitError(
+                f"realization would have {clique_edges} clique edges (cap {DEFAULT_EDGE_CAP})"
+            )
 
     effective = target.copy()
     deficit_vertex: int | None = None
@@ -187,17 +220,14 @@ def realize(
     if not materialize:
         return None, cert
 
-    edges: dict[tuple[int, int], int] = {}
+    residuals = effective - np.repeat(sizes - 1, sizes)
+    if (residuals < 0).any():
+        raise AssertionError("negative residual: sortedness violated")
+    residual_list = residuals.tolist()
+    fill: dict[tuple[int, int], int] = {}
     pendings: list[int] = []
     for c in cliques:
-        size = len(c)
-        for i in range(c.start, c.stop):
-            for j in range(i + 1, c.stop):
-                edges[(i, j)] = 1
-        residuals = effective[c.start : c.stop] - (size - 1)
-        if (residuals < 0).any():
-            raise AssertionError("negative residual: sortedness violated")
-        pending = _fill_clique(c, residuals, edges)
+        pending = _fill_clique(c, residual_list[c.start : c.stop], fill)
         if pending is not None:
             pendings.append(pending)
     if len(pendings) % 2 != 0:
@@ -205,9 +235,17 @@ def realize(
     cross = []
     for q1, q2 in zip(pendings[::2], pendings[1::2]):
         key = (q1, q2) if q1 < q2 else (q2, q1)
-        edges[key] = edges.get(key, 0) + 1
+        fill[key] = fill.get(key, 0) + 1
         cross.append((q1, q2))
     cert.pending_edges = cross
+    # Clique edges have multiplicity 1; the graph sums the fill units onto them.
+    u, v, _ = clique_pairs(starts, sizes)
+    k = len(fill)
+    edges = EdgeArrays(
+        np.concatenate([u, np.fromiter((e[0] for e in fill), np.int64, k)]),
+        np.concatenate([v, np.fromiter((e[1] for e in fill), np.int64, k)]),
+        np.concatenate([np.ones(len(u), dtype=np.int64), np.fromiter(fill.values(), np.int64, k)]),
+    )
     return MultiGraph(m, edges), cert
 
 

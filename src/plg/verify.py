@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embed_beta1 import Beta1Params, alon_interval, layered_is_bound
 from .embed_sub1 import Sub1Params, residual_is_bound_sub1
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams, degree_counts
+from .realizer import clique_pairs
 from .report import SCHEMA, EmbeddingReport
 
 _REL_TOL = 1e-9
@@ -80,38 +83,77 @@ def _check_parts(plg: MultiGraph, rep: dict) -> dict:
 def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
     for name, cert in rep["certificates"].items():
         lo, hi = rep["parts"][name]["range"]
-        covered = 0
+        cliques = cert["cliques"]
+        # Cliques are checked in order, so only those before the first
+        # misaligned one are tested for missing edges.
+        aligned = len(cliques)
         pos = lo
-        for start, stop in cert["cliques"]:
+        for j, (start, stop) in enumerate(cliques):
             if start != pos or stop > hi:
-                return {
-                    "check": "certificates",
-                    "ok": False,
-                    "detail": f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})",
-                }
-            for u in range(start, stop):
-                for v in range(u + 1, stop):
-                    if plg.multiplicity(u, v) < 1:
-                        return {
-                            "check": "certificates",
-                            "ok": False,
-                            "detail": f"{name}: missing clique edge ({u},{v})",
-                        }
-            covered += stop - start
+                aligned = j
+                break
             pos = stop
+        spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
+        u, v, which = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])
+        missing = np.flatnonzero(plg.multiplicities(u, v) < 1)
+        if len(missing):
+            first = missing[np.lexsort((v[missing], u[missing], which[missing]))[0]]
+            return {
+                "check": "certificates",
+                "ok": False,
+                "detail": f"{name}: missing clique edge ({u[first]},{v[first]})",
+            }
+        if aligned < len(cliques):
+            start, stop = cliques[aligned]
+            return {
+                "check": "certificates",
+                "ok": False,
+                "detail": f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})",
+            }
+        covered = pos - lo
         if covered != hi - lo:
             return {
                 "check": "certificates",
                 "ok": False,
                 "detail": f"{name}: cliques cover {covered} of {hi - lo} vertices",
             }
-        if len(cert["cliques"]) != cert["is_upper_bound"]:
+        if len(cliques) != cert["is_upper_bound"]:
             return {
                 "check": "certificates",
                 "ok": False,
                 "detail": f"{name}: is_upper_bound does not equal the clique count",
             }
     return {"check": "certificates", "ok": True, "detail": ""}
+
+
+def _check_embedded(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
+    """kind "sub1": the block [0, 2m) is the doubled input.  Every pair
+    {2i, 2i+1} is joined and the graph induced on {2i : i < m}, read back at
+    i, equals the input, so every independent set of the input maps."""
+    m = original.vertex_count
+    if list(rep["parts"]["Gprime"]["range"]) != [0, 2 * m]:
+        return {"check": "embedded", "ok": False, "detail": f"Gprime is not the block [0,{2 * m})"}
+    first = 2 * np.arange(m, dtype=np.int64)
+    unjoined = np.flatnonzero(plg.multiplicities(first, first + 1) < 1)
+    if len(unjoined):
+        i = int(first[unjoined[0]])
+        return {"check": "embedded", "ok": False, "detail": f"pair ({i},{i + 1}) not joined"}
+    u, v, mult = plg.arrays()
+    even = (u % 2 == 0) & (v % 2 == 0) & (v < 2 * m)
+    iu, iv, im = u[even] // 2, v[even] // 2, mult[even]
+    ou, ov, om = original.arrays()
+    extra = original.multiplicities(iu, iv) != im
+    lost = plg.multiplicities(2 * ou, 2 * ov) != om
+    du = np.concatenate([iu[extra], ou[lost]])
+    dv = np.concatenate([iv[extra], ov[lost]])
+    if len(du):
+        k = np.lexsort((dv, du))[0]
+        return {
+            "check": "embedded",
+            "ok": False,
+            "detail": f"induced block differs from the input at input edge ({du[k]},{dv[k]})",
+        }
+    return {"check": "embedded", "ok": True, "detail": ""}
 
 
 def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
@@ -185,7 +227,8 @@ def _check_bounds(rep: dict) -> dict:
 def verify_embedding(
     plg: MultiGraph, report: EmbeddingReport | dict, original: MultiGraph
 ) -> VerifyResult:
-    """Re-check an embedding run: conformance, certificates, witness, bounds."""
+    """Re-check an embedding run: conformance, certificates, witness, bounds,
+    and for kind "sub1" the embedded block against the input."""
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
@@ -196,4 +239,6 @@ def verify_embedding(
         _check_witness(plg, rep, original),
         _check_bounds(rep),
     ]
+    if rep["kind"] == "sub1":
+        checks.append(_check_embedded(plg, rep, original))
     return VerifyResult(all(c["ok"] for c in checks), checks)

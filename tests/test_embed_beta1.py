@@ -25,7 +25,7 @@ from plg import (
     verify_embedding,
     walk_product,
 )
-from plg.embed_beta1 import _beta1_at_alpha
+from plg.embed_beta1 import ExpanderCertificate, _beta1_at_alpha
 
 from conftest import brute_mis
 
@@ -140,6 +140,17 @@ def test_walk_product_cap():
     h = random_regular_expander(5, 4, seed=1)
     with pytest.raises(ResourceLimitError):
         walk_product(MultiGraph(5), h, 9, cap=1000)
+
+
+def test_walk_product_pair_cap():
+    # A 2000-vertex circulant stands in for the expander, so no 2000x2000
+    # spectrum is computed: 32,000 walks pass the vertex cap, but their
+    # 511,984,000 pairs exceed the pair cap before any walk is enumerated.
+    n = 2000
+    ring = MultiGraph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2)])
+    h = ExpanderCertificate(ring, 4, 0.5, 0.5, -0.5, math.sqrt(3) / 2, True, 0, 0)
+    with pytest.raises(ResourceLimitError, match="walk pairs"):
+        walk_product(MultiGraph(n), h, 3)
 
 
 def test_walk_product_edge_rule_exact(c5):

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plg import MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
+from plg.graph import _read_canonical, _read_lines
 
 from conftest import random_multigraph
 
@@ -47,6 +49,20 @@ def test_independence_monotone():
         if is_independent(g, members):
             for drop in members:
                 assert is_independent(g, [v for v in members if v != drop])
+
+
+def test_independence_matches_pairwise_oracle():
+    # Small member sets take the pair-lookup branch, large ones the edge scan.
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        g = random_multigraph(rng, n, rng.randint(0, 40))
+        adj = g.adjacency_sets()
+        members = rng.sample(range(n), rng.randint(0, n))
+        expect = not any(g.has_loop(v) for v in members) and all(
+            b not in adj[a] for i, a in enumerate(members) for b in members[i + 1 :]
+        )
+        assert is_independent(g, members) == expect
 
 
 def test_independence_rejects_bad_vertex():
@@ -102,3 +118,131 @@ def test_round_trip_property(n, data):
         edges[key] = edges.get(key, 0) + m
     g = MultiGraph(n, edges)
     assert read_graph(write_graph(g)) == g
+
+
+# -- the vectorised reader against the line parser ------------------------------
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as err:
+        return None, (str(err), err.line_no)
+
+
+def _field_edit(edit):
+    """Mutation that rewrites one whitespace-separated field of one line."""
+
+    def mutate(lines, data):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(" ")
+        j = data.draw(st.integers(0, len(parts) - 1))
+        parts[j] = edit(parts[j], data)
+        lines[i] = " ".join(parts)
+        return lines
+
+    return mutate
+
+
+def _line_edit(edit):
+    def mutate(lines, data):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = edit(lines[i], data)
+        return lines
+
+    return mutate
+
+
+def _blank_line(lines, data):
+    lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", " ", "\t"])))
+    return lines
+
+
+def _huge_header(lines, data):
+    n = data.draw(st.sampled_from([2**31, 2**31 + 7, 3_037_000_500, 2**40, 2**63 + 1]))
+    return [re.sub(r"^p plg [0-9]+ ", f"p plg {n} ", line) for line in lines]
+
+
+def _drop_edge_line(lines, data):
+    edge_lines = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    if edge_lines:
+        del lines[data.draw(st.sampled_from(edge_lines))]
+    return lines
+
+
+def _extra_edge_line(lines, data):
+    u = data.draw(st.integers(0, 9))
+    v = data.draw(st.integers(u, 9))
+    lines.insert(data.draw(st.integers(1, len(lines))), f"e {u} {v} {data.draw(st.integers(1, 3))}")
+    return lines
+
+
+MUTATIONS = {
+    "none": lambda lines, data: lines,
+    "extra space": _line_edit(lambda s, data: s.replace(" ", "  ", 1)),
+    "leading space": _line_edit(lambda s, data: " " + s),
+    "trailing space": _line_edit(lambda s, data: s + " "),
+    "tab": _line_edit(lambda s, data: s.replace(" ", "\t", 1)),
+    "plus sign": _field_edit(lambda f, data: "+" + f),
+    "leading zeros": _field_edit(lambda f, data: "00" + f),
+    "negative": _field_edit(lambda f, data: "-" + f),
+    "non-integer": _field_edit(lambda f, data: f + "x"),
+    "blank line": _blank_line,
+    "huge header n": _huge_header,
+    "missing edge line": _drop_edge_line,
+    "extra edge line": _extra_edge_line,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3), st.booleans(), st.data())
+def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
+    rng = random.Random(seed)
+    g = random_multigraph(rng, rng.randint(1, 10), rng.randint(0, 12))
+    for v in rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count)):
+        g.labels[v] = rng.choice(["embedded", "residual-G1", "x"])
+    lines = write_graph(g).split("\n")[:-1]
+    for name in names:
+        lines = MUTATIONS[name](lines, data)
+    text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+    fast = _read_canonical(text)
+    slow, slow_err = _outcome(_read_lines, text)
+    if fast is not None:
+        assert slow_err is None and fast == slow
+    assert _outcome(read_graph, text) == (slow, slow_err)
+    if not names and not crlf:
+        assert fast == g
+
+
+def test_round_trip_seeded_loops_multi_edges_labels():
+    rng = random.Random(2024)
+    for n, edge_count, top in [(1, 3, 3), (12, 40, 5), (300, 2000, 10**6), (5000, 20000, 10**17)]:
+        edges: dict[tuple[int, int], int] = {}
+        for _ in range(edge_count):
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            if rng.random() < 0.1:
+                v = u
+            edges[(u, v)] = edges.get((u, v), 0) + rng.randint(1, top)
+        labels = {v: rng.choice(["embedded", "residual-G1", "residual-G2"]) for v in range(0, n, 3)}
+        g = MultiGraph(n, edges, labels)
+        text = write_graph(g)
+        assert text == write_graph(_read_lines(text))
+        assert _read_canonical(text) == g == read_graph(text)
+        assert write_graph(read_graph(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, u, v, m",
+    [
+        ("p plg 2147483648 1\ne 2147483646 2147483647 3\n", 2147483646, 2147483647, 3),
+        ("p plg 3037000500 1\ne 3037000498 3037000498 2\n", 3037000498, 3037000498, 2),
+        ("p plg 1099511627776 2\ne 0 7 1\ne 5 1000000 2\n", 5, 1000000, 2),
+    ],
+)
+def test_huge_header_keys_do_not_overflow(text, u, v, m):
+    g = read_graph(text)
+    assert _read_canonical(text) == g == _read_lines(text)
+    assert g.multiplicity(u, v) == m
+    assert g.multiplicity(u, v + 1) == 0
+    assert g.multiplicity(0, g.vertex_count - 1) == 0
+    assert write_graph(g) == text

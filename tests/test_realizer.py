@@ -1,4 +1,6 @@
+import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from plg import (
     PowerLawParams,
+    ResourceLimitError,
     clique_cover_bound,
     degree_counts,
     exact_mis,
     interval_degree_sequence,
     realize,
 )
+from plg.cli import main
 
 from conftest import assert_valid_cover, brute_mis, degrees_match
 
@@ -160,3 +164,18 @@ def test_certificate_json_shape():
     assert d["clique_sizes"] == [2, 3]
     assert d["p_values"] == [0, 2]
     assert d["is_upper_bound"] == 2
+
+
+def test_realize_cap_raises_before_allocating():
+    # The full interval at alpha = 10, beta = 1 needs 156,445,379 clique edges;
+    # the cap is checked from the clique sizes alone, before any edge exists.
+    p = PowerLawParams(10.0, 1.0)
+    d = interval_degree_sequence(p, 1, p.delta)
+    _, cert = realize(d, materialize=False)
+    assert sum(len(c) * (len(c) - 1) // 2 for c in cert.cliques) == 156_445_379
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="156445379 clique edges"):
+        realize(d)
+    assert main(["realize", "--alpha", "10", "--beta", "1", "--from", "1",
+                 "--to", str(p.delta), "--out", os.devnull]) == 2
+    assert time.perf_counter() - start < 1.0

@@ -1,9 +1,11 @@
 import copy
 import hashlib
 import json
+import random
 
 from plg import MultiGraph, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
+from plg.verify import _check_certificates
 
 
 def failing(checks):
@@ -56,6 +58,16 @@ def test_verify_detects_broken_certificate(c5):
     res = verify_embedding(g, doc, c5)
     assert not res.ok
     assert "certificates" in failing(res.checks)
+
+
+def test_verify_detects_unjoined_pair(c5):
+    g, rep = embed_sub1(c5, 0.5)
+    edges = g.edge_dict()
+    del edges[(0, 1)]
+    res = verify_embedding(MultiGraph(g.vertex_count, edges, g.labels), rep, c5)
+    assert not res.ok
+    detail = next(c["detail"] for c in res.checks if c["check"] == "embedded")
+    assert detail == "pair (0,1) not joined"
 
 
 def test_verify_beta1(c5):
@@ -146,6 +158,33 @@ def test_cli_verify_fails_on_tampered_graph(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_verify_fails_on_two_swapped_block(tmp_path, capsys):
+    # A degree-preserving 2-swap inside the embedded block of P4 at beta 0.5:
+    # degrees, certificates and the witness {0, 4} survive, but the graph
+    # induced on {2i} is no longer P4.
+    (tmp_path / "p4.plg").write_text(write_graph(MultiGraph(4, [(0, 1), (1, 2), (2, 3)])))
+    assert main(
+        ["embed-sub1", "--beta", "0.5", "--in", str(tmp_path / "p4.plg"),
+         "--out", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json")]
+    ) == 0
+    g = read_graph((tmp_path / "e.plg").read_text())
+    edges = g.edge_dict()
+    assert edges.pop((0, 2)) == 1 and edges.pop((5, 6)) == 1
+    assert (0, 5) not in edges and (2, 6) not in edges
+    edges[(0, 5)] = edges[(2, 6)] = 1
+    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    assert sorted(swapped.degrees()) == sorted(g.degrees())
+    (tmp_path / "s.plg").write_text(write_graph(swapped))
+    capsys.readouterr()
+    code = main(
+        ["verify", "--plg", str(tmp_path / "s.plg"),
+         "--report", str(tmp_path / "e.json"), "--in", str(tmp_path / "p4.plg")]
+    )
+    assert code == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert failing(rec["checks"]) == ["embedded"]
+
+
 def test_cli_expander_and_walkprod(tmp_path, capsys):
     assert main(["expander", "--n", "20", "--d", "4", "--seed", "7"]) == 0
     rec = json.loads(capsys.readouterr().out)
@@ -195,3 +234,52 @@ def test_cli_determinism(tmp_path, capsys):
     second = run("b")
     capsys.readouterr()
     assert first == second
+
+
+def reference_check_certificates(plg, rep):
+    """The pair-by-pair certificate check the vectorised one must agree with."""
+    for name, cert in rep["certificates"].items():
+        lo, hi = rep["parts"][name]["range"]
+        covered = 0
+        pos = lo
+        for start, stop in cert["cliques"]:
+            if start != pos or stop > hi:
+                return f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})"
+            for u in range(start, stop):
+                for v in range(u + 1, stop):
+                    if plg.multiplicity(u, v) < 1:
+                        return f"{name}: missing clique edge ({u},{v})"
+            covered += stop - start
+            pos = stop
+        if covered != hi - lo:
+            return f"{name}: cliques cover {covered} of {hi - lo} vertices"
+        if len(cert["cliques"]) != cert["is_upper_bound"]:
+            return f"{name}: is_upper_bound does not equal the clique count"
+    return ""
+
+
+def test_certificate_check_matches_pairwise_reference(petersen):
+    rng = random.Random(9)
+    g, rep = embed_sub1(petersen, 0.5)
+    base = rep.to_dict()
+    clique_edges = [
+        (u, v)
+        for cert in base["certificates"].values()
+        for start, stop in cert["cliques"]
+        for u in range(start, stop)
+        for v in range(u + 1, stop)
+    ]
+    for trial in range(60):
+        doc = copy.deepcopy(base)
+        edges = g.edge_dict()
+        for key in rng.sample(clique_edges, rng.randint(0, 3)):
+            del edges[key]
+        if trial % 3 == 1:  # shift one clique boundary
+            cliques = doc["certificates"][rng.choice(sorted(doc["certificates"]))]["cliques"]
+            cliques[rng.randrange(len(cliques))][rng.randint(0, 1)] += rng.choice([-1, 1])
+        if trial % 5 == 2:
+            doc["certificates"]["G1"]["is_upper_bound"] += 1
+        tampered = MultiGraph(g.vertex_count, edges, g.labels)
+        got = _check_certificates(tampered, doc)
+        assert got["detail"] == reference_check_certificates(tampered, doc)
+        assert got["ok"] == (got["detail"] == "")
