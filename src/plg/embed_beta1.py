@@ -552,6 +552,9 @@ def embed_beta1(
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
     n = g.vertex_count
+    # Every vertex starts at least one walk; refuse before the expander.
+    if n > cap:
+        raise ResourceLimitError(f"walk product would have at least {n} vertices (cap {cap})")
     h = random_regular_expander(n, d, seed)
     k = 2 if k_override is None else k_override
     if k < 1:

@@ -153,6 +153,11 @@ def embed_sub1(
         raise InputError("need at least one vertex")
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
+    # The embedded block alone has 2n vertices; refuse before doubling.
+    if 2 * g.vertex_count > max_vertices:
+        raise ResourceLimitError(
+            f"output would have at least {2 * g.vertex_count} vertices (cap {max_vertices})"
+        )
     gd = double_with_pairs(g)
     params = choose_params_sub1(gd.vertex_count, beta)
     p = PowerLawParams(params.alpha, beta)

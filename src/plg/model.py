@@ -97,13 +97,19 @@ def degree_count(p: PowerLawParams, i: int) -> int:
     return guarded_floor(math.exp(p.alpha) / i**p.beta)
 
 
-def degree_counts(p: PowerLawParams) -> np.ndarray:
-    """The full vector (y_1, ..., y_delta)."""
-    i = np.arange(1, p.delta + 1, dtype=np.float64)
+def _floored_counts(p: PowerLawParams, lo: int, hi: int) -> np.ndarray:
+    """(y_lo, ..., y_hi) as int64 by the snap rule, for lo >= 1; empty when
+    lo > hi."""
+    i = np.arange(lo, hi + 1, dtype=np.float64)
     v = math.exp(p.alpha) / i**p.beta
     c = np.round(v)
     snapped = np.abs(v - c) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))
     return np.where(snapped, c, np.floor(v)).astype(np.int64)
+
+
+def degree_counts(p: PowerLawParams) -> np.ndarray:
+    """The full vector (y_1, ..., y_delta)."""
+    return _floored_counts(p, 1, p.delta)
 
 
 def _count_threshold(p: PowerLawParams, v: int) -> int:
@@ -162,11 +168,7 @@ def cover_ceiling_sum(p: PowerLawParams, a: int, b: int) -> int:
     counts_chunk = 5_000_000
     for lo in range(a, b + 1, counts_chunk):
         hi = min(b, lo + counts_chunk - 1)
-        i = np.arange(lo, hi + 1, dtype=np.float64)
-        v = math.exp(p.alpha) / i**p.beta
-        c = np.round(v)
-        snapped = np.abs(v - c) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))
-        y = np.where(snapped, c, np.floor(v)).astype(np.int64)
+        y = _floored_counts(p, lo, hi)
         ii = np.arange(lo, hi + 1, dtype=np.int64)
         total += int(((y + ii - 1) // ii).sum())
     return total

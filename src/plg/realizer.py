@@ -2,13 +2,32 @@
 
 Construction: walk the sorted sequence, cutting a clique of size d[p]+1 at each
 start position p (the tail clique takes whatever remains), then consume the
-residual degree inside each clique deterministically:
+residual degree inside each clique deterministically.
 
-  * repeatedly add one multi-edge unit between the two highest-residual
-    members (ties broken by lowest vertex id);
+The fill is specified by a unit rule:
+
+  * take the two members of highest residual r1 >= r2 (ties broken by lowest
+    vertex id) and the third-highest residual r3 (0 if none), and add
+    step = max(1, r2 - r3) multi-edge units between them;
   * when a single member remains positive, add self-loops two units at a time;
   * a final odd unit becomes a pending half-edge, joined to the next clique's
     pending half-edge by one cross-clique edge.
+
+It is implemented by run-length events over groups of equal residual (see
+``_fill_clique``): with T the group at the top level L and U the group at the
+next level L2 (0 when none), one event moves
+
+  * a lone top member against the level below it: L // 2 loops with nothing
+    below; one edge of weight L2 - L3 to a lone U member (L3 the level under
+    U); else one unit to each of the min(L - L2, |U|) lowest ids of U;
+  * an even group: its consecutive pairs get L - L2 units and it lands on U;
+  * an odd group of k >= 3: floor((L - L2)/2) periods of two levels, each a
+    unit on (g0,g1), (g2,g3), ..., (g0,g_{k-1}), (g1,g2), (g3,g4), ...; at one
+    level above U, (g0,g1), ..., (g_{k-3},g_{k-2}) get a unit and join U,
+    leaving g_{k-1} alone on top.
+
+These give exactly the unit rule's edges, multiplicities and pending vertex,
+with Python work per event rather than per unit.
 
 If the degree total is odd, one target is lowered by 1 before filling (the
 highest-index vertex whose residual allows it), recorded as the parity
@@ -18,7 +37,7 @@ maximum independent set of the output.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +45,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
-from .model import PowerLawParams, cover_ceiling_sum
+from .model import PowerLawParams, _floored_counts, cover_ceiling_sum
 
 # Materialization cap on distinct edges, shared with the embedders: the
 # interval at alpha = 10, beta = 1 alone needs 156,445,379 clique edges.
@@ -43,15 +62,10 @@ class CliqueCoverCertificate:
     parity_deficit_vertex: int | None
     target_degrees: np.ndarray
     realized_degrees: np.ndarray
-    vertex_offset: int = 0
     pending_edges: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def size(self) -> int:
-        return len(self.cliques)
-
-    @property
-    def is_upper_bound(self) -> int:
         return len(self.cliques)
 
     def shifted(self, offset: int) -> "CliqueCoverCertificate":
@@ -67,7 +81,6 @@ class CliqueCoverCertificate:
             ),
             target_degrees=self.target_degrees,
             realized_degrees=self.realized_degrees,
-            vertex_offset=self.vertex_offset + offset,
             pending_edges=[(u + offset, v + offset) for u, v in self.pending_edges],
         )
 
@@ -77,20 +90,13 @@ class CliqueCoverCertificate:
             "p_values": list(self.start_indices),
             "parity_deficit": self.parity_deficit,
             "parity_deficit_vertex": self.parity_deficit_vertex,
-            "is_upper_bound": self.is_upper_bound,
+            "is_upper_bound": self.size,
         }
 
 
 def interval_counts(p: PowerLawParams, a: int, b: int) -> np.ndarray:
     """(y_a, ..., y_b) as an int64 array."""
-    a, b = max(a, 1), min(b, p.delta)
-    if a > b:
-        return np.zeros(0, dtype=np.int64)
-    i = np.arange(a, b + 1, dtype=np.float64)
-    v = math.exp(p.alpha) / i**p.beta
-    c = np.round(v)
-    snapped = np.abs(v - c) <= 1e-9 * np.maximum(1.0, np.abs(c))
-    return np.where(snapped, c, np.floor(v)).astype(np.int64)
+    return _floored_counts(p, max(a, 1), min(b, p.delta))
 
 
 def interval_degree_sequence(p: PowerLawParams, a: int, b: int) -> np.ndarray:
@@ -147,30 +153,119 @@ def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _fill_clique(
     members: range,
     residuals: list[int],
-    edges: dict[tuple[int, int], int],
+    us: list[int],
+    vs: list[int],
+    ws: list[int],
 ) -> int | None:
-    """Consume residuals inside one clique; returns the pending vertex, if any."""
-    heap = [(-r, v) for v, r in zip(members, residuals) if r > 0]
-    heapq.heapify(heap)
-    while heap:
-        r1, v1 = heapq.heappop(heap)
-        r1 = -r1
-        if not heap:
-            if r1 >= 2:
-                key = (v1, v1)
-                edges[key] = edges.get(key, 0) + r1 // 2
-            return v1 if r1 % 2 else None
-        r2, v2 = heapq.heappop(heap)
-        r2 = -r2
-        third = -heap[0][0] if heap else 0
-        step = max(1, r2 - third)
-        key = (v1, v2) if v1 < v2 else (v2, v1)
-        edges[key] = edges.get(key, 0) + step
-        if r1 - step > 0:
-            heapq.heappush(heap, (-(r1 - step), v1))
-        if r2 - step > 0:
-            heapq.heappush(heap, (-(r2 - step), v2))
+    """Consume residuals inside one clique by the unit rule of the module
+    docstring, appending each fill batch as pairs (us[i], vs[i]) of
+    multiplicity ws[i]; returns the pending vertex, if any.
+
+    Residuals are held as levels: ``groups[r]`` is the ascending list of
+    members with residual r, ``levels`` the ascending list of positive r.
+    Each pass moves the top group T (level ``top``) down in one event, as
+    the unit rule would over many units; U is the group at ``below``, the
+    next level (0 when none).
+    """
+    groups: dict[int, list[int]] = {}
+    for v, r in zip(members, residuals):
+        if r > 0:
+            groups.setdefault(r, []).append(v)
+    levels = sorted(groups)
+
+    def emit(a: list[int], b: list[int], w: int) -> None:
+        us.extend(a)
+        vs.extend(b)
+        ws.extend([w] * len(a))
+
+    def drop(ids: list[int], level: int) -> None:
+        if level <= 0:
+            return
+        group = groups.get(level)
+        if group is None:
+            groups[level] = ids
+            bisect.insort(levels, level)
+        else:
+            groups[level] = sorted(group + ids)
+
+    while levels:
+        top = levels.pop()
+        group = groups.pop(top)
+        below = levels[-1] if levels else 0
+        k = len(group)
+        if k == 1:
+            t = group[0]
+            if not levels:
+                if top >= 2:
+                    emit(group, group, top // 2)
+                return t if top % 2 else None
+            under = groups[below]
+            if len(under) == 1:
+                # t pairs with the lone u until u reaches the level below it.
+                del groups[levels.pop()]
+                step = below - (levels[-1] if levels else 0)
+                emit(group, under, step)
+                drop(under, below - step)
+                drop(group, top - step)
+            else:
+                # t pairs once with each of the j lowest ids of U, one unit
+                # each, until t reaches U's level or U runs out.
+                j = min(top - below, len(under))
+                if j < len(under):
+                    groups[below] = under[j:]
+                else:
+                    del groups[levels.pop()]
+                moved = under[:j]
+                emit(group * j, moved, 1)
+                drop(moved, below - 1)
+                drop(group, top - j)
+        elif k % 2 == 0:
+            # Rounds of consecutive pairs until the group lands on U.
+            emit(group[0::2], group[1::2], top - below)
+            drop(group, below)
+        elif top - below >= 2:
+            # Odd group: each period of two levels pairs (g0,g1), (g2,g3), ...,
+            # then (g0, g_last), then (g1,g2), (g3,g4), ....
+            f = (top - below) // 2
+            emit(group[0 : k - 1 : 2], group[1 : k - 1 : 2], f)
+            emit(group[:1], group[-1:], f)
+            emit(group[1::2], group[2::2], f)
+            drop(group, top - 2 * f)
+        else:
+            # One level above U: all but the last member pair off onto U,
+            # leaving the last alone on top.
+            emit(group[0 : k - 1 : 2], group[1 : k - 1 : 2], 1)
+            drop(group[:-1], below)
+            groups[top] = group[-1:]
+            levels.append(top)
     return None
+
+
+def _fill_edges(
+    cliques: list[range], residuals: list[int], m: int
+) -> tuple[EdgeArrays, list[tuple[int, int]]]:
+    """All cliques' fill edges, repeats summed, with the cross edges that join
+    consecutive pending vertices (also returned as a list)."""
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    pendings: list[int] = []
+    for c in cliques:
+        pending = _fill_clique(c, residuals[c.start : c.stop], us, vs, ws)
+        if pending is not None:
+            pendings.append(pending)
+    if len(pendings) % 2 != 0:
+        raise AssertionError("pending half-edges must pair up after parity fix")
+    cross = list(zip(pendings[::2], pendings[1::2]))
+    us += pendings[::2]
+    vs += pendings[1::2]
+    ws += [1] * len(cross)
+    # Events repeat pairs: summing them here, and dropping the lists on
+    # return, keeps the final build to the clique edges plus distinct pairs.
+    fill = MultiGraph(m, EdgeArrays(
+        np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=np.int64)
+    ))
+    return fill.arrays(), cross
 
 
 def realize(
@@ -223,28 +318,13 @@ def realize(
     residuals = effective - np.repeat(sizes - 1, sizes)
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
-    residual_list = residuals.tolist()
-    fill: dict[tuple[int, int], int] = {}
-    pendings: list[int] = []
-    for c in cliques:
-        pending = _fill_clique(c, residual_list[c.start : c.stop], fill)
-        if pending is not None:
-            pendings.append(pending)
-    if len(pendings) % 2 != 0:
-        raise AssertionError("pending half-edges must pair up after parity fix")
-    cross = []
-    for q1, q2 in zip(pendings[::2], pendings[1::2]):
-        key = (q1, q2) if q1 < q2 else (q2, q1)
-        fill[key] = fill.get(key, 0) + 1
-        cross.append((q1, q2))
-    cert.pending_edges = cross
+    fill, cert.pending_edges = _fill_edges(cliques, residuals.tolist(), m)
     # Clique edges have multiplicity 1; the graph sums the fill units onto them.
     u, v, _ = clique_pairs(starts, sizes)
-    k = len(fill)
     edges = EdgeArrays(
-        np.concatenate([u, np.fromiter((e[0] for e in fill), np.int64, k)]),
-        np.concatenate([v, np.fromiter((e[1] for e in fill), np.int64, k)]),
-        np.concatenate([np.ones(len(u), dtype=np.int64), np.fromiter(fill.values(), np.int64, k)]),
+        np.concatenate([u, fill.u]),
+        np.concatenate([v, fill.v]),
+        np.concatenate([np.ones(len(u), dtype=np.int64), fill.mult]),
     )
     return MultiGraph(m, edges), cert
 

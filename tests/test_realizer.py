@@ -1,24 +1,31 @@
+import heapq
 import os
 import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plg import (
+    MultiGraph,
     PowerLawParams,
     ResourceLimitError,
     clique_cover_bound,
     degree_counts,
+    embed_beta1,
+    embed_sub1,
     exact_mis,
     interval_degree_sequence,
     realize,
 )
+from plg import _assembly
 from plg.cli import main
+from plg.graph import EdgeArrays
+from plg.realizer import _fill_clique, clique_pairs
 
-from conftest import assert_valid_cover, brute_mis, degrees_match
+from conftest import assert_valid_cover, brute_mis, degrees_match, random_simple_graph
 
 degree_seqs = st.lists(st.integers(1, 9), min_size=1, max_size=14).map(sorted)
 
@@ -179,3 +186,141 @@ def test_realize_cap_raises_before_allocating():
     assert main(["realize", "--alpha", "10", "--beta", "1", "--from", "1",
                  "--to", str(p.delta), "--out", os.devnull]) == 2
     assert time.perf_counter() - start < 1.0
+
+
+# -- the residual fill against the unit-by-unit heap -----------------------
+
+
+def _heap_fill_clique(
+    members: range,
+    residuals: list[int],
+    edges: dict[tuple[int, int], int],
+) -> int | None:
+    """Consume residuals inside one clique; returns the pending vertex, if any."""
+    heap = [(-r, v) for v, r in zip(members, residuals) if r > 0]
+    heapq.heapify(heap)
+    while heap:
+        r1, v1 = heapq.heappop(heap)
+        r1 = -r1
+        if not heap:
+            if r1 >= 2:
+                key = (v1, v1)
+                edges[key] = edges.get(key, 0) + r1 // 2
+            return v1 if r1 % 2 else None
+        r2, v2 = heapq.heappop(heap)
+        r2 = -r2
+        third = -heap[0][0] if heap else 0
+        step = max(1, r2 - third)
+        key = (v1, v2) if v1 < v2 else (v2, v1)
+        edges[key] = edges.get(key, 0) + step
+        if r1 - step > 0:
+            heapq.heappush(heap, (-(r1 - step), v1))
+        if r2 - step > 0:
+            heapq.heappush(heap, (-(r2 - step), v2))
+    return None
+
+
+def _run_length_fill(members: range, residuals: list[int]):
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[int] = []
+    pending = _fill_clique(members, residuals, us, vs, ws)
+    mult: dict[tuple[int, int], int] = {}
+    for u, v, w in zip(us, vs, ws):
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + w
+    return mult, pending
+
+
+_values = st.integers(0, 60)
+_residual_shapes = st.one_of(
+    st.lists(_values, min_size=1, max_size=40),
+    # long equal runs, of odd and of even length
+    st.lists(st.tuples(_values, st.integers(1, 15)), min_size=1, max_size=4).map(
+        lambda runs: [r for r, n in runs for _ in range(n)][:40]
+    ),
+    # ladders of consecutive values, climbing or falling
+    st.tuples(st.integers(0, 30), st.integers(1, 30), st.booleans()).map(
+        lambda t: list(range(t[0], t[0] + t[1]))[:: -1 if t[2] else 1]
+    ),
+    # a single vertex far above the rest
+    st.tuples(st.lists(st.integers(0, 4), max_size=39), st.integers(20, 60), st.integers(0, 39)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] :]
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_residual_shapes, st.booleans(), st.integers(0, 10**6))
+@example([5, 5, 5], False, 0)
+@example([4, 4, 4, 4], False, 0)
+@example(list(range(1, 21)), False, 3)
+@example([60, 1, 1, 1], False, 0)
+@example([1, 60, 2, 2], True, 0)
+def test_run_length_fill_matches_heap(residuals, ordered, offset):
+    if ordered:
+        residuals = sorted(residuals)
+    members = range(offset, offset + len(residuals))
+    expected: dict[tuple[int, int], int] = {}
+    pending = _heap_fill_clique(members, residuals, expected)
+    assert _run_length_fill(members, residuals) == (expected, pending)
+
+
+def _heap_realize(d):
+    """realize() with the heap fill: the fill units summed per pair in a
+    dict, then the cross edges joining consecutive pending vertices."""
+    _, cert = realize(d, materialize=False)
+    sizes = np.array([len(c) for c in cert.cliques], dtype=np.int64)
+    residuals = (cert.realized_degrees - np.repeat(sizes - 1, sizes)).tolist()
+    fill: dict[tuple[int, int], int] = {}
+    pendings = []
+    for c in cert.cliques:
+        pending = _heap_fill_clique(c, residuals[c.start : c.stop], fill)
+        if pending is not None:
+            pendings.append(pending)
+    cross = list(zip(pendings[::2], pendings[1::2]))
+    for q1, q2 in cross:
+        key = (min(q1, q2), max(q1, q2))
+        fill[key] = fill.get(key, 0) + 1
+    u, v, _ = clique_pairs(cert.start_indices, sizes)
+    k = len(fill)
+    edges = EdgeArrays(
+        np.concatenate([u, np.fromiter((e[0] for e in fill), np.int64, k)]),
+        np.concatenate([v, np.fromiter((e[1] for e in fill), np.int64, k)]),
+        np.concatenate([np.ones(len(u), dtype=np.int64), np.fromiter(fill.values(), np.int64, k)]),
+    )
+    return MultiGraph(len(d), edges), cross
+
+
+def _realized_sequences(monkeypatch, embed) -> list[np.ndarray]:
+    seen = []
+
+    def recording(d, *args, **kwargs):
+        seen.append(np.array(d))
+        return realize(d, *args, **kwargs)
+
+    monkeypatch.setattr(_assembly, "realize", recording)
+    embed()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize(
+    "embed",
+    [
+        lambda: embed_sub1(random_simple_graph(random.Random(1), 20, 0.2), 0.8),
+        lambda: embed_beta1(random_simple_graph(random.Random(2), 64, 0.064), 4, 7),
+    ],
+    ids=["embed-sub1", "embed-beta1"],
+)
+def test_realize_matches_heap_reference(monkeypatch, embed):
+    # The interval sequences the benchmark's embedders realize: beta = 0.8 on
+    # 20 input vertices, and d = 4 over 64 vertices.
+    sequences = _realized_sequences(monkeypatch, embed)
+    assert len(sequences) == 2 and max(map(len, sequences)) > 1000
+    for d in sequences:
+        g, cert = realize(d)
+        ref, cross = _heap_realize(d)
+        for got, want in zip(g.arrays(), ref.arrays()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert cert.pending_edges == cross

@@ -1,7 +1,14 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from plg import MultiGraph, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
@@ -209,6 +216,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     # bracket calculators are only stated for beta <= 1
     assert main(["dist", "--alpha", "2", "--beta", "1.5", "--interval", "0.2", "0.8"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["embed-sub1", "--beta", "0.5", "--out", "g.plg", "--report", "r.json"],
+        ["embed-beta1", "--d", "4", "--seed", "1", "--out", "g.plg", "--report", "r.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_huge_header_exits_2(tmp_path, argv):
+    # 2^36 declared vertices over one edge: the vertex count must be refused
+    # before any per-vertex allocation.  Run apart, under a 2 GiB address
+    # space, so that a regression fails with MemoryError, not by taking the
+    # machine's memory.
+    (tmp_path / "huge.plg").write_text("p plg 68719476736 1\ne 0 7 1\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "plg.cli", *argv, "--in", "huge.plg"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
 
 
 def test_cli_determinism(tmp_path, capsys):
