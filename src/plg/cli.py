@@ -108,9 +108,10 @@ def _cmd_expander(args) -> int:
 
 
 def _cmd_walkprod(args) -> int:
-    from .embed_beta1 import random_regular_expander, walk_product
+    from .embed_beta1 import check_walk_caps, random_regular_expander, walk_product
 
     g = read_graph(Path(args.infile).read_text())
+    check_walk_caps(g.vertex_count, args.d, args.k)
     h = random_regular_expander(g.vertex_count, args.d, args.seed)
     wp = walk_product(g, h, args.k)
     if args.out:

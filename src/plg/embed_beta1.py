@@ -15,7 +15,7 @@ import numpy as np
 
 from ._assembly import AssembledPart, assemble, assign_pair_slots, double_with_pairs, top_interval_slots
 from .errors import InputError, InternalError, ResourceLimitError
-from .graph import MultiGraph, is_independent
+from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
 from .realizer import interval_degree_sequence
 from .report import EmbeddingReport, degree_conformance
@@ -23,9 +23,50 @@ from .solver import exact_mis, greedy_maximal_is
 
 _MAX_BUMPS = 64
 WALK_VERTEX_CAP = 200_000
-# The edge rule is tested once per pair of walks, in Python at about 2 us a
-# pair, so this cap stops products that would take more than about 40 s.
+# Walk pairs bound the pair matrix M = W·A·Wᵀ behind a walk product's edges:
+# its work and the product's edge columns grow with them, so this cap keeps
+# both bounded (about 6,300 walks).  It also bounds the expander's size, since
+# a k = 1 product has one walk per vertex.
 WALK_PAIR_CAP = 20_000_000
+# Entries of M computed per row block.
+_ROW_BLOCK_ENTRIES = 1 << 20
+
+
+def check_walk_caps(n: int, d: int, k: int, cap: int = WALK_VERTEX_CAP) -> int:
+    """The walk count n*d^(k-1) of a k-walk product over a d-regular graph on
+    n vertices.  Raises ``ResourceLimitError`` when it exceeds ``cap`` or its
+    walk pairs exceed ``WALK_PAIR_CAP``, so callers can refuse before building
+    anything."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if n > 0 and d > 1 and k - 1 > cap.bit_length():
+        # d^(k-1) > cap already; a huge k would take long to raise d to.
+        raise ResourceLimitError(
+            f"walk product would have {n}*{d}^{k - 1} vertices (cap {cap})"
+        )
+    count = n * d ** (k - 1)
+    if count > cap:
+        raise ResourceLimitError(
+            f"walk product would have {count} vertices (cap {cap})"
+        )
+    pairs = count * (count - 1) // 2
+    if pairs > WALK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"walk product would have {pairs} walk pairs (cap {WALK_PAIR_CAP})"
+        )
+    return count
+
+
+def _adjacency_matrix(g: MultiGraph) -> np.ndarray:
+    """Dense symmetric float adjacency matrix of g without its loops: entry
+    (u, v) is the multiplicity joining u and v."""
+    u, v, mult = g.arrays()
+    keep = u != v
+    u, v, mult = u[keep], v[keep], mult[keep]
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    np.add.at(a, (u, v), mult)
+    np.add.at(a, (v, u), mult)
+    return a
 
 
 # -- expander supply ----------------------------------------------------------
@@ -67,11 +108,7 @@ class ExpanderCertificate:
 
 def _transition_spectrum(g: MultiGraph, d: int) -> tuple[float, float]:
     """(lambda_1, lambda_min) of the walk transition matrix A/d."""
-    n = g.vertex_count
-    a = np.zeros((n, n))
-    for (u, v), m in g.edge_dict().items():
-        a[u, v] += m
-        a[v, u] += m
+    a = _adjacency_matrix(g)
     ev = np.linalg.eigvalsh(a / d)
     return float(ev[-2]), float(ev[0])
 
@@ -114,7 +151,9 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
     K_{d+1} is returned deterministically when n = d+1 (its walk matrix has
     lambda = 1/d, always passing).  Otherwise up to 32 seeded pairing-model
     candidates are tried and the first passing one is returned; if none
-    passes, the best-lambda candidate is returned with passes=False.
+    passes, the best-lambda candidate is returned with passes=False.  An n
+    whose C(n, 2) exceeds ``WALK_PAIR_CAP`` is refused before any draw: no
+    walk product could use the expander, and its spectrum needs n x n floats.
     """
     if d < 3:
         raise InputError("expander degree must be >= 3")
@@ -122,6 +161,10 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
         raise InputError("need d < n")
     if (n * d) % 2:
         raise InputError("n*d must be even")
+    if n * (n - 1) // 2 > WALK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"expander on {n} vertices has {n * (n - 1) // 2} vertex pairs (cap {WALK_PAIR_CAP})"
+        )
     bound = 2 * math.sqrt(d - 1) / d
     if n == d + 1:
         edges = {(u, v): 1 for u in range(n) for v in range(u + 1, n)}
@@ -179,71 +222,50 @@ def walk_product(
 ) -> WalkProduct:
     """Build the k-walk product of g over the expander h.
 
-    Edge work is quadratic in the walk count n*d^(k-1): ``cap`` bounds the
-    walk count and ``WALK_PAIR_CAP`` the number of walk pairs, both checked
-    before any walk is enumerated.
+    Walks are listed in lexicographic order, each step taking the expander's
+    neighbours in ascending order.  With W the walk/vertex incidence matrix
+    and A the adjacency matrix of g, M = W·A·Wᵀ counts the edges of g between
+    walk i and walk j.  Walk i has a self-loop iff s_i = M[i, i] > 0, and
+    walks i < j are adjacent iff M[i, j] > 0 or s_i or s_j.  M's upper
+    triangle is summed in float64 row blocks from A's rows and columns
+    gathered at the k walk positions: O(count^2 * k) work, against a dense
+    product's O(count^2 * n).  A revisited vertex is counted twice, which
+    changes no entry's sign; entries are at most k^2, so the sums are exact.
+
+    ``cap`` bounds the walk count n*d^(k-1) and ``WALK_PAIR_CAP`` the number
+    of walk pairs, both checked before any walk is enumerated.
     """
     if not g.is_simple():
         raise InputError("walk products are defined for simple base graphs")
     if g.vertex_count != h.graph.vertex_count:
         raise InputError("base graph and expander must share a vertex set")
-    if k < 1:
-        raise InputError("k must be >= 1")
     n = g.vertex_count
-    count = n * h.d ** (k - 1)
-    if count > cap:
-        raise ResourceLimitError(
-            f"walk product would have {count} vertices (cap {cap})"
-        )
-    pairs = count * (count - 1) // 2
-    if pairs > WALK_PAIR_CAP:
-        raise ResourceLimitError(
-            f"walk product would test {pairs} walk pairs (cap {WALK_PAIR_CAP})"
-        )
-    nbrs = [sorted(s) for s in h.graph.adjacency_sets()]
-    walks: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [(v,) for v in range(n - 1, -1, -1)]
-    while stack:
-        w = stack.pop()
-        if len(w) == k:
-            walks.append(w)
-            continue
-        for u in reversed(nbrs[w[-1]]):
-            stack.append(w + (u,))
+    count = check_walk_caps(n, h.d, k, cap)
+    nbr_of, nbr = np.nonzero(_adjacency_matrix(h.graph))
+    first_nbr = np.searchsorted(nbr_of, np.arange(n + 1))
+    walks = np.arange(n)[:, None]
+    for _ in range(k - 1):
+        last = walks[:, -1]
+        fan = first_nbr[last + 1] - first_nbr[last]
+        parent = np.repeat(np.arange(len(walks)), fan)
+        rank = np.arange(len(parent)) - (np.cumsum(fan) - fan)[parent]
+        walks = np.column_stack([walks[parent], nbr[first_nbr[last[parent]] + rank]])
     if len(walks) != count:
         raise InternalError("walk enumeration does not match n*d^(k-1)")
 
-    gadj = [0] * n
-    for (u, v), _m in g.edge_dict().items():
-        if u != v:
-            gadj[u] |= 1 << v
-            gadj[v] |= 1 << u
-
-    def dependent(mask: int) -> bool:
-        m = mask
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            if gadj[v] & mask:
-                return True
-            m ^= lsb
-        return False
-
-    masks = []
-    for w in walks:
-        mask = 0
-        for v in w:
-            mask |= 1 << v
-        masks.append(mask)
-
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(count):
-        if dependent(masks[i]):
-            edges[(i, i)] = 1
-        for j in range(i + 1, count):
-            if dependent(masks[i] | masks[j]):
-                edges[(i, j)] = 1
-    return WalkProduct(g, h, k, walks, MultiGraph(count, edges))
+    a = _adjacency_matrix(g)
+    # s_i = M[i, i] > 0, read off A at the walk's own vertex pairs.
+    loop = a[walks[:, :, None], walks[:, None, :]].any(axis=(1, 2))
+    rows = max(1, _ROW_BLOCK_ENTRIES // max(1, count))
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    for lo in range(0, count, rows):
+        wa = sum(a[walks[lo : lo + rows, t]] for t in range(k))  # rows of W·A
+        m = sum(wa[:, walks[lo:, t]] for t in range(k))  # of W·A·Wᵀ, columns >= lo
+        adj = (m > 0) | loop[lo : lo + rows, None] | loop[None, lo:]
+        pairs.append(np.array(np.nonzero(np.triu(adj))) + lo)
+    u, v = np.concatenate(pairs, axis=1)
+    product = MultiGraph(count, EdgeArrays(u, v, np.ones_like(u)))
+    return WalkProduct(g, h, k, [tuple(t) for t in walks.tolist()], product)
 
 
 def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> int:
@@ -251,14 +273,8 @@ def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> in
     by dynamic programming over the restricted adjacency matrix."""
     if not members:
         return 0
-    idx = {v: i for i, v in enumerate(members)}
-    m = len(members)
-    a = np.zeros((m, m), dtype=np.int64)
-    for (u, v), _ in h.graph.edge_dict().items():
-        if u in idx and v in idx and u != v:
-            a[idx[u], idx[v]] += 1
-            a[idx[v], idx[u]] += 1
-    vec = np.ones(m, dtype=np.int64)
+    a = _adjacency_matrix(h.graph)[np.ix_(members, members)].astype(np.int64)
+    vec = np.ones(len(members), dtype=np.int64)
     for _ in range(k - 1):
         vec = a @ vec
     return int(vec.sum())
@@ -552,13 +568,10 @@ def embed_beta1(
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
     n = g.vertex_count
-    # Every vertex starts at least one walk; refuse before the expander.
-    if n > cap:
-        raise ResourceLimitError(f"walk product would have at least {n} vertices (cap {cap})")
-    h = random_regular_expander(n, d, seed)
     k = 2 if k_override is None else k_override
-    if k < 1:
-        raise InputError("k must be >= 1")
+    # Refuse an oversized product before building the expander.
+    check_walk_caps(n, d, k, cap)
+    h = random_regular_expander(n, d, seed)
     window = choose_k(n, d) if n >= 16 else None
 
     wp = walk_product(g, h, k, cap)

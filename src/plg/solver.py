@@ -2,7 +2,8 @@
 
 Branch and bound over bitset candidate masks.  Vertices with self-loops are
 excluded up front (they are adjacent to themselves).  The upper bound at each
-node is a greedy clique cover of the candidate set; branching picks the
+node is the size of a first-fit clique cover of the candidate set (ascending
+ids), built one clique at a time with bitset operations; branching picks the
 candidate of maximum degree (ties to the lowest id) and explores the include
 branch first.  Within a fixed budget of node expansions the result is optimal;
 past it, the best witness found so far is returned with ``optimal=False``.
@@ -29,27 +30,25 @@ class SolveResult:
 
 
 def _greedy_clique_cover_bound(mask: int, adj: list[int]) -> int:
-    """Number of cliques a greedy pass needs to cover the vertices in mask."""
-    cliques_masks: list[int] = []
-    cliques_adj: list[int] = []
-    m = mask
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        m ^= lsb
-        placed = False
-        for i in range(len(cliques_masks)):
-            # v joins a clique iff adjacent to all its members.
-            if cliques_masks[i] & ~adj[v] == 0:
-                cliques_masks[i] |= lsb
-                cliques_adj[i] &= adj[v]
-                placed = True
-                break
-        if placed:
-            continue
-        cliques_masks.append(lsb)
-        cliques_adj.append(adj[v])
-    return len(cliques_masks)
+    """Number of cliques a first-fit pass in ascending id needs to cover the
+    vertices in mask.
+
+    A vertex joins the first clique whose members are all its neighbours, so
+    clique 0 depends on nothing else, and each later clique is the greedy
+    clique of the vertices the earlier ones rejected.  The cliques are built
+    one at a time: ``cand`` holds the remaining vertices adjacent to every
+    member so far, and its lowest vertex joins next.  Each vertex is visited
+    once.
+    """
+    cliques = 0
+    while mask:
+        cliques += 1
+        cand = mask
+        while cand:
+            lsb = cand & -cand
+            mask ^= lsb
+            cand = (cand ^ lsb) & adj[lsb.bit_length() - 1]
+    return cliques
 
 
 def greedy_maximal_is(g: MultiGraph) -> list[int]:

@@ -1,10 +1,15 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plg import (
     InputError,
+    InternalError,
     MultiGraph,
     PowerLawParams,
     ResourceLimitError,
@@ -25,9 +30,16 @@ from plg import (
     verify_embedding,
     walk_product,
 )
-from plg.embed_beta1 import ExpanderCertificate, _beta1_at_alpha
+from plg.embed_beta1 import (
+    WALK_PAIR_CAP,
+    WALK_VERTEX_CAP,
+    ExpanderCertificate,
+    WalkProduct,
+    _beta1_at_alpha,
+    check_walk_caps,
+)
 
-from conftest import brute_mis
+from conftest import brute_mis, random_simple_graph
 
 
 def power_iteration_lambda(g, d, iters=6000):
@@ -162,6 +174,142 @@ def test_walk_product_edge_rule_exact(c5):
             union = set(wp.walks[i]) | set(wp.walks[j])
             dependent = any(u in adj[v] for u in union for v in union)
             assert (wp.product.multiplicity(i, j) > 0) == dependent, (i, j)
+
+
+def _walk_product_reference(
+    g: MultiGraph, h: ExpanderCertificate, k: int, cap: int = WALK_VERTEX_CAP
+) -> WalkProduct:
+    """The walk product as first written (depth-first walk enumeration, the
+    edge rule tested on the union bitset of every pair of walks), kept as the
+    oracle for the W·A·Wᵀ kernel."""
+    if not g.is_simple():
+        raise InputError("walk products are defined for simple base graphs")
+    if g.vertex_count != h.graph.vertex_count:
+        raise InputError("base graph and expander must share a vertex set")
+    if k < 1:
+        raise InputError("k must be >= 1")
+    n = g.vertex_count
+    count = n * h.d ** (k - 1)
+    if count > cap:
+        raise ResourceLimitError(
+            f"walk product would have {count} vertices (cap {cap})"
+        )
+    pairs = count * (count - 1) // 2
+    if pairs > WALK_PAIR_CAP:
+        raise ResourceLimitError(
+            f"walk product would test {pairs} walk pairs (cap {WALK_PAIR_CAP})"
+        )
+    nbrs = [sorted(s) for s in h.graph.adjacency_sets()]
+    walks: list[tuple[int, ...]] = []
+    stack: list[tuple[int, ...]] = [(v,) for v in range(n - 1, -1, -1)]
+    while stack:
+        w = stack.pop()
+        if len(w) == k:
+            walks.append(w)
+            continue
+        for u in reversed(nbrs[w[-1]]):
+            stack.append(w + (u,))
+    if len(walks) != count:
+        raise InternalError("walk enumeration does not match n*d^(k-1)")
+
+    gadj = [0] * n
+    for (u, v), _m in g.edge_dict().items():
+        if u != v:
+            gadj[u] |= 1 << v
+            gadj[v] |= 1 << u
+
+    def dependent(mask: int) -> bool:
+        m = mask
+        while m:
+            lsb = m & -m
+            v = lsb.bit_length() - 1
+            if gadj[v] & mask:
+                return True
+            m ^= lsb
+        return False
+
+    masks = []
+    for w in walks:
+        mask = 0
+        for v in w:
+            mask |= 1 << v
+        masks.append(mask)
+
+    edges: dict[tuple[int, int], int] = {}
+    for i in range(count):
+        if dependent(masks[i]):
+            edges[(i, i)] = 1
+        for j in range(i + 1, count):
+            if dependent(masks[i] | masks[j]):
+                edges[(i, j)] = 1
+    return WalkProduct(g, h, k, walks, MultiGraph(count, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 6),
+    st.sampled_from(["empty", "complete", "random"]),
+    st.floats(0, 1),
+    st.integers(0, 2**16),
+)
+@example(3, 3, 0, "empty", 0.0, 0)
+@example(5, 3, 4, "complete", 0.0, 1)
+@example(4, 2, 1, "random", 0.3, 2)
+def test_walk_product_matches_pair_loop(d, k, extra, base, p, seed):
+    # n runs from d + 1 (the K_{d+1} fallback) upwards, kept even for odd d.
+    n = d + 1 + extra
+    if (n * d) % 2:
+        n += 1
+    if base == "empty":
+        g = MultiGraph(n)
+    elif base == "complete":
+        g = MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    else:
+        g = random_simple_graph(random.Random(seed), n, p)
+    h = random_regular_expander(n, d, seed)
+    got = walk_product(g, h, k)
+    want = _walk_product_reference(g, h, k)
+    assert got.walks == want.walks
+    assert got.product == want.product
+
+
+def test_walk_product_irregular_walk_graph():
+    # Walks follow each vertex's own neighbours in ascending order; degrees
+    # 3, 1, 2, 2 still give the n*d^(k-1) = 8 walks the count check expects.
+    h = ExpanderCertificate(MultiGraph(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), 2, 0.5, 0.5, -0.5, 1.0, True, 0, 0)
+    for g in (MultiGraph(4, [(0, 1)]), MultiGraph(4, [(1, 3), (2, 3)])):
+        got, want = walk_product(g, h, 2), _walk_product_reference(g, h, 2)
+        assert got.walks == want.walks == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 3), (3, 0), (3, 2)]
+        assert got.product == want.product
+
+
+def test_walk_product_row_blocks(monkeypatch, c5):
+    # Blocks of a few rows give the same product as one block.
+    h = random_regular_expander(5, 4, seed=1)
+    want = _walk_product_reference(c5, h, 3)
+    for entries in (1, 7, 80):
+        monkeypatch.setattr(sys.modules["plg.embed_beta1"], "_ROW_BLOCK_ENTRIES", entries)
+        assert walk_product(c5, h, 3).product == want.product
+
+
+def test_walk_caps_refuse_before_the_expander():
+    assert check_walk_caps(64, 4, 2) == 256
+    with pytest.raises(ResourceLimitError, match="walk pairs"):
+        check_walk_caps(20_000, 4, 2)
+    with pytest.raises(ResourceLimitError, match="vertices"):
+        check_walk_caps(68_719_476_736, 4, 2)
+    with pytest.raises(InputError):
+        check_walk_caps(5, 4, 0)
+    with pytest.raises(ResourceLimitError, match="vertices"):
+        check_walk_caps(5, 4, 10**12)  # refused without forming 4^(10^12 - 1)
+    assert check_walk_caps(5, 1, 10**12) == 5
+    # An expander no walk product could use is refused before any draw.
+    with pytest.raises(ResourceLimitError, match="cap"):
+        random_regular_expander(20_000, 4, seed=1)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        embed_beta1(MultiGraph(20_000, [(i, i + 1) for i in range(19_999)]), 4, seed=1)
 
 
 def test_walk_count_dp(c5):

@@ -1,6 +1,11 @@
 import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plg import MultiGraph, exact_mis, greedy_maximal_is, is_independent
+from plg import solver
 
 from conftest import brute_mis, random_simple_graph
 
@@ -85,3 +90,82 @@ def test_greedy_maximal_is():
         adj = g.adjacency_sets()
         covered = set(s) | {u for v in s for u in adj[v]}
         assert covered == set(range(g.vertex_count))  # maximality
+
+
+def _greedy_clique_cover_bound_reference(mask: int, adj: list[int]) -> int:
+    """The clique-cover bound as first written (first fit over all cliques per
+    vertex), kept as the oracle for the clique-at-a-time kernel."""
+    cliques_masks: list[int] = []
+    cliques_adj: list[int] = []
+    m = mask
+    while m:
+        lsb = m & -m
+        v = lsb.bit_length() - 1
+        m ^= lsb
+        placed = False
+        for i in range(len(cliques_masks)):
+            # v joins a clique iff adjacent to all its members.
+            if cliques_masks[i] & ~adj[v] == 0:
+                cliques_masks[i] |= lsb
+                cliques_adj[i] &= adj[v]
+                placed = True
+                break
+        if placed:
+            continue
+        cliques_masks.append(lsb)
+        cliques_adj.append(adj[v])
+    return len(cliques_masks)
+
+
+def _random_adjacency(rng: random.Random, n: int, p: float) -> list[int]:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 70), st.floats(0, 1), st.integers(0, 2**32), st.data())
+def test_clique_cover_bound_matches_first_fit(n, p, seed, data):
+    adj = _random_adjacency(random.Random(seed), n, p)
+    mask = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+    assert solver._greedy_clique_cover_bound(mask, adj) == _greedy_clique_cover_bound_reference(mask, adj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 22),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 21), max_size=3),
+    st.one_of(st.none(), st.integers(1, 60)),
+)
+def test_exact_mis_matches_first_fit_bound(n, p, seed, loops, budget):
+    # The bound values are the same, so the search is too: every result field
+    # but the time agrees with a solve under the reference bound, also when a
+    # small budget cuts the search short.
+    g = random_simple_graph(random.Random(seed), n, p)
+    edges = g.edge_dict()
+    for v in loops:
+        if v < n:
+            edges[(v, v)] = 1
+    g = MultiGraph(n, edges)
+    kw = {} if budget is None else {"budget": budget}
+    got = exact_mis(g, **kw)
+    with mock.patch.object(solver, "_greedy_clique_cover_bound", _greedy_clique_cover_bound_reference):
+        want = exact_mis(g, **kw)
+    assert (got.size, got.witness, got.optimal, got.nodes_explored) == (
+        want.size, want.witness, want.optimal, want.nodes_explored
+    )
+
+
+def test_exact_mis_budget_exhausted_matches_first_fit_bound():
+    g = random_simple_graph(random.Random(4), 30, 0.2)
+    got = exact_mis(g, budget=40)
+    with mock.patch.object(solver, "_greedy_clique_cover_bound", _greedy_clique_cover_bound_reference):
+        want = exact_mis(g, budget=40)
+    assert not got.optimal
+    assert (got.size, got.witness, got.nodes_explored) == (want.size, want.witness, want.nodes_explored)

@@ -246,6 +246,37 @@ def test_cli_huge_header_exits_2(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expander", "--n", "20000", "--d", "4", "--seed", "1"],
+        ["embed-beta1", "--in", "cycle.plg", "--d", "4", "--seed", "1", "--out", "g.plg", "--report", "r.json"],
+        ["walkprod", "--in", "huge.plg", "--d", "4", "--k", "2", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_oversized_walk_inputs_exit_2(tmp_path, argv):
+    # Each would need a dense matrix of 2.98 GiB (the 20,000-vertex expander's
+    # spectrum) or more, so it must be refused before the expander is drawn.
+    # Run apart under a 2 GiB address space, as the huge-header test is.
+    n = 20_000
+    cycle = sorted((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
+    (tmp_path / "cycle.plg").write_text(f"p plg {n} {n}\n" + "".join(f"e {u} {v} 1\n" for u, v in cycle))
+    (tmp_path / "huge.plg").write_text("p plg 68719476736 1\ne 0 7 1\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "plg.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert not (tmp_path / "g.plg").exists()
+
+
 def test_cli_determinism(tmp_path, capsys):
     write_c5(tmp_path / "c5.plg")
 
