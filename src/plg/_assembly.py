@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate, interval_counts, realize
@@ -104,52 +104,42 @@ def assemble(
     second member's surplus half-edge is routed to a vertex of
     ``surplus_part`` whose realize target was lowered by 1 to receive it.
     Returns (graph, per-part certificates, parity deficits as
-    (vertex, target) pairs).
+    (vertex, target) pairs).  Raises InputError when the surplus part cannot
+    take every surplus half-edge with its targets kept at 1 or more.
     """
     n_embed = doubled.vertex_count
-    columns = [doubled.arrays()]  # summed into the final graph's multiplicities
     deg = doubled.degrees()
-
-    surplus_count = 0
-    raised: list[int] = []
-    raise_units: list[int] = []
-    for i, (t1, t2) in enumerate(pair_targets):
-        d1 = int(deg[2 * i])
-        if int(deg[2 * i + 1]) != d1:
-            raise AssertionError("pair members must have equal doubled degree")
-        if t1 < d1:
-            raise AssertionError("slot below doubled degree; feasibility broken")
-        if t2 - t1 not in (0, 1):
-            raise AssertionError("pair slots must be equal or adjacent degrees")
-        if t1 > d1:
-            raised.append(2 * i)
-            raise_units.append(t1 - d1)
-        surplus_count += t2 - t1
-    first = np.array(raised, dtype=np.int64)
-    columns.append((first, first + 1, np.array(raise_units, dtype=np.int64)))
+    t1, t2 = np.array(pair_targets, dtype=np.int64).reshape(-1, 2).T
+    d1 = deg[0::2]
+    if (deg[1::2] != d1).any():
+        raise AssertionError("pair members must have equal doubled degree")
+    if (t1 < d1).any():
+        raise AssertionError("slot below doubled degree; feasibility broken")
+    if not np.isin(t2 - t1, (0, 1)).all():
+        raise AssertionError("pair slots must be equal or adjacent degrees")
+    raised = 2 * np.flatnonzero(t1 > d1)
+    seconds = 2 * np.flatnonzero(t2 != t1) + 1
+    surplus_count = len(seconds)
 
     # Route surpluses into the designated part: lower its largest targets by
     # one unit each (round-robin when there are more surpluses than vertices).
     recv = next(part for part in parts if part.name == surplus_part)
-    recv_targets = recv.targets.astype(np.int64).copy()
-    recv_units: dict[int, int] = {}
+    recv_targets = recv.targets.astype(np.int64)
+    recv_units = np.zeros(len(recv_targets), dtype=np.int64)
+    receivers = np.zeros(0, dtype=np.int64)
     if surplus_count:
         if len(recv_targets) == 0:
-            raise InternalError("no fill vertices available to take surplus half-edges")
+            raise InputError(f"no fill vertices in part {surplus_part} to take surplus half-edges")
         order = np.argsort(recv_targets, kind="stable")[::-1]
-        receivers = []
-        k = 0
-        for _ in range(surplus_count):
-            v = int(order[k % len(order)])
-            if recv_targets[v] <= 1:
-                raise InternalError("surplus routing would drop a fill target below 1")
-            recv_targets[v] -= 1
-            recv_units[v] = recv_units.get(v, 0) + 1
-            receivers.append(v)
-            k += 1
+        receivers = order[np.arange(surplus_count) % len(order)]
+        recv_units = np.bincount(receivers, minlength=len(recv_targets))
+        recv_targets -= recv_units
+        if (recv_targets < 1).any():
+            raise InputError(
+                f"{surplus_count} surplus half-edges cannot be routed into part "
+                f"{surplus_part} without dropping a fill target below 1"
+            )
         recv.targets = recv_targets
-    else:
-        receivers = []
 
     # Realize each part on its own index space, then shift into place.
     offset = n_embed
@@ -157,6 +147,7 @@ def assemble(
     deficits: list[tuple[int, int]] = []
     labels = dict.fromkeys(range(n_embed), "embedded")
     part_position: dict[str, np.ndarray] = {}
+    blocks = []
     for part in parts:
         part.offset = offset
         if len(part.targets) == 0:
@@ -171,7 +162,7 @@ def assemble(
         position[srt] = np.arange(len(srt)) + offset
         part_position[part.name] = position
         pu, pv, pm = graph_part.arrays()
-        columns.append((pu + offset, pv + offset, pm))
+        blocks.append((pu + offset, pv + offset, pm))
         cert = cert.shifted(offset)
         part.certificate = cert
         certs[part.name] = cert
@@ -181,15 +172,21 @@ def assemble(
             if part.name == surplus_part:
                 # A receiver's realize target was pre-lowered; the routed edge
                 # restores it, so the deficit is against the original class.
-                intended += recv_units.get(int(srt[local]), 0)
+                intended += int(recv_units[srt[local]])
             deficits.append((cert.parity_deficit_vertex, intended))
         labels.update(dict.fromkeys(range(offset, offset + len(sorted_targets)), part.label))
         offset += len(sorted_targets)
 
-    # Now add the routed surplus edges from pair seconds to their receivers.
-    seconds = np.array([2 * i + 1 for i, (t1, t2) in enumerate(pair_targets) if t2 != t1], dtype=np.int64)
-    receiver_ids = part_position[surplus_part][np.array(receivers, dtype=np.int64)]
-    columns.append((seconds, receiver_ids, np.ones(len(seconds), dtype=np.int64)))
-
+    # The head holds every edge with an endpoint in [0, n_embed): the doubled
+    # block, the raised matching units and the routed surplus edges to their
+    # receivers.  Each part's block lies above it, in vertex order, so the
+    # columns below arrive sorted and the final build needs no sort.
+    head_cols = zip(
+        doubled.arrays(),
+        (raised, raised + 1, (t1 - d1)[raised // 2]),
+        (seconds, part_position[surplus_part][receivers], np.ones(surplus_count, dtype=np.int64)),
+    )
+    head = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in head_cols)))
+    columns = [head.arrays(), *blocks]
     graph = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in zip(*columns))), labels)
     return graph, certs, deficits

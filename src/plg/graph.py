@@ -9,7 +9,14 @@ Storage is columnar: three int64 arrays ``(u, v, mult)``, one entry per
 distinct edge with ``u <= v``, sorted by the key ``u * base + v`` (``base`` is
 the vertex count whenever its square fits in int64), and that key array
 itself.  Degrees, the text format, pair lookups and independence tests run
-as numpy passes over these arrays.
+as numpy passes over these arrays.  Columns that arrive with strictly
+increasing keys keep their order with no sort; others are sorted and their
+repeated pairs summed.
+
+The writer formats a line per edge with no per-digit work: each line is a
+row of a uint8 matrix, each field is filled four digits at a time by
+gathering rows of a fixed table of ASCII digit rows, and the zero bytes left
+where a value is shorter than its field are dropped in one pass.
 """
 
 from __future__ import annotations
@@ -90,9 +97,8 @@ class MultiGraph:
         n = self.vertex_count = int(vertex_count)
         a, b, mult = _edge_columns(edges)
         u, v = np.minimum(a, b), np.maximum(a, b)
-        bad = (u < 0) | (v >= n) | (mult <= 0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if len(u) and (u.min() < 0 or v.max() >= n or mult.min() <= 0):
+            i = int(np.argmax((u < 0) | (v >= n) | (mult <= 0)))
             if u[i] < 0 or v[i] >= n:
                 raise InputError(f"edge ({u[i]},{v[i]}) out of range for n={vertex_count}")
             raise InputError(f"edge ({u[i]},{v[i]}) has non-positive multiplicity {mult[i]}")
@@ -245,40 +251,79 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 #                                           distinct edge, sorted)
 # Labels:   l <v> <tag>                    (optional, sorted by v)
 #
-# ``write_graph`` emits exactly this canonical form.  ``read_graph`` parses
+# ``write_graph`` emits exactly this canonical form, through the digit-table
+# writer ``_format_edges`` (base-10^4 chunks gathered from ``_UNITS_ROWS`` and
+# ``_HIGH_ROWS``, then one compaction).  ``read_graph`` parses
 # canonical text with numpy and hands anything else (extra whitespace, CRLF,
 # signs, unsorted lines, any error) to the line parser, the only producer of
 # ParseError.
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _MAX_DIGITS = 18  # every 18-digit decimal fits in int64
 _HEADER = re.compile(r"p plg ([0-9]+) ([0-9]+)\n")
 _LABEL = re.compile(r"l ([0-9]+) ([!-~]+)\n")
 _E_TO_SPACE = bytes.maketrans(b"e", b" ")
+_CHUNK = 10_000  # the writer's digit chunk, four places
+
+
+def _digit_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Two (2 * _CHUNK, 4) uint8 tables of ASCII digit rows.  Row r < _CHUNK
+    is r's "leading" variant, with zero bytes in place of leading zeros;
+    row _CHUNK + r is its "inner" variant, zero-padded with real '0's.  The
+    first table writes 0 as '0' (a value's units chunk), the second writes
+    it as nothing (a chunk above the value's highest digit)."""
+    r = np.arange(_CHUNK)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    inner = (r // place % 10 + ord("0")).astype(np.uint8)
+    high = np.concatenate([np.where(r >= place, inner, 0).astype(np.uint8), inner])
+    units = high.copy()
+    units[0, -1] = ord("0")
+    return _frozen(units), _frozen(high)
+
+
+_UNITS_ROWS, _HIGH_ROWS = _digit_rows()
+
+
+def _write_field(mat: np.ndarray, stop: int, col: np.ndarray, width: int) -> None:
+    """Write ``col`` right-aligned into the ``width`` columns of ``mat`` that
+    end at ``stop``, four digits at a time, least significant chunk first."""
+    val, table = col, _UNITS_ROWS
+    for _ in range((width - 1) // 4):
+        # A chunk with digits above it takes its inner row, others their
+        # leading row: idx = min(val, val % 10^4 + 10^4).
+        high = val // _CHUNK
+        idx = (high - 1) * _CHUNK
+        np.subtract(val, idx, out=idx)
+        np.minimum(val, idx, out=idx)
+        mat[:, stop - 4 : stop] = np.take(table, idx, axis=0)
+        stop, val, table = stop - 4, high, _HIGH_ROWS
+    # The top chunk has no digits above it and fits in what is left.
+    w = width - 4 * ((width - 1) // 4)
+    mat[:, stop - w : stop] = np.take(table, val, axis=0)[:, 4 - w :]
 
 
 def _format_edges(cols: EdgeArrays) -> str:
-    """One line 'e <u> <v> <mult>' per edge, digit places written by numpy."""
+    """One line 'e <u> <v> <mult>' per edge.
+
+    Every line is laid out in one row of a uint8 matrix, each field as wide
+    as its column's largest value, with zero bytes where a shorter value
+    has no digit.  Fields are filled four digits at a time by gathering
+    rows of the digit tables (base-10^4 chunks), and the text is the matrix
+    with its zero bytes dropped.
+    """
     if len(cols.u) == 0:
         return ""
-    widths = [np.maximum(np.searchsorted(_POW10, c, side="right"), 1) for c in cols]
-    line_len = 2 + sum(w + 1 for w in widths)
-    ends = np.cumsum(line_len)
-    out = np.empty(int(ends[-1]), dtype=np.uint8)
-    pos = ends - line_len
-    out[pos] = ord("e")
+    widths = [len(str(int(c.max()))) for c in cols]
+    template = [ord("e")]
+    for w in widths:
+        template += [ord(" ")] + [0] * w
+    template.append(ord("\n"))
+    mat = np.empty((len(cols.u), len(template)), dtype=np.uint8)
+    mat[:] = template
+    stop = 1
     for c, w in zip(cols, widths):
-        out[pos + 1] = ord(" ")
-        last = pos + w + 1  # the field's last digit
-        val = c.copy()
-        for k in range(int(w.max())):
-            # Place k from the right, in every field that has one.
-            sel = slice(None) if k < w.min() else np.flatnonzero(w > k)
-            out[last[sel] - k] = ord("0") + val[sel] % 10
-            val //= 10
-        pos = last
-    out[ends - 1] = ord("\n")
-    return out.tobytes().decode("ascii")
+        stop += 1 + w
+        _write_field(mat, stop, c, w)
+    return str(mat[mat != 0].data, "ascii")
 
 
 def write_graph(g: MultiGraph) -> str:

@@ -132,22 +132,25 @@ def _pick_deficit_vertex(d: np.ndarray, cliques: list[range]) -> int:
 
 def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member pairs (u < v) of the cliques range(start, start + size), as
-    (u, v, clique index) int64 arrays grouped by clique size; cliques of
-    fewer than two members contribute none."""
+    (u, v, clique index) int64 arrays; cliques of fewer than two members
+    contribute none.
+
+    Order contract: pairs come clique by clique in the given order, and
+    lexicographically by (u, v) inside a clique.  For cliques given as
+    ascending disjoint ranges, as a clique walk makes them, the keys
+    u * base + v are therefore strictly increasing.
+    """
     starts = np.asarray(starts, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    us, vs, ids = [], [], []
-    for s in np.unique(sizes[sizes >= 2]).tolist():
-        i, j = np.triu_indices(s, 1)
-        which = np.flatnonzero(sizes == s)
-        first = starts[which][:, None]
-        us.append((first + i).ravel())
-        vs.append((first + j).ravel())
-        ids.append(np.repeat(which, len(i)))
-    if not us:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ids)
+    sizes = np.maximum(np.asarray(sizes, dtype=np.int64), 0)
+    # Member x of a clique pairs with each of the ``later`` members after it.
+    clique = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.arange(len(clique)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    x = starts[clique] + rank
+    later = sizes[clique] - 1 - rank
+    row = np.cumsum(later) - later  # where x's pairs begin
+    u = np.repeat(x, later)
+    v = np.arange(len(u)) - np.repeat(row - x - 1, later)
+    return u, v, np.repeat(clique, later)
 
 
 def _fill_clique(
@@ -319,13 +322,23 @@ def realize(
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
     fill, cert.pending_edges = _fill_edges(cliques, residuals.tolist(), m)
-    # Clique edges have multiplicity 1; the graph sums the fill units onto them.
-    u, v, _ = clique_pairs(starts, sizes)
-    edges = EdgeArrays(
-        np.concatenate([u, fill.u]),
-        np.concatenate([v, fill.v]),
-        np.concatenate([np.ones(len(u), dtype=np.int64), fill.mult]),
-    )
+    # Clique edges have multiplicity 1 and come sorted.  Fill units on a
+    # clique pair add to it; loops and cross edges are inserted at their
+    # sorted positions, so the graph is built without a sort.
+    u, v = clique_pairs(starts, sizes)[:2]
+    key = u * m + v
+    fill_key = fill.u * m + fill.v
+    pos = np.searchsorted(key, fill_key)
+    on_pair = np.zeros(len(pos), dtype=bool)
+    if len(key):
+        on_pair = key[np.minimum(pos, len(key) - 1)] == fill_key
+    del key
+    mult = np.ones(len(u), dtype=np.int64)
+    mult[pos[on_pair]] += fill.mult[on_pair]
+    off = ~on_pair
+    edges = EdgeArrays(*(np.insert(c, pos[off], f[off]) for c, f in zip((u, v, mult), fill)))
+    # The graph copies its columns: drop the pre-insert ones first.
+    del u, v, mult
     return MultiGraph(m, edges), cert
 
 

@@ -38,24 +38,26 @@ def degree_conformance(
 
     Each deficit (vertex, target) explains one vertex sitting at target-1;
     conformance passes iff the histogram differences are exactly those
-    predicted by the deficit list.
+    predicted by the deficit list.  A target outside the histogram's range
+    leaves its buckets mismatched rather than failing.
     """
     from .model import degree_counts
 
-    expected = np.zeros(p.delta + 2, dtype=np.int64)
+    deg = g.degrees()
+    size = max(p.delta + 2, int(deg.max(initial=0)) + 1)
+    expected = np.zeros(size, dtype=np.int64)
     expected[1 : p.delta + 1] = degree_counts(p)
+    outside: dict[int, int] = {}  # bucket -> expected count, outside [0, size)
     for _v, t in deficits:
-        expected[t] -= 1
-        expected[t - 1] += 1
-    actual = np.bincount(g.degrees(), minlength=p.delta + 2)
-    mism: dict[int, tuple[int, int]] = {}
-    limit = max(len(expected), len(actual))
-    exp = np.zeros(limit, dtype=np.int64)
-    act = np.zeros(limit, dtype=np.int64)
-    exp[: len(expected)] = expected
-    act[: len(actual)] = actual
-    for i in np.nonzero(exp != act)[0]:
-        mism[int(i)] = (int(exp[i]), int(act[i]))
+        for bucket, change in ((t, -1), (t - 1, 1)):
+            if 0 <= bucket < size:
+                expected[bucket] += change
+            else:
+                outside[bucket] = outside.get(bucket, 0) + change
+    actual = np.bincount(deg, minlength=size)
+    mism = {int(i): (int(expected[i]), int(actual[i])) for i in np.flatnonzero(expected != actual)}
+    mism.update({b: (c, 0) for b, c in outside.items() if c})
+    mism = dict(sorted(mism.items()))
     return Conformance(ok=not mism, deficits=deficits, mismatched_buckets=mism)
 
 

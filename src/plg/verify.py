@@ -14,9 +14,9 @@ import numpy as np
 from .embed_beta1 import Beta1Params, alon_interval, layered_is_bound
 from .embed_sub1 import Sub1Params, residual_is_bound_sub1
 from .graph import MultiGraph, is_independent
-from .model import PowerLawParams, degree_counts
+from .model import PowerLawParams
 from .realizer import clique_pairs
-from .report import SCHEMA, EmbeddingReport
+from .report import SCHEMA, EmbeddingReport, degree_conformance
 
 _REL_TOL = 1e-9
 
@@ -36,26 +36,15 @@ def _close(a: float, b: float) -> bool:
 
 def _check_conformance(plg: MultiGraph, rep: dict) -> dict:
     params = rep["params"]
-    beta = params.get("beta", 1.0)
-    p = PowerLawParams(params["alpha"], beta)
-    counts = degree_counts(p)
+    p = PowerLawParams(params["alpha"], params.get("beta", 1.0))
     deficits = [tuple(t) for t in rep["parity_deficits"]]
     if len(deficits) > 2:
         return {"check": "conformance", "ok": False, "detail": "more than 2 deficits declared"}
-    expected = {i + 1: int(c) for i, c in enumerate(counts)}
-    for _v, t in deficits:
-        expected[t] = expected.get(t, 0) - 1
-        expected[t - 1] = expected.get(t - 1, 0) + 1
-    actual: dict[int, int] = {}
-    for dv in plg.degrees():
-        actual[int(dv)] = actual.get(int(dv), 0) + 1
-    bad = {
-        i: (expected.get(i, 0), actual.get(i, 0))
-        for i in set(expected) | set(actual)
-        if expected.get(i, 0) != actual.get(i, 0)
-    }
+    if not all(len(d) == 2 and isinstance(d[1], int) for d in deficits):
+        return {"check": "conformance", "ok": False, "detail": "deficits must be [vertex, degree] pairs"}
+    bad = degree_conformance(plg, p, deficits).mismatched_buckets
     if bad:
-        worst = sorted(bad)[0]
+        worst = min(bad)
         return {
             "check": "conformance",
             "ok": False,
@@ -94,10 +83,11 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
                 break
             pos = stop
         spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
-        u, v, which = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])
+        # Pairs come clique by clique, so the first missing one is reported.
+        u, v = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])[:2]
         missing = np.flatnonzero(plg.multiplicities(u, v) < 1)
         if len(missing):
-            first = missing[np.lexsort((v[missing], u[missing], which[missing]))[0]]
+            first = missing[0]
             return {
                 "check": "certificates",
                 "ok": False,

@@ -1,12 +1,13 @@
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plg import MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
-from plg.graph import _read_canonical, _read_lines
+from plg.graph import EdgeArrays, _format_edges, _read_canonical, _read_lines
 
 from conftest import random_multigraph
 
@@ -246,3 +247,67 @@ def test_huge_header_keys_do_not_overflow(text, u, v, m):
     assert g.multiplicity(u, v + 1) == 0
     assert g.multiplicity(0, g.vertex_count - 1) == 0
     assert write_graph(g) == text
+
+
+# -- the digit-table writer against the per-place writer -----------------------
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _per_place_format_edges(cols: EdgeArrays) -> str:
+    """The writer before the digit table, verbatim: one line per edge, digit
+    places written by numpy one place at a time."""
+    if len(cols.u) == 0:
+        return ""
+    widths = [np.maximum(np.searchsorted(_POW10, c, side="right"), 1) for c in cols]
+    line_len = 2 + sum(w + 1 for w in widths)
+    ends = np.cumsum(line_len)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    pos = ends - line_len
+    out[pos] = ord("e")
+    for c, w in zip(cols, widths):
+        out[pos + 1] = ord(" ")
+        last = pos + w + 1  # the field's last digit
+        val = c.copy()
+        for k in range(int(w.max())):
+            # Place k from the right, in every field that has one.
+            sel = slice(None) if k < w.min() else np.flatnonzero(w > k)
+            out[last[sel] - k] = ord("0") + val[sel] % 10
+            val //= 10
+        pos = last
+    out[ends - 1] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
+# Chunk edges of the base-10^4 writer, and 18- and 19-digit values.
+_EDGE_VALUES = [0, 1, 9, 10, 9_999, 10_000, 10_001, 10**8 - 1, 10**8, 10**12, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
+_column_value = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.integers(0, 10**5),
+    st.integers(0, 2**63 - 1),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda k: st.tuples(*[st.lists(_column_value, min_size=k, max_size=k)] * 3)
+    )
+)
+@example(([], [], []))
+@example((_EDGE_VALUES, _EDGE_VALUES[::-1], _EDGE_VALUES))
+@example(([0] * 3, [0] * 3, [0] * 3))
+@example(([2**63 - 1], [2**63 - 1], [2**63 - 1]))
+def test_digit_table_writer_matches_per_place_writer(cols):
+    arrays = EdgeArrays(*(np.array(c, dtype=np.int64) for c in cols))
+    assert _format_edges(arrays) == _per_place_format_edges(arrays)
+
+
+def test_writer_fields_at_chunk_edges():
+    g = MultiGraph(10**8 + 1, {(0, 9_999): 10_000, (10_000, 10**8): 10**18 - 1, (10**8, 10**8): 2**63 - 1})
+    assert write_graph(g) == (
+        "p plg 100000001 3\n"
+        "e 0 9999 10000\n"
+        "e 10000 100000000 999999999999999999\n"
+        "e 100000000 100000000 9223372036854775807\n"
+    )

@@ -324,3 +324,110 @@ def test_realize_matches_heap_reference(monkeypatch, embed):
         for got, want in zip(g.arrays(), ref.arrays()):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert cert.pending_edges == cross
+
+
+# -- clique-order pairs and sort-free final builds ------------------------------
+
+
+def _grouped_clique_pairs(starts, sizes):
+    """clique_pairs before it emitted clique order, verbatim: pairs grouped
+    by clique size, from one np.triu_indices per size."""
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    us, vs, ids = [], [], []
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        i, j = np.triu_indices(s, 1)
+        which = np.flatnonzero(sizes == s)
+        first = starts[which][:, None]
+        us.append((first + i).ravel())
+        vs.append((first + j).ravel())
+        ids.append(np.repeat(which, len(i)))
+    if not us:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-2, 12), max_size=25),
+    st.integers(0, 40),
+    st.one_of(st.none(), st.lists(st.integers(0, 60), min_size=25, max_size=25)),
+)
+@example([1, 2, 3, 2, 1, 4], 0, None)
+def test_clique_pairs_match_grouped_oracle(sizes, first, scattered):
+    # Cliques as a walk makes them (ascending, disjoint), or at arbitrary starts.
+    if scattered is None:
+        starts = first + np.concatenate([[0], np.cumsum(np.maximum(sizes, 0))[:-1]]).astype(np.int64)
+    else:
+        starts = np.array(scattered[: len(sizes)], dtype=np.int64)
+    got = clique_pairs(starts, sizes)
+    want = _grouped_clique_pairs(starts, sizes)
+    assert all(c.dtype == np.int64 for c in got)
+    triples = list(zip(*(c.tolist() for c in got)))
+    assert sorted(triples) == sorted(zip(*(c.tolist() for c in want)))
+    # Clique by clique in the given order, lexicographic (u, v) inside one.
+    assert triples == sorted(triples, key=lambda t: (t[2], t[0], t[1]))
+    assert len(set(triples)) == len(triples)
+    if scattered is None and triples:
+        u, v, _ = got
+        key = u * (int(v.max()) + 1) + v
+        assert (key[1:] > key[:-1]).all()
+
+
+def _recorded_builds(monkeypatch, module) -> list:
+    """Record the (vertex_count, edges) of every MultiGraph that ``module``
+    builds."""
+    calls = []
+
+    class Recording(MultiGraph):
+        def __init__(self, vertex_count, edges=None, labels=None):
+            calls.append((vertex_count, edges))
+            super().__init__(vertex_count, edges, labels)
+
+    monkeypatch.setattr(module, "MultiGraph", Recording)
+    return calls
+
+
+def _keys_strictly_increase(vertex_count, edges) -> bool:
+    u, v, _ = edges
+    key = np.minimum(u, v) * vertex_count + np.maximum(u, v)
+    return bool((key[1:] > key[:-1]).all())
+
+
+@pytest.mark.parametrize(
+    "embed",
+    [
+        lambda: embed_sub1(random_simple_graph(random.Random(1), 20, 0.2), 0.8),
+        lambda: embed_beta1(random_simple_graph(random.Random(2), 64, 0.064), 4, 7),
+    ],
+    ids=["embed-sub1", "embed-beta1"],
+)
+def test_final_builds_receive_sorted_keys(monkeypatch, embed):
+    # realize and assemble hand their final MultiGraph already sorted columns,
+    # so a return to concatenate-then-sort fails here.
+    from plg import realizer
+
+    realized = _recorded_builds(monkeypatch, realizer)
+    assembled = _recorded_builds(monkeypatch, _assembly)
+    graph, _ = embed()
+    assert graph == MultiGraph(assembled[-1][0], assembled[-1][1], graph.labels)
+    assert isinstance(assembled[-1][1], EdgeArrays) and len(assembled[-1][1].u) > 1000
+    assert _keys_strictly_increase(*assembled[-1])
+    # realize builds twice per call: the summed fill, then the final graph.
+    finals = realized[1::2]
+    assert len(realized) == 4 and len(finals) == 2
+    for n, edges in finals:
+        assert isinstance(edges, EdgeArrays) and len(edges.u) > 100
+        assert _keys_strictly_increase(n, edges)
+
+
+@pytest.mark.parametrize("d", [[1, 1], [2, 2, 2], [1, 2, 3, 3, 3, 5, 5, 5], list(range(1, 30)), [7] * 9])
+def test_realize_final_build_sorted_small(monkeypatch, d):
+    from plg import realizer
+
+    realized = _recorded_builds(monkeypatch, realizer)
+    g, cert = realize(np.array(d))
+    n, edges = realized[-1]
+    assert _keys_strictly_increase(n, edges)
+    assert degrees_match(g, cert)

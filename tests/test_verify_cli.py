@@ -12,7 +12,8 @@ import pytest
 
 from plg import MultiGraph, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
-from plg.verify import _check_certificates
+from plg.model import PowerLawParams, degree_counts
+from plg.verify import _check_certificates, _check_conformance
 
 
 def failing(checks):
@@ -349,3 +350,89 @@ def test_certificate_check_matches_pairwise_reference(petersen):
         got = _check_certificates(tampered, doc)
         assert got["detail"] == reference_check_certificates(tampered, doc)
         assert got["ok"] == (got["detail"] == "")
+
+
+def _dict_check_conformance(plg, rep):
+    """verify's conformance check before it used report.degree_conformance,
+    verbatim: a dict loop over every degree."""
+    params = rep["params"]
+    beta = params.get("beta", 1.0)
+    p = PowerLawParams(params["alpha"], beta)
+    counts = degree_counts(p)
+    deficits = [tuple(t) for t in rep["parity_deficits"]]
+    if len(deficits) > 2:
+        return {"check": "conformance", "ok": False, "detail": "more than 2 deficits declared"}
+    expected = {i + 1: int(c) for i, c in enumerate(counts)}
+    for _v, t in deficits:
+        expected[t] = expected.get(t, 0) - 1
+        expected[t - 1] = expected.get(t - 1, 0) + 1
+    actual: dict[int, int] = {}
+    for dv in plg.degrees():
+        actual[int(dv)] = actual.get(int(dv), 0) + 1
+    bad = {
+        i: (expected.get(i, 0), actual.get(i, 0))
+        for i in set(expected) | set(actual)
+        if expected.get(i, 0) != actual.get(i, 0)
+    }
+    if bad:
+        worst = sorted(bad)[0]
+        return {
+            "check": "conformance",
+            "ok": False,
+            "detail": f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}",
+        }
+    return {"check": "conformance", "ok": True, "detail": ""}
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8])
+def test_conformance_matches_dict_check_on_forged_deficits(c5, beta):
+    g, rep = embed_sub1(c5, beta)
+    doc = rep.to_dict()
+    delta = doc["params"]["delta"]
+    top = int(g.degrees().max())
+    forged = [
+        [],
+        [[0, 1]],
+        [[0, 2]],
+        [[0, delta]],
+        [[0, delta + 1]],
+        [[3, 5], [4, 5]],
+        [[1, 3], [2, 4], [3, 5]],
+        [[0, 0]],
+        [[0, -4]],
+        [[0, delta + 2]],
+        [[0, top + 1]],
+        [[0, top + 2], [1, top + 3]],
+        [[0, 10**12]],
+        [[0, -(10**12)], [1, 7]],
+    ]
+    for deficits in [doc["parity_deficits"], *forged]:
+        doc["parity_deficits"] = deficits
+        assert _check_conformance(g, doc) == _dict_check_conformance(g, doc), deficits
+
+
+def test_conformance_fails_on_out_of_range_deficit(c5):
+    g, rep = embed_sub1(c5, 0.5)
+    doc = rep.to_dict()
+    delta = doc["params"]["delta"]
+    for t in (0, -1, delta + 2, 10**15):
+        doc["parity_deficits"] = [[0, t]]
+        res = verify_embedding(g, doc, c5)
+        assert not res.ok and "conformance" in failing(res.checks)
+    doc["parity_deficits"] = [[0, 2.5]]
+    assert "conformance" in failing(verify_embedding(g, doc, c5).checks)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cli_embed_beta1_k1_on_edgeless_input_exits_2(tmp_path, capsys, d):
+    # Every pair of the 6-walk product straddles two slots, and the only fill
+    # vertices left have degree 1, so the surplus half-edges have nowhere to go.
+    src = tmp_path / "e6.plg"
+    src.write_text("p plg 6 0\n")
+    out, rep = tmp_path / "out.plg", tmp_path / "rep.json"
+    argv = ["embed-beta1", "--in", str(src), "--d", str(d), "--k", "1", "--seed", "2"]
+    assert main(argv + ["--out", str(out), "--report", str(rep)]) == 2
+    assert "surplus half-edges" in capsys.readouterr().err
+    assert not out.exists() and not rep.exists()
+    argv[argv.index("--k") + 1] = "2"
+    assert main(argv + ["--out", str(out), "--report", str(rep)]) == 0
