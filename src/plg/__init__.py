@@ -60,7 +60,7 @@ from .realizer import (
     realize,
 )
 from .report import Conformance, EmbeddingReport, degree_conformance
-from .solver import SolveResult, exact_mis, greedy_maximal_is
+from .solver import SolveResult, exact_mis, greedy_maximal_is, mis_size
 from .verify import VerifyResult, verify_embedding
 
 __all__ = [
@@ -109,6 +109,7 @@ __all__ = [
     "interval_volume_exact",
     "is_independent",
     "layered_is_bound",
+    "mis_size",
     "random_regular_expander",
     "read_graph",
     "realize",

@@ -64,19 +64,18 @@ def assign_pair_slots(
     ``pair_degrees`` must be ascending.  Returns (per-pair slot targets,
     leftover slot degrees) or None when the slots cannot accommodate the
     pairs (callers then raise alpha and retry).
+
+    Pair j takes slots ptr_j and ptr_j + 1, where ptr_j is the first slot at
+    or above both its degree (lb_j) and ptr_(j-1) + 2; unrolled, that is
+    ptr_j = 2j + max over i <= j of (lb_i - 2i), one running maximum.
     """
-    taken = np.zeros(len(slots), dtype=bool)
-    targets: list[tuple[int, int]] = []
-    ptr = 0
-    for need in pair_degrees:
-        while ptr < len(slots) and slots[ptr] < need:
-            ptr += 1
-        if ptr + 1 >= len(slots):
-            return None
-        targets.append((int(slots[ptr]), int(slots[ptr + 1])))
-        taken[ptr] = taken[ptr + 1] = True
-        ptr += 2
-    return targets, slots[~taken]
+    need = np.asarray(pair_degrees, dtype=np.int64)
+    two_j = 2 * np.arange(len(need), dtype=np.int64)
+    ptr = np.maximum.accumulate(np.searchsorted(slots, need) - two_j) + two_j
+    if len(ptr) and ptr[-1] + 1 >= len(slots):
+        return None
+    targets = list(zip(slots[ptr].tolist(), slots[ptr + 1].tolist()))
+    return targets, np.delete(slots, np.concatenate([ptr, ptr + 1]))
 
 
 class AssembledPart:

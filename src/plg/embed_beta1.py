@@ -19,7 +19,7 @@ from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
 from .realizer import interval_degree_sequence
 from .report import EmbeddingReport, degree_conformance
-from .solver import exact_mis, greedy_maximal_is
+from .solver import greedy_maximal_is, mis_size
 
 _MAX_BUMPS = 64
 WALK_VERTEX_CAP = 200_000
@@ -652,8 +652,8 @@ def embed_beta1(
     if not is_independent(graph, witness):
         raise InternalError("mapped witness is not independent in the output")
 
-    solve = exact_mis(g, budget=solver_budget)
-    lo, hi = alon_interval(solve.size, n, d, h.lambda_1, h.lambda_min, k)
+    is_g, is_g_optimal = mis_size(g, budget=solver_budget)
+    lo, hi = alon_interval(is_g, n, d, h.lambda_1, h.lambda_min, k)
     layered = layered_is_bound(params)
     bracket_ratio = hi / lo if lo > 0 else None
     gap_record = {
@@ -667,7 +667,7 @@ def embed_beta1(
     # asymptotic viability and only bite at large n.  The instance's own
     # independence ratio stands in for the class constant b; eps = 0.5.
     feasibility = amplification_feasibility(
-        b=solve.size / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5
+        b=is_g / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5
     )
 
     conformance = degree_conformance(graph, p, deficits)
@@ -713,8 +713,8 @@ def embed_beta1(
             "n_d": n_d,
             "delta_k_design": walk_degree_bound(d, k),
             "product_max_degree": int(dgraph.degrees().max()) if n_d else 0,
-            "is_g": solve.size,
-            "is_g_optimal": solve.optimal,
+            "is_g": is_g,
+            "is_g_optimal": is_g_optimal,
             "gap_ratio": gap_record,
             "feasibility": feasibility,
             "witness_source_vertices": sorted(witness_source),

@@ -1,10 +1,15 @@
 """Exact and closed-form calculators for (alpha, beta) power-law degree distributions.
 
 The distribution has y_i = floor(e^alpha / i^beta) vertices of degree i for
-i = 1..Delta, Delta = floor(e^(alpha/beta)).  Exact interval sums are computed
-by counting level sets of the non-increasing map i -> y_i, which costs
-O(e^alpha) regardless of Delta; a direct numpy summation serves as the test
-oracle for this path.
+i = 1..Delta, Delta = floor(e^(alpha/beta)).  Exact interval sums over [a, b]
+use the Dirichlet-hyperbola split at T = ceil(e^(alpha/(1+beta))), clipped to
+[a-1, b]: the terms i <= T are summed directly in numpy blocks, and the terms
+i > T, all at most y_(T+1), are summed by level sets: level v counts the
+degrees in [T+1, b] with y_i >= v, whose last one a vectorised threshold
+search finds.  That is O(e^(alpha/(1+beta))) numpy work and no Python step
+per level; calls whose work passes ``EXACT_SUM_WORK_CAP`` are refused before
+any of it.  The level-set loop over every level (O(e^alpha) Python steps) and
+a direct numpy summation serve as test oracles for this path.
 
 Floating-point boundary rule used throughout: whenever a quantity that should
 be floored lies within 1e-9 (relative) of an integer, it is snapped to that
@@ -19,9 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedCaseError
+from .errors import InputError, ResourceLimitError, UnsupportedCaseError
 
 _SNAP_TOL = 1e-9
+# Terms or levels per numpy block in the exact sums.
+_CHUNK = 1 << 20
+# Floored terms one exact interval sum may evaluate (direct terms plus
+# levels); a sum at the cap takes a few seconds.
+EXACT_SUM_WORK_CAP = 50_000_000
+# Degrees and counts in the exact sums must be exact in float64.  (Their int64
+# sums split them into 31-bit limbs, which needs them below 2^62.)
+_INDEX_LIMIT = 1 << 53
+_LIMB = 31
+_LIMB_MASK = (1 << _LIMB) - 1
 
 
 def guarded_floor(value: float) -> int:
@@ -50,6 +65,14 @@ class PowerLawParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise InputError("alpha and beta must be positive")
+        try:
+            finite = math.isfinite(math.exp(max(self.alpha, self.alpha / self.beta)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError(
+                f"e^(alpha/beta) overflows a float at alpha={self.alpha}, beta={self.beta}"
+            )
 
     @property
     def delta(self) -> int:
@@ -97,14 +120,18 @@ def degree_count(p: PowerLawParams, i: int) -> int:
     return guarded_floor(math.exp(p.alpha) / i**p.beta)
 
 
-def _floored_counts(p: PowerLawParams, lo: int, hi: int) -> np.ndarray:
-    """(y_lo, ..., y_hi) as int64 by the snap rule, for lo >= 1; empty when
-    lo > hi."""
-    i = np.arange(lo, hi + 1, dtype=np.float64)
+def _floored_at(p: PowerLawParams, i: np.ndarray) -> np.ndarray:
+    """y_i as int64 by the snap rule, for an array of float64 degrees >= 1."""
     v = math.exp(p.alpha) / i**p.beta
     c = np.round(v)
     snapped = np.abs(v - c) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))
     return np.where(snapped, c, np.floor(v)).astype(np.int64)
+
+
+def _floored_counts(p: PowerLawParams, lo: int, hi: int) -> np.ndarray:
+    """(y_lo, ..., y_hi) as int64 by the snap rule, for lo >= 1; empty when
+    lo > hi."""
+    return _floored_at(p, np.arange(lo, hi + 1, dtype=np.float64))
 
 
 def degree_counts(p: PowerLawParams) -> np.ndarray:
@@ -112,50 +139,110 @@ def degree_counts(p: PowerLawParams) -> np.ndarray:
     return _floored_counts(p, 1, p.delta)
 
 
-def _count_threshold(p: PowerLawParams, v: int) -> int:
-    """Largest i with y_i >= v (0 if none). Verified against degree_count."""
-    if v < 1:
-        return p.delta
-    t = guarded_floor((math.exp(p.alpha) / v) ** (1.0 / p.beta))
-    t = min(max(t, 0), p.delta)
-    while t >= 1 and degree_count(p, t) < v:
-        t -= 1
-    while t < p.delta and degree_count(p, t + 1) >= v:
-        t += 1
+def _count_threshold(p: PowerLawParams, v: np.ndarray, hi: int) -> np.ndarray:
+    """Largest i <= hi with y_i >= v for each level of the int64 array v >= 1
+    (0 where there is none).
+
+    By the snap rule y_i >= v exactly when e^alpha / i^beta >= v - 1e-9*v,
+    so the start is the floor of (e^alpha / (v - 1e-9*v))^(1/beta); passes
+    of -1 steps while y_t < v, then of +1 steps while y_(t+1) >= v, correct
+    its rounding against the floored counts themselves.  Each pass works on
+    the levels the previous one moved.
+    """
+    guess = (math.exp(p.alpha) / (v - _SNAP_TOL * v)) ** (1.0 / p.beta)
+    t = np.minimum(np.floor(np.minimum(guess, float(hi))).astype(np.int64), hi)
+    live = np.flatnonzero(t >= 1)
+    while len(live):
+        live = live[_floored_at(p, t[live].astype(np.float64)) < v[live]]
+        t[live] -= 1
+        live = live[t[live] >= 1]
+    live = np.flatnonzero(t < hi)
+    while len(live):
+        live = live[_floored_at(p, (t[live] + 1).astype(np.float64)) >= v[live]]
+        t[live] += 1
+        live = live[t[live] < hi]
     return t
 
 
-def interval_size_exact(p: PowerLawParams, a: int, b: int) -> int:
-    """sum(y_i for i in [a, b]), via level-set counting."""
+def _exact_sum(x: np.ndarray) -> int:
+    """Exact sum of an int64 array with entries in [0, 2^63) and fewer than
+    2^31 of them: 31-bit limbs keep every partial sum inside int64."""
+    return (int((x >> _LIMB).sum()) << _LIMB) + int((x & _LIMB_MASK).sum())
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact sum of x*y for int64 arrays with entries in [0, 2^62)."""
+    total = 0
+    for xs in (x >> _LIMB, x & _LIMB_MASK):  # each below 2^31
+        part = (_exact_sum(xs * (y >> _LIMB)) << _LIMB) + _exact_sum(xs * (y & _LIMB_MASK))
+        total = (total << _LIMB) + part
+    return total
+
+
+def _floor_block_split(p: PowerLawParams, a: int, b: int) -> int:
+    """The split T = ceil(e^(alpha/(1+beta))) clipped to [a-1, b]: degrees
+    up to T are summed directly, the rest by their y_(T+1) levels."""
+    return min(max(guarded_ceil(math.exp(p.alpha / (1 + p.beta))), a - 1), b)
+
+
+def exact_sum_work(p: PowerLawParams, a: int, b: int) -> int:
+    """Floored terms an exact sum over [a, b] evaluates: T - a + 1 direct
+    terms plus y_(T+1) levels."""
     a, b = max(a, 1), min(b, p.delta)
     if a > b:
         return 0
-    top = degree_count(p, a)
+    t = _floor_block_split(p, a, b)
+    return t - a + 1 + (degree_count(p, t + 1) if t < b else 0)
+
+
+def _floor_block_sum(p: PowerLawParams, a: int, b: int, volume: bool) -> int:
+    """sum(y_i) or, with ``volume``, sum(i * y_i) over i in [a, b].
+
+    Raises ``ResourceLimitError`` before any work when the sum needs more than
+    ``EXACT_SUM_WORK_CAP`` floored terms, or degrees or counts of 2^53 or
+    more (beyond float64's integers).
+    """
+    a, b = max(a, 1), min(b, p.delta)
+    if a > b:
+        return 0
+    if b >= _INDEX_LIMIT or degree_count(p, a) >= _INDEX_LIMIT:
+        raise ResourceLimitError(
+            f"exact sum over [{a}, {b}] at alpha={p.alpha}, beta={p.beta} "
+            f"needs degrees or counts of 2^53 or more"
+        )
+    work = exact_sum_work(p, a, b)
+    if work > EXACT_SUM_WORK_CAP:
+        raise ResourceLimitError(
+            f"exact sum over [{a}, {b}] at alpha={p.alpha}, beta={p.beta} "
+            f"needs {work} floored terms (cap {EXACT_SUM_WORK_CAP})"
+        )
+    t = _floor_block_split(p, a, b)
     total = 0
-    for v in range(1, top + 1):
-        hi = min(b, _count_threshold(p, v))
-        if hi >= a:
-            total += hi - a + 1
+    for lo in range(a, t + 1, _CHUNK):
+        hi = min(t, lo + _CHUNK - 1)
+        y = _floored_counts(p, lo, hi)
+        total += _exact_dot(np.arange(lo, hi + 1, dtype=np.int64), y) if volume else _exact_sum(y)
+    # Degree i > T has y_i <= y_(T+1); level v counts the degrees in
+    # [T+1, h_v], h_v the last i <= b with y_i >= v, which is at least T+1.
+    levels = degree_count(p, t + 1) if t < b else 0
+    for lo in range(1, levels + 1, _CHUNK):
+        v = np.arange(lo, min(levels, lo + _CHUNK - 1) + 1, dtype=np.int64)
+        h = _count_threshold(p, v, b)
+        if volume:  # sum over levels of (T+1) + ... + h_v
+            total += (_exact_dot(h, h) + _exact_sum(h) - len(v) * t * (t + 1)) // 2
+        else:
+            total += _exact_sum(h) - len(v) * t
     return total
+
+
+def interval_size_exact(p: PowerLawParams, a: int, b: int) -> int:
+    """sum(y_i for i in [a, b]), by the floor-block split."""
+    return _floor_block_sum(p, a, b, volume=False)
 
 
 def interval_volume_exact(p: PowerLawParams, a: int, b: int) -> int:
-    """sum(i * y_i for i in [a, b]), via level-set counting."""
-    a, b = max(a, 1), min(b, p.delta)
-    if a > b:
-        return 0
-
-    def tri(lo: int, hi: int) -> int:
-        if hi < lo:
-            return 0
-        return (lo + hi) * (hi - lo + 1) // 2
-
-    top = degree_count(p, a)
-    total = 0
-    for v in range(1, top + 1):
-        hi = min(b, _count_threshold(p, v))
-        total += tri(a, hi)
-    return total
+    """sum(i * y_i for i in [a, b]), by the floor-block split."""
+    return _floor_block_sum(p, a, b, volume=True)
 
 
 def cover_ceiling_sum(p: PowerLawParams, a: int, b: int) -> int:
@@ -165,9 +252,8 @@ def cover_ceiling_sum(p: PowerLawParams, a: int, b: int) -> int:
     if a > b:
         return 0
     total = 0
-    counts_chunk = 5_000_000
-    for lo in range(a, b + 1, counts_chunk):
-        hi = min(b, lo + counts_chunk - 1)
+    for lo in range(a, b + 1, _CHUNK):
+        hi = min(b, lo + _CHUNK - 1)
         y = _floored_counts(p, lo, hi)
         ii = np.arange(lo, hi + 1, dtype=np.int64)
         total += int(((y + ii - 1) // ii).sum())

@@ -77,11 +77,28 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
         # misaligned one are tested for missing edges.
         aligned = len(cliques)
         pos = lo
+        # The aligned cliques' pairs are built below; a forged report must
+        # not size them past the graph, so their span and count are checked
+        # first.
+        pairs = 0
         for j, (start, stop) in enumerate(cliques):
             if start != pos or stop > hi:
                 aligned = j
                 break
+            if start < 0 or stop > plg.vertex_count:
+                return {
+                    "check": "certificates",
+                    "ok": False,
+                    "detail": f"{name}: clique [{start},{stop}) lies outside the graph's {plg.vertex_count} vertices",
+                }
+            pairs += (stop - start) * (stop - start - 1) // 2
             pos = stop
+        if pairs > plg.distinct_edge_count():
+            return {
+                "check": "certificates",
+                "ok": False,
+                "detail": f"{name}: cliques need {pairs} distinct edges, the graph has {plg.distinct_edge_count()}",
+            }
         spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
         # Pairs come clique by clique, so the first missing one is reported.
         u, v = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])[:2]

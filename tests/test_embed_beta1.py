@@ -30,6 +30,7 @@ from plg import (
     verify_embedding,
     walk_product,
 )
+from plg._assembly import assign_pair_slots
 from plg.embed_beta1 import (
     WALK_PAIR_CAP,
     WALK_VERTEX_CAP,
@@ -534,3 +535,62 @@ def test_embed_beta1_k3_dense_product():
     assert rep.extras["n_d"] == 9 * 16
     assert rep.conformance.ok
     assert verify_embedding(g, rep, g0).ok
+
+
+def _assign_pair_slots_loop(slots, pair_degrees):
+    """The slot search as first written (one pointer stepped per slot), kept
+    as the oracle for the running-maximum form."""
+    taken = np.zeros(len(slots), dtype=bool)
+    targets: list[tuple[int, int]] = []
+    ptr = 0
+    for need in pair_degrees:
+        while ptr < len(slots) and slots[ptr] < need:
+            ptr += 1
+        if ptr + 1 >= len(slots):
+            return None
+        targets.append((int(slots[ptr]), int(slots[ptr + 1])))
+        taken[ptr] = taken[ptr + 1] = True
+        ptr += 2
+    return targets, slots[~taken]
+
+
+def _assert_slots_match_loop(slots, needs):
+    slots = np.array(sorted(slots), dtype=np.int64)
+    needs = sorted(needs)
+    got, want = assign_pair_slots(slots, needs), _assign_pair_slots_loop(slots, needs)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0] == want[0]
+    assert all(type(x) is int for pair in got[0] for x in pair)
+    assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), max_size=30),
+    st.lists(st.integers(1, 14), max_size=14),
+)
+@example([], [])
+@example([3, 4], [3])  # tight: one pair, two slots
+@example([3, 4], [5])  # infeasible: degree above every slot
+@example([3, 3, 4, 4, 4, 5], [3, 3, 4])  # tight with duplicate degrees
+@example([3, 3, 4, 4, 4], [3, 3, 4])  # one slot short
+@example([2, 5, 5, 5, 9, 9, 9], [1, 5, 5])  # duplicates skip past low slots
+def test_assign_pair_slots_matches_loop(slots, needs):
+    _assert_slots_match_loop(slots, needs)
+
+
+def test_assign_pair_slots_matches_loop_on_search_slots():
+    # The slot lists the beta = 1 search sees: a top interval per alpha step,
+    # against the ascending doubled degrees of a walk product.
+    from plg._assembly import top_interval_slots
+
+    rng = random.Random(11)
+    for n_d in (16, 64, 256):
+        for t in (0, 1, 5, 30):
+            params = _beta1_at_alpha(float(n_d), math.log(n_d) + t * math.log1p(1.0 / n_d), t)
+            slots = top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x)
+            needs = sorted(rng.randint(1, 4 * int(math.log(n_d)) + 3) for _ in range(n_d))
+            _assert_slots_match_loop(slots.tolist(), needs)

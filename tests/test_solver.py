@@ -4,7 +4,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plg import MultiGraph, exact_mis, greedy_maximal_is, is_independent
+from plg import MultiGraph, exact_mis, greedy_maximal_is, is_independent, mis_size
 from plg import solver
 
 from conftest import brute_mis, random_simple_graph
@@ -169,3 +169,67 @@ def test_exact_mis_budget_exhausted_matches_first_fit_bound():
         want = exact_mis(g, budget=40)
     assert not got.optimal
     assert (got.size, got.witness, got.nodes_explored) == (want.size, want.witness, want.nodes_explored)
+
+
+def _component_union(seed: int, parts: list[tuple[int, float]], isolated: int, loops: int) -> MultiGraph:
+    """Disjoint random components, then isolated vertices, then self-loops
+    on random vertices: the cases the size solver's reductions split off."""
+    rng = random.Random(seed)
+    edges: dict[tuple[int, int], int] = {}
+    offset = 0
+    for n, p in parts:
+        for (u, v), m in random_simple_graph(rng, n, p).edge_dict().items():
+            edges[(u + offset, v + offset)] = m
+        offset += n
+    n_total = offset + isolated
+    for _ in range(loops if n_total else 0):
+        v = rng.randrange(n_total)
+        edges[(v, v)] = 1
+    return MultiGraph(n_total, edges)
+
+
+_PARTS = st.lists(st.tuples(st.integers(1, 14), st.floats(0, 1)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), _PARTS, st.integers(0, 3), st.integers(0, 3))
+def test_mis_size_matches_exact_mis(seed, parts, isolated, loops):
+    g = _component_union(seed, parts, isolated, loops)
+    want = exact_mis(g)
+    assert mis_size(g) == (want.size, want.optimal)
+    if g.vertex_count <= 16:
+        assert want.size == brute_mis(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(20, 44), st.floats(0.05, 0.3), st.integers(1, 40))
+def test_mis_size_out_of_budget_is_a_real_set(seed, n, p, budget):
+    # Sparse graphs need branching; a small budget stops the search, and the
+    # size reported must still be reached by some independent set: at least
+    # the greedy one, at most the independence number.
+    g = _component_union(seed, [(n, p)], 0, 1)
+    size, optimal = mis_size(g, budget=budget)
+    full_size, full_optimal = mis_size(g)
+    assert full_optimal and full_size == exact_mis(g).size
+    assert len(greedy_maximal_is(g)) <= size <= full_size
+    assert not optimal or size == full_size
+
+
+def test_mis_size_reports_exhausted_budget():
+    g = _component_union(4, [(60, 0.08)], 0, 0)
+    size, optimal = mis_size(g, budget=3)
+    assert not optimal
+    assert len(greedy_maximal_is(g)) <= size <= mis_size(g)[0]
+
+
+def test_mis_size_on_sparse_cycle_with_chords():
+    # A cycle plus as many random chords: the embed-beta1 inputs whose exact
+    # solve once dominated the pipeline.
+    rng = random.Random(3)
+    n = 60
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = MultiGraph(n, sorted(edges))
+    assert mis_size(g) == (exact_mis(g).size, True)

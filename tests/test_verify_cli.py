@@ -436,3 +436,63 @@ def test_cli_embed_beta1_k1_on_edgeless_input_exits_2(tmp_path, capsys, d):
     assert not out.exists() and not rep.exists()
     argv[argv.index("--k") + 1] = "2"
     assert main(argv + ["--out", str(out), "--report", str(rep)]) == 0
+
+
+def _run_cli_limited(tmp_path, argv, timeout=120):
+    """Run the CLI apart, under a 2 GiB address space, so that a regression
+    fails with MemoryError or a timeout, not by taking the machine's memory."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    limit = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "plg.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_cli_verify_fails_oversized_clique_before_pairs(tmp_path):
+    # Part G1 forged to [lo, lo + 200000] with one clique spanning it: about
+    # 2*10^10 pairs (149 GiB of columns) that must never be built.
+    write_c5(tmp_path / "c5.plg")
+    argv = ["embed-sub1", "--beta", "0.5", "--in", "c5.plg", "--out", "g.plg", "--report", "r.json"]
+    assert _run_cli_limited(tmp_path, argv).returncode == 0
+    rep = json.loads((tmp_path / "r.json").read_text())
+    lo = rep["parts"]["G1"]["range"][0]
+    rep["parts"]["G1"]["range"] = [lo, lo + 200_000]
+    rep["certificates"]["G1"]["cliques"] = [[lo, lo + 200_000]]
+    (tmp_path / "forged.json").write_text(json.dumps(rep))
+    proc = _run_cli_limited(tmp_path, ["verify", "--plg", "g.plg", "--report", "forged.json", "--in", "c5.plg"])
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    checks = {c["check"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert not checks["certificates"]["ok"]
+    assert "outside the graph's" in checks["certificates"]["detail"]
+
+
+def test_certificate_check_fails_more_pairs_than_edges():
+    # One clique over all ten vertices needs 45 distinct edges: K10 passes,
+    # K10 less one edge fails on the count before any pair is built.
+    k10 = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    rep = {"parts": {"P": {"range": [0, 10]}}, "certificates": {"P": {"cliques": [[0, 10]], "is_upper_bound": 1}}}
+    assert _check_certificates(MultiGraph(10, k10), rep)["ok"]
+    got = _check_certificates(MultiGraph(10, k10[1:]), rep)
+    assert not got["ok"]
+    assert got["detail"] == "P: cliques need 45 distinct edges, the graph has 44"
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, error",
+    [
+        ("800", "1", "overflows"),  # e^800 is not a float
+        ("5", "0.005", "overflows"),  # nor is e^1000
+        ("36", "1", "floored terms"),  # about 1.3*10^8 terms
+        ("12", "0.25", "2^53"),  # delta = e^48
+    ],
+)
+def test_cli_dist_huge_alpha_exits_2(tmp_path, alpha, beta, error):
+    # Refused before any work: no traceback, no hang.
+    proc = _run_cli_limited(tmp_path, ["dist", "--alpha", alpha, "--beta", beta], timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and error in proc.stderr
+    assert proc.stdout == ""
