@@ -9,12 +9,13 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import _jsonio
 from .errors import InputError, ResourceLimitError, UnsupportedCaseError
-from .graph import read_graph, write_graph
+from .graph import _graph_bytes, read_graph
 from .model import (
     PowerLawParams,
     degree_counts,
@@ -67,7 +68,7 @@ def _cmd_realize(args) -> int:
     if len(d) == 0:
         raise InputError("interval contains no vertices after flooring")
     graph, cert = realize(d)
-    Path(args.out).write_text(write_graph(graph))
+    Path(args.out).write_bytes(_graph_bytes(graph))
     record = {"schema": SCHEMA, **cert.to_json_dict()}
     text = _jsonio.dumps(record)
     if args.cert:
@@ -82,7 +83,7 @@ def _cmd_embed_sub1(args) -> int:
 
     g = read_graph(Path(args.infile).read_text())
     graph, report = embed_sub1(g, args.beta)
-    Path(args.out).write_text(write_graph(graph))
+    Path(args.out).write_bytes(_graph_bytes(graph))
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
     return 0
 
@@ -92,7 +93,7 @@ def _cmd_embed_beta1(args) -> int:
 
     g = read_graph(Path(args.infile).read_text())
     graph, report = embed_beta1(g, args.d, args.seed, args.k)
-    Path(args.out).write_text(write_graph(graph))
+    Path(args.out).write_bytes(_graph_bytes(graph))
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
     return 0
 
@@ -102,7 +103,7 @@ def _cmd_expander(args) -> int:
 
     cert = random_regular_expander(args.n, args.d, args.seed)
     if args.out:
-        Path(args.out).write_text(write_graph(cert.graph))
+        Path(args.out).write_bytes(_graph_bytes(cert.graph))
     sys.stdout.write(_jsonio.dumps({"schema": SCHEMA, **cert.to_dict()}))
     return 0
 
@@ -115,7 +116,7 @@ def _cmd_walkprod(args) -> int:
     h = random_regular_expander(g.vertex_count, args.d, args.seed)
     wp = walk_product(g, h, args.k)
     if args.out:
-        Path(args.out).write_text(write_graph(wp.product))
+        Path(args.out).write_bytes(_graph_bytes(wp.product))
     sys.stdout.write(
         _jsonio.dumps(
             {
@@ -168,6 +169,9 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+# Built once per process: main() only reads it, and parse_args returns a
+# fresh namespace on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="plg")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -13,10 +13,12 @@ as numpy passes over these arrays.  Columns that arrive with strictly
 increasing keys keep their order with no sort; others are sorted and their
 repeated pairs summed.
 
-The writer formats a line per edge with no per-digit work: each line is a
-row of a uint8 matrix, each field is filled four digits at a time by
-gathering rows of a fixed table of ASCII digit rows, and the zero bytes left
-where a value is shorter than its field are dropped in one pass.
+The writer formats a line per edge with no per-digit work, into one byte
+buffer sized from the fields' digit counts: lines are laid out a block of
+rows at a time in a uint8 matrix, each field is filled four digits at a
+time by gathering 4-byte words of a fixed table of ASCII digit rows, and
+each block is copied in with the zero bytes left where a value is shorter
+than its field dropped.
 """
 
 from __future__ import annotations
@@ -251,18 +253,19 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 #                                           distinct edge, sorted)
 # Labels:   l <v> <tag>                    (optional, sorted by v)
 #
-# ``write_graph`` emits exactly this canonical form, through the digit-table
-# writer ``_format_edges`` (base-10^4 chunks gathered from ``_UNITS_ROWS`` and
-# ``_HIGH_ROWS``, then one compaction).  ``read_graph`` parses
-# canonical text with numpy and hands anything else (extra whitespace, CRLF,
-# signs, unsorted lines, any error) to the line parser, the only producer of
-# ParseError.
+# ``write_graph`` and ``_graph_bytes`` emit exactly this canonical form,
+# through the digit-table writer ``_text_buffer`` (base-10^4 chunks gathered
+# from ``_UNITS_WORDS`` and ``_HIGH_WORDS``, compacted block by block).
+# ``read_graph`` parses canonical text with numpy and hands anything else
+# (extra whitespace, CRLF, signs, unsorted lines, any error) to the line
+# parser, the only producer of ParseError.
 
 _MAX_DIGITS = 18  # every 18-digit decimal fits in int64
 _HEADER = re.compile(r"p plg ([0-9]+) ([0-9]+)\n")
 _LABEL = re.compile(r"l ([0-9]+) ([!-~]+)\n")
 _E_TO_SPACE = bytes.maketrans(b"e", b" ")
 _CHUNK = 10_000  # the writer's digit chunk, four places
+_WRITE_BLOCK_BYTES = 1 << 20  # the writer's line matrix, per block of rows
 
 
 def _digit_rows() -> tuple[np.ndarray, np.ndarray]:
@@ -281,12 +284,30 @@ def _digit_rows() -> tuple[np.ndarray, np.ndarray]:
 
 
 _UNITS_ROWS, _HIGH_ROWS = _digit_rows()
+# The same rows as 4-byte words, written a whole chunk at a time.
+_UNITS_WORDS, _HIGH_WORDS = (t.view(np.uint32).ravel() for t in (_UNITS_ROWS, _HIGH_ROWS))
+
+
+def _top_width(width: int) -> int:
+    """Digits in the most significant chunk of a ``width``-digit field."""
+    return width - 4 * ((width - 1) // 4)
+
+
+def _word_column(mat: np.ndarray, start: int) -> np.ndarray:
+    """Bytes start..start+3 of every row of ``mat``, as one (unaligned)
+    uint32 column."""
+    return np.ndarray((len(mat),), dtype=np.uint32, buffer=mat, offset=start, strides=(mat.strides[0],))
 
 
 def _write_field(mat: np.ndarray, stop: int, col: np.ndarray, width: int) -> None:
     """Write ``col`` right-aligned into the ``width`` columns of ``mat`` that
-    end at ``stop``, four digits at a time, least significant chunk first."""
-    val, table = col, _UNITS_ROWS
+    end at ``stop``, four digits at a time, least significant chunk first.
+
+    Every chunk is written as a whole 4-byte word, so a top chunk of fewer
+    than four digits also writes zero bytes over the 4 - top width columns
+    before the field: callers write fields from right to left and restore
+    the separators after."""
+    val, table = col, _UNITS_WORDS
     for _ in range((width - 1) // 4):
         # A chunk with digits above it takes its inner row, others their
         # leading row: idx = min(val, val % 10^4 + 10^4).
@@ -294,42 +315,77 @@ def _write_field(mat: np.ndarray, stop: int, col: np.ndarray, width: int) -> Non
         idx = (high - 1) * _CHUNK
         np.subtract(val, idx, out=idx)
         np.minimum(val, idx, out=idx)
-        mat[:, stop - 4 : stop] = np.take(table, idx, axis=0)
-        stop, val, table = stop - 4, high, _HIGH_ROWS
-    # The top chunk has no digits above it and fits in what is left.
-    w = width - 4 * ((width - 1) // 4)
-    mat[:, stop - w : stop] = np.take(table, val, axis=0)[:, 4 - w :]
+        _word_column(mat, stop - 4)[:] = np.take(table, idx)
+        stop, val, table = stop - 4, high, _HIGH_WORDS
+    # The top chunk has no digits above it: its leading row's zero bytes
+    # fall before the field.
+    _word_column(mat, stop - 4)[:] = np.take(table, val)
+
+
+def _text_buffer(cols: EdgeArrays, head: bytes = b"", tail: bytes = b"") -> np.ndarray:
+    """``head``, one line 'e <u> <v> <mult>' per edge, then ``tail``, as one
+    uint8 array.
+
+    The array is allocated once, at the text's exact length: each line is
+    five bytes plus its fields' digit counts.  Lines are laid out a block of
+    rows at a time in a uint8 matrix, each field as wide as its column's
+    largest value, with zero bytes where a shorter value has no digit.
+    Fields are filled four digits at a time by gathering words of the
+    digit tables (base-10^4 chunks), and each block is copied in with its
+    zero bytes dropped.
+    """
+    rows = len(cols.u)
+    widths = [len(str(int(c.max()))) if rows else 1 for c in cols]
+    size = len(head) + len(tail) + 5 * rows
+    for c, w in zip(cols, widths):
+        size += rows + sum(int(np.count_nonzero(c >= 10**p)) for p in range(1, w))
+    out = np.empty(size, dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    pos = len(head)
+    # Zero bytes before the 'e' leave room for the first field's top word.
+    template = [0] * max(0, 2 - _top_width(widths[0])) + [ord("e")]
+    marks = [len(template) - 1]
+    for w in widths:
+        marks.append(len(template))
+        template += [ord(" ")] + [0] * w
+    template.append(ord("\n"))
+    block = max(1, _WRITE_BLOCK_BYTES // len(template))
+    # Fields overwrite all of their own columns and at most the 'e' and
+    # separators before them, so the rest of the template is set once.
+    mat = np.empty((min(rows, block), len(template)), dtype=np.uint8)
+    mat[:] = template
+    for lo in range(0, rows, block):
+        part = mat[: min(block, rows - lo)]
+        stop = len(template) - 1
+        for c, w in zip(cols[::-1], widths[::-1]):
+            _write_field(part, stop, c[lo : lo + block], w)
+            stop -= 1 + w
+        for i in marks:
+            part[:, i] = template[i]
+        text = part.tobytes().translate(None, b"\0")
+        out[pos : pos + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        pos += len(text)
+    if pos + len(tail) != size:
+        raise AssertionError("edge text length differs from its digit count")
+    out[pos:] = np.frombuffer(tail, dtype=np.uint8)
+    return out
 
 
 def _format_edges(cols: EdgeArrays) -> str:
-    """One line 'e <u> <v> <mult>' per edge.
+    """One line 'e <u> <v> <mult>' per edge."""
+    return str(_text_buffer(cols).data, "ascii")
 
-    Every line is laid out in one row of a uint8 matrix, each field as wide
-    as its column's largest value, with zero bytes where a shorter value
-    has no digit.  Fields are filled four digits at a time by gathering
-    rows of the digit tables (base-10^4 chunks), and the text is the matrix
-    with its zero bytes dropped.
-    """
-    if len(cols.u) == 0:
-        return ""
-    widths = [len(str(int(c.max()))) for c in cols]
-    template = [ord("e")]
-    for w in widths:
-        template += [ord(" ")] + [0] * w
-    template.append(ord("\n"))
-    mat = np.empty((len(cols.u), len(template)), dtype=np.uint8)
-    mat[:] = template
-    stop = 1
-    for c, w in zip(cols, widths):
-        stop += 1 + w
-        _write_field(mat, stop, c, w)
-    return str(mat[mat != 0].data, "ascii")
+
+def _graph_bytes(g: MultiGraph) -> memoryview:
+    """The canonical text of ``g`` as UTF-8 bytes (ASCII but for labels),
+    built in one buffer."""
+    header = f"p plg {g.vertex_count} {g.distinct_edge_count()}\n"
+    labels = "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels))
+    return _text_buffer(g.arrays(), header.encode("ascii"), labels.encode("utf-8")).data
 
 
 def write_graph(g: MultiGraph) -> str:
-    header = f"p plg {g.vertex_count} {g.distinct_edge_count()}\n"
-    labels = "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels))
-    return header + _format_edges(g.arrays()) + labels
+    return str(_graph_bytes(g), "utf-8")
 
 
 def _scan_edges(data: bytes, rows: int) -> np.ndarray | None:

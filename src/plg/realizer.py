@@ -29,6 +29,17 @@ next level L2 (0 when none), one event moves
 These give exactly the unit rule's edges, multiplicities and pending vertex,
 with Python work per event rather than per unit.
 
+A group's pairs are not re-listed at each event.  Each level's group is a
+chain (``_Chain``): its ascending ids, one link per consecutive pair, and
+two running accumulators indexed by a link's absolute parity.  A link
+records a snapshot, and owes ``acc[parity] - snapshot`` units.  An even
+round adds to one accumulator; an odd period adds to both and emits only
+(g0, g_last); the one-level-above case adds to one and flushes only the
+split-off last link; removing U's lowest ids flushes only the link it
+breaks.  A merge of non-interleaved chains re-indexes the shorter one onto
+the longer one's accumulators, an interleaved merge flushes both and
+rebuilds, and a chain is flushed when its level reaches 0.
+
 If the degree total is odd, one target is lowered by 1 before filling (the
 highest-index vertex whose residual allows it), recorded as the parity
 deficit.  The clique list is a certificate: its length upper-bounds the
@@ -153,6 +164,70 @@ def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, np.repeat(clique, later)
 
 
+class _Chain:
+    """A level's group as a chain: ascending member ids, one link per
+    consecutive pair, and two running accumulators.  Link i has absolute
+    index ``off + i``; its parity picks the accumulator it draws on, and it
+    owes ``acc[parity] - snaps[i]`` units not yet emitted."""
+
+    __slots__ = ("ids", "snaps", "off", "acc")
+
+    def __init__(
+        self, ids: list[int], snaps: list[int] | None = None, off: int = 0, acc: list[int] | None = None
+    ):
+        self.ids = ids
+        self.snaps = [0] * (len(ids) - 1) if snaps is None else snaps
+        self.off = off
+        self.acc = [0, 0] if acc is None else acc
+
+    def flush(self, lo: int, hi: int, us: list[int], vs: list[int], ws: list[int]) -> None:
+        """Emit what links lo..hi-1 owe."""
+        ids, snaps, acc, off = self.ids, self.snaps, self.acc, self.off
+        for i in range(lo, hi):
+            w = acc[(off + i) & 1] - snaps[i]
+            if w:
+                us.append(ids[i])
+                vs.append(ids[i + 1])
+                ws.append(w)
+
+    def rebased(self, acc: list[int], off: int) -> list[int]:
+        """Snapshots that keep every link's owed weight when the chain's links
+        start at absolute index ``off`` and draw on ``acc``."""
+        flip = (off - self.off) & 1
+        snaps = self.snaps[:]
+        for rel in range(min(2, len(snaps))):
+            p = (self.off + rel) & 1
+            shift = acc[p ^ flip] - self.acc[p]
+            if shift:
+                snaps[rel::2] = [s + shift for s in snaps[rel::2]]
+        return snaps
+
+
+def _merge(a: _Chain, b: _Chain, us: list[int], vs: list[int], ws: list[int]) -> _Chain:
+    """One chain of the members of a and b.  When one lies wholly below the
+    other, the longer keeps its links and the shorter is re-indexed onto its
+    accumulators; interleaved chains are flushed and rebuilt."""
+    if a.ids[-1] < b.ids[0]:
+        lo, hi = a, b
+    elif b.ids[-1] < a.ids[0]:
+        lo, hi = b, a
+    else:
+        a.flush(0, len(a.snaps), us, vs, ws)
+        b.flush(0, len(b.snaps), us, vs, ws)
+        return _Chain(sorted(a.ids + b.ids))
+    if len(lo.ids) >= len(hi.ids):
+        off = lo.off + len(lo.ids)
+        lo.snaps.append(lo.acc[(off - 1) & 1])
+        lo.snaps += hi.rebased(lo.acc, off)
+        lo.ids += hi.ids
+        return lo
+    off = hi.off - len(lo.ids)
+    hi.snaps[:0] = lo.rebased(hi.acc, off) + [hi.acc[(hi.off - 1) & 1]]
+    hi.ids[:0] = lo.ids
+    hi.off = off
+    return hi
+
+
 def _fill_clique(
     members: range,
     residuals: list[int],
@@ -161,85 +236,108 @@ def _fill_clique(
     ws: list[int],
 ) -> int | None:
     """Consume residuals inside one clique by the unit rule of the module
-    docstring, appending each fill batch as pairs (us[i], vs[i]) of
+    docstring, appending fill batches as pairs (us[i], vs[i]) of
     multiplicity ws[i]; returns the pending vertex, if any.
 
-    Residuals are held as levels: ``groups[r]`` is the ascending list of
+    Residuals are held as levels: ``groups[r]`` is the chain (``_Chain``) of
     members with residual r, ``levels`` the ascending list of positive r.
     Each pass moves the top group T (level ``top``) down in one event, as
     the unit rule would over many units; U is the group at ``below``, the
     next level (0 when none).
+
+    A group's matching is never listed while the group survives: a round
+    of its consecutive pairs (g0,g1), (g2,g3), ... adds to the accumulator
+    of those links' parity, and a link's weight is emitted only when the
+    link breaks (U loses its lowest ids, the last member of an odd group
+    splits off, or two interleaved groups merge) or when its group reaches
+    level 0.  A merge of non-interleaved groups re-indexes the shorter
+    chain onto the longer one's accumulators.  Pairs may still be emitted
+    more than once; callers sum them.
     """
-    groups: dict[int, list[int]] = {}
+    ids_at: dict[int, list[int]] = {}
     for v, r in zip(members, residuals):
         if r > 0:
-            groups.setdefault(r, []).append(v)
+            ids_at.setdefault(r, []).append(v)
+    groups = {r: _Chain(ids) for r, ids in ids_at.items()}
     levels = sorted(groups)
 
-    def emit(a: list[int], b: list[int], w: int) -> None:
-        us.extend(a)
-        vs.extend(b)
-        ws.extend([w] * len(a))
-
-    def drop(ids: list[int], level: int) -> None:
+    def drop(chain: _Chain, level: int) -> None:
         if level <= 0:
+            chain.flush(0, len(chain.snaps), us, vs, ws)
             return
-        group = groups.get(level)
-        if group is None:
-            groups[level] = ids
+        have = groups.get(level)
+        if have is None:
+            groups[level] = chain
             bisect.insort(levels, level)
         else:
-            groups[level] = sorted(group + ids)
+            groups[level] = _merge(have, chain, us, vs, ws)
 
     while levels:
         top = levels.pop()
         group = groups.pop(top)
         below = levels[-1] if levels else 0
-        k = len(group)
+        ids = group.ids
+        k = len(ids)
         if k == 1:
-            t = group[0]
+            t = ids[0]
             if not levels:
                 if top >= 2:
-                    emit(group, group, top // 2)
+                    us.append(t)
+                    vs.append(t)
+                    ws.append(top // 2)
                 return t if top % 2 else None
             under = groups[below]
-            if len(under) == 1:
+            if len(under.ids) == 1:
                 # t pairs with the lone u until u reaches the level below it.
                 del groups[levels.pop()]
                 step = below - (levels[-1] if levels else 0)
-                emit(group, under, step)
+                us.append(t)
+                vs.append(under.ids[0])
+                ws.append(step)
                 drop(under, below - step)
                 drop(group, top - step)
             else:
                 # t pairs once with each of the j lowest ids of U, one unit
-                # each, until t reaches U's level or U runs out.
-                j = min(top - below, len(under))
-                if j < len(under):
-                    groups[below] = under[j:]
+                # each, until t reaches U's level or U runs out.  The j ids
+                # leave as a chain of their own; only the link to the rest
+                # of U breaks.
+                j = min(top - below, len(under.ids))
+                if j < len(under.ids):
+                    under.flush(j - 1, j, us, vs, ws)
+                    moved = _Chain(under.ids[:j], under.snaps[: j - 1], under.off, under.acc[:])
+                    del under.ids[:j], under.snaps[:j]
+                    under.off += j
                 else:
                     del groups[levels.pop()]
-                moved = under[:j]
-                emit(group * j, moved, 1)
+                    moved = under
+                us.extend([t] * j)
+                vs.extend(moved.ids)
+                ws.extend([1] * j)
                 drop(moved, below - 1)
                 drop(group, top - j)
         elif k % 2 == 0:
             # Rounds of consecutive pairs until the group lands on U.
-            emit(group[0::2], group[1::2], top - below)
+            group.acc[group.off & 1] += top - below
             drop(group, below)
         elif top - below >= 2:
             # Odd group: each period of two levels pairs (g0,g1), (g2,g3), ...,
-            # then (g0, g_last), then (g1,g2), (g3,g4), ....
+            # then (g0, g_last), then (g1,g2), (g3,g4), ...: every link once.
             f = (top - below) // 2
-            emit(group[0 : k - 1 : 2], group[1 : k - 1 : 2], f)
-            emit(group[:1], group[-1:], f)
-            emit(group[1::2], group[2::2], f)
+            group.acc[0] += f
+            group.acc[1] += f
+            us.append(ids[0])
+            vs.append(ids[-1])
+            ws.append(f)
             drop(group, top - 2 * f)
         else:
             # One level above U: all but the last member pair off onto U,
             # leaving the last alone on top.
-            emit(group[0 : k - 1 : 2], group[1 : k - 1 : 2], 1)
-            drop(group[:-1], below)
-            groups[top] = group[-1:]
+            group.acc[group.off & 1] += 1
+            group.flush(k - 2, k - 1, us, vs, ws)
+            last = ids.pop()
+            group.snaps.pop()
+            drop(group, below)
+            groups[top] = _Chain([last])
             levels.append(top)
     return None
 

@@ -11,9 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_beta1 import Beta1Params, alon_interval, layered_is_bound
+from .embed_beta1 import (
+    Beta1Params,
+    alon_interval,
+    check_walk_caps,
+    layered_is_bound,
+    random_regular_expander,
+    walk_product,
+)
 from .embed_sub1 import Sub1Params, residual_is_bound_sub1
-from .graph import MultiGraph, is_independent
+from .errors import InputError, ResourceLimitError
+from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import clique_pairs
 from .report import SCHEMA, EmbeddingReport, degree_conformance
@@ -133,13 +141,19 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
     return {"check": "certificates", "ok": True, "detail": ""}
 
 
-def _check_embedded(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
-    """kind "sub1": the block [0, 2m) is the doubled input.  Every pair
-    {2i, 2i+1} is joined and the graph induced on {2i : i < m}, read back at
-    i, equals the input, so every independent set of the input maps."""
-    m = original.vertex_count
-    if list(rep["parts"]["Gprime"]["range"]) != [0, 2 * m]:
-        return {"check": "embedded", "ok": False, "detail": f"Gprime is not the block [0,{2 * m})"}
+# What each embedder doubles into its embedded block.
+_BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
+
+
+def _check_embedded(plg: MultiGraph, rep: dict, block: str, expected: MultiGraph) -> dict:
+    """The part ``block`` is the doubled graph ``expected``: it is the block
+    [0, 2m), every pair {2i, 2i+1} is joined and the graph induced on
+    {2i : i < m}, read back at i, equals ``expected``, so every independent
+    set of ``expected`` maps."""
+    m = expected.vertex_count
+    source = _BLOCK_SOURCES[block]
+    if list(rep["parts"][block]["range"]) != [0, 2 * m]:
+        return {"check": "embedded", "ok": False, "detail": f"{block} is not the block [0,{2 * m})"}
     first = 2 * np.arange(m, dtype=np.int64)
     unjoined = np.flatnonzero(plg.multiplicities(first, first + 1) < 1)
     if len(unjoined):
@@ -148,8 +162,8 @@ def _check_embedded(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
     u, v, mult = plg.arrays()
     even = (u % 2 == 0) & (v % 2 == 0) & (v < 2 * m)
     iu, iv, im = u[even] // 2, v[even] // 2, mult[even]
-    ou, ov, om = original.arrays()
-    extra = original.multiplicities(iu, iv) != im
+    ou, ov, om = expected.arrays()
+    extra = expected.multiplicities(iu, iv) != im
     lost = plg.multiplicities(2 * ou, 2 * ov) != om
     du = np.concatenate([iu[extra], ou[lost]])
     dv = np.concatenate([iv[extra], ov[lost]])
@@ -158,9 +172,26 @@ def _check_embedded(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
         return {
             "check": "embedded",
             "ok": False,
-            "detail": f"induced block differs from the input at input edge ({du[k]},{dv[k]})",
+            "detail": f"induced block differs from the {source} at {source} edge ({du[k]},{dv[k]})",
         }
     return {"check": "embedded", "ok": True, "detail": ""}
+
+
+def _walk_block(rep: dict, original: MultiGraph) -> MultiGraph:
+    """kind "beta1": the walk product the block D doubles, rebuilt from the
+    input and the report's (n_base, d, k, seed), with its self-loops
+    dropped (the embedder turns them into matching units).  The walk caps
+    are checked before the expander is drawn."""
+    ex = rep["extras"]
+    n, d, k = ex["n_base"], ex["d"], ex["k"]
+    if n != original.vertex_count:
+        raise InputError(f"n_base {n} is not the input's {original.vertex_count} vertices")
+    check_walk_caps(n, d, k)
+    h = random_regular_expander(n, d, ex["seed"])
+    product = walk_product(original, h, k).product
+    u, v, mult = product.arrays()
+    keep = u != v
+    return MultiGraph(product.vertex_count, EdgeArrays(u[keep], v[keep], mult[keep]))
 
 
 def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
@@ -235,7 +266,8 @@ def verify_embedding(
     plg: MultiGraph, report: EmbeddingReport | dict, original: MultiGraph
 ) -> VerifyResult:
     """Re-check an embedding run: conformance, certificates, witness, bounds,
-    and for kind "sub1" the embedded block against the input."""
+    and the embedded block: for kind "sub1" against the input, for kind
+    "beta1" against the input's walk product."""
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
@@ -247,5 +279,12 @@ def verify_embedding(
         _check_bounds(rep),
     ]
     if rep["kind"] == "sub1":
-        checks.append(_check_embedded(plg, rep, original))
+        checks.append(_check_embedded(plg, rep, "Gprime", original))
+    else:
+        try:
+            product = _walk_block(rep, original)
+        except (InputError, ResourceLimitError) as exc:
+            checks.append({"check": "embedded", "ok": False, "detail": f"walk product: {exc}"})
+        else:
+            checks.append(_check_embedded(plg, rep, "D", product))
     return VerifyResult(all(c["ok"] for c in checks), checks)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plg import MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
-from plg.graph import EdgeArrays, _format_edges, _read_canonical, _read_lines
+from plg import graph as graph_module
+from plg.graph import EdgeArrays, _format_edges, _graph_bytes, _read_canonical, _read_lines
 
 from conftest import random_multigraph
 
@@ -311,3 +312,26 @@ def test_writer_fields_at_chunk_edges():
         "e 10000 100000000 999999999999999999\n"
         "e 100000000 100000000 9223372036854775807\n"
     )
+
+
+@pytest.mark.parametrize("block_bytes", [1, 40, 1 << 10, 1 << 20])
+def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, block_bytes):
+    # Lines are formatted a block of rows at a time into one buffer; every
+    # block size, down to one row per block, gives the same text.
+    monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
+    rng = random.Random(block_bytes)
+    for n, edge_count, top in [(1, 0, 1), (1, 3, 3), (40, 150, 10**5), (10**6, 300, 2**62)]:
+        edges = {}
+        for _ in range(edge_count):
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            edges[(u, v)] = rng.randint(1, top)
+        labels = {v: rng.choice(["embedded", "residual-G1", "étiquette"]) for v in range(0, min(n, 40), 7)}
+        g = MultiGraph(n, edges, labels)
+        text = (
+            f"p plg {n} {g.distinct_edge_count()}\n"
+            + _per_place_format_edges(g.arrays())
+            + "".join(f"l {w} {labels[w]}\n" for w in sorted(labels))
+        )
+        assert bytes(_graph_bytes(g)) == text.encode("utf-8")
+        assert write_graph(g) == text
+        assert _format_edges(g.arrays()) == _per_place_format_edges(g.arrays())

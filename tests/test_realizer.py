@@ -266,6 +266,66 @@ def test_run_length_fill_matches_heap(residuals, ordered, offset):
     assert _run_length_fill(members, residuals) == (expected, pending)
 
 
+# The 564-member clique of the 2,956-vertex part that bench seed 1's first
+# embed-sub1 call realizes: a ladder with its last member lowered by the
+# parity fix.
+_BENCH_LADDER = list(range(154, 717)) + [715]
+
+
+def _ladder(start: int, length: int, step: int, falling: bool, lowered: bool) -> list[int]:
+    values = list(range(start, start + step * length, step))
+    if lowered and values[-1] > 0:
+        values[-1] -= 1
+    return values[::-1] if falling else values
+
+
+_level = st.integers(0, 400)
+_chain_shapes = st.one_of(
+    st.lists(_level, min_size=1, max_size=200),
+    # climbing and falling ladders, one member per level or every other level
+    st.builds(_ladder, st.integers(0, 200), st.integers(1, 200), st.integers(1, 2), st.booleans(), st.booleans()),
+    # interleaved levels: ids cycle through a few levels, so groups that
+    # meet on a level hold alternating ids
+    st.tuples(st.lists(st.integers(1, 400), min_size=2, max_size=4), st.integers(2, 200)).map(
+        lambda t: [t[0][i % len(t[0])] for i in range(t[1])]
+    ),
+    # equal runs, of odd and of even length
+    st.lists(st.tuples(_level, st.integers(1, 60)), min_size=1, max_size=6).map(
+        lambda runs: [r for r, n in runs for _ in range(n)][:200]
+    ),
+    # a ladder of low values with one vertex far above the rest
+    st.tuples(st.integers(1, 199), st.integers(100, 400), st.integers(0, 199), st.booleans()).map(
+        lambda t: (lambda low: low[: t[2]] + [t[1]] + low[t[2] :])(_ladder(0, t[0], 1, t[3], False))
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chain_shapes, st.booleans(), st.integers(0, 10**6))
+@example(_BENCH_LADDER, False, 0)
+@example([3, 1, 3, 1, 3, 1, 3], False, 0)
+@example([9, 2, 2, 2, 2, 2], False, 0)
+def test_chain_fill_matches_heap(residuals, ordered, offset):
+    if ordered:
+        residuals = sorted(residuals)
+    members = range(offset, offset + len(residuals))
+    expected: dict[tuple[int, int], int] = {}
+    pending = _heap_fill_clique(members, residuals, expected)
+    assert _run_length_fill(members, residuals) == (expected, pending)
+
+
+def test_ladder_fill_emits_each_pair_about_once():
+    # A group's matching is not re-listed while the group survives: the
+    # ladder above appends at most twice as many entries as it has pairs.
+    members = range(len(_BENCH_LADDER))
+    expected: dict[tuple[int, int], int] = {}
+    _heap_fill_clique(members, _BENCH_LADDER, expected)
+    us: list[int] = []
+    _fill_clique(members, _BENCH_LADDER, us, [], [])
+    assert len(expected) == 842
+    assert len(us) <= 2 * len(expected)
+
+
 def _heap_realize(d):
     """realize() with the heap fill: the fill units summed per pair in a
     dict, then the cross edges joining consecutive pending vertices."""

@@ -496,3 +496,95 @@ def test_cli_dist_huge_alpha_exits_2(tmp_path, alpha, beta, error):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and error in proc.stderr
     assert proc.stdout == ""
+
+
+# -- the beta = 1 embedded block D -----------------------------------------------
+
+
+def _beta1_c5_files(tmp_path):
+    write_c5(tmp_path / "c5.plg")
+    argv = ["embed-beta1", "--in", str(tmp_path / "c5.plg"), "--d", "4", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json")]) == 0
+    return ["verify", "--plg", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json"),
+            "--in", str(tmp_path / "c5.plg")]
+
+
+def test_cli_verify_checks_beta1_block(tmp_path, capsys):
+    verify = _beta1_c5_files(tmp_path)
+    capsys.readouterr()
+    assert main(verify) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert {"check": "embedded", "ok": True, "detail": ""} in rec["checks"]
+
+
+def test_cli_verify_fails_on_two_swapped_beta1_block(tmp_path, capsys):
+    # A degree-preserving 2-swap inside D: degrees, certificates and the
+    # witness survive, but the graph induced on {2i} is no longer the walk
+    # product.
+    verify = _beta1_c5_files(tmp_path)
+    g = read_graph((tmp_path / "e.plg").read_text())
+    edges = g.edge_dict()
+    assert edges.pop((2, 4)) == 1 and edges.pop((17, 24)) == 1
+    assert (2, 17) not in edges and (4, 24) not in edges
+    edges[(2, 17)] = edges[(4, 24)] = 1
+    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    assert sorted(swapped.degrees()) == sorted(g.degrees())
+    (tmp_path / "e.plg").write_text(write_graph(swapped))
+    capsys.readouterr()
+    assert main(verify) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert failing(rec["checks"]) == ["embedded"]
+
+
+def _embedded_check(g, doc, original):
+    return next(c for c in verify_embedding(g, doc, original).checks if c["check"] == "embedded")
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("n_base", 6, "walk product: n_base 6 is not the input's 5 vertices"),
+        ("k", 40, "walk product: walk product would have"),  # refused by the walk caps
+        ("d", 5, "walk product: need d < n"),
+    ],
+)
+def test_verify_beta1_block_from_forged_extras(c5, field, value, detail):
+    from plg import embed_beta1
+
+    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    doc = copy.deepcopy(rep.to_dict())
+    assert _embedded_check(g, doc, c5)["ok"]
+    doc["extras"][field] = value
+    got = _embedded_check(g, doc, c5)
+    assert not got["ok"] and got["detail"].startswith(detail)
+
+
+def test_verify_beta1_block_range(c5):
+    from plg import embed_beta1
+
+    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    doc = copy.deepcopy(rep.to_dict())
+    n_d = doc["extras"]["n_d"]
+    doc["parts"]["D"]["range"] = [0, 2 * n_d - 2]
+    assert _embedded_check(g, doc, c5) == {
+        "check": "embedded", "ok": False, "detail": f"D is not the block [0,{2 * n_d})",
+    }
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def test_cli_parser_is_reused_without_state(tmp_path, capsys):
+    from plg.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    write_c5(tmp_path / "c5.plg")
+    argv = ["embed-beta1", "--in", str(tmp_path / "c5.plg"), "--d", "4", "--seed", "3",
+            "--out", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json")]
+    assert main(argv + ["--k", "3"]) == 0
+    assert json.loads((tmp_path / "e.json").read_text())["extras"]["k"] == 3
+    assert main(argv + ["--k", "3", "--no-such-flag"]) == 2
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "e.json").read_text())["extras"]["k"] == 2
+    assert main(["verify", "--plg", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json"),
+                 "--in", str(tmp_path / "c5.plg")]) == 0
