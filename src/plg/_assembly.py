@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-from .graph import EdgeArrays, MultiGraph
+from .errors import InputError, InternalError
+from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate, interval_counts, realize
+from .report import degree_conformance
 
 
 def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
@@ -78,37 +79,59 @@ def assign_pair_slots(
     return targets, np.delete(slots, np.concatenate([ptr, ptr + 1]))
 
 
-class AssembledPart:
-    """One realized residual part, positioned inside the final graph."""
+def slot_targets(doubled: MultiGraph, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Seat every pair {2i, 2i+1} of ``doubled`` on two slots, smallest pair
+    degree first (ties by pair index).
 
-    def __init__(self, name: str, label: str, targets: np.ndarray):
-        self.name = name
-        self.label = label
-        self.targets = targets
-        self.offset = 0
-        self.certificate: CliqueCoverCertificate | None = None
+    Returns ((m, 2) int64 slot targets in pair order, leftover slot degrees),
+    or None when the slots cannot take every pair.
+    """
+    pair_deg = doubled.degrees()[0::2]
+    order = np.argsort(pair_deg, kind="stable")
+    assigned = assign_pair_slots(slots, pair_deg[order])
+    if assigned is None:
+        return None
+    seated, leftover = assigned
+    targets = np.empty((len(order), 2), dtype=np.int64)
+    targets[order] = np.array(seated, dtype=np.int64).reshape(-1, 2)
+    return targets, leftover
+
+
+def map_witness(walks: np.ndarray, source: list[int]) -> np.ndarray:
+    """First pair members 2i of the walks i (rows of ``walks``) that stay
+    inside ``source``: the image of an independent set of the base graph."""
+    return 2 * np.flatnonzero(np.isin(walks, source).all(axis=1))
 
 
 def assemble(
     p: PowerLawParams,
     doubled: MultiGraph,
-    pair_targets: list[tuple[int, int]],
-    parts: list[AssembledPart],
-    surplus_part: str,
-) -> tuple[MultiGraph, dict[str, CliqueCoverCertificate], list[tuple[int, int]]]:
-    """Assemble the power-law graph: embedded pairs first, then each part.
+    block: str,
+    targets: np.ndarray,
+    parts: list[tuple[str, np.ndarray]],
+    walks: np.ndarray,
+    witness_source: list[int],
+) -> tuple[MultiGraph, dict]:
+    """Assemble the power-law graph: the doubled ``block`` first, then each
+    residual part, realized from its (name, targets) in order.
 
     Pair fill: the matching edge of pair i gets multiplicity raised by
     t1 - deg, putting both members at the lower slot t1; when t2 = t1 + 1 the
-    second member's surplus half-edge is routed to a vertex of
-    ``surplus_part`` whose realize target was lowered by 1 to receive it.
-    Returns (graph, per-part certificates, parity deficits as
-    (vertex, target) pairs).  Raises InputError when the surplus part cannot
-    take every surplus half-edge with its targets kept at 1 or more.
+    second member's surplus half-edge is routed to a vertex of the first part
+    with targets (the last part when none has any), whose realize target was
+    lowered by 1 to receive it.  The witness is ``map_witness(walks,
+    witness_source)``, checked independent in the output.
+
+    Returns (graph, fields), where fields are the ``EmbeddingReport`` keyword
+    arguments assembly settles: part ranges and sizes, IS upper bounds (m
+    pair cliques for the block), certificates, parity deficits as (vertex,
+    target) pairs, conformance and the witness.  Raises InputError when the
+    surplus part cannot take every surplus half-edge with its targets kept
+    at 1 or more.
     """
     n_embed = doubled.vertex_count
     deg = doubled.degrees()
-    t1, t2 = np.array(pair_targets, dtype=np.int64).reshape(-1, 2).T
+    t1, t2 = targets.T
     d1 = deg[0::2]
     if (deg[1::2] != d1).any():
         raise AssertionError("pair members must have equal doubled degree")
@@ -120,61 +143,61 @@ def assemble(
     seconds = 2 * np.flatnonzero(t2 != t1) + 1
     surplus_count = len(seconds)
 
-    # Route surpluses into the designated part: lower its largest targets by
+    # Route surpluses into the receiving part: lower its largest targets by
     # one unit each (round-robin when there are more surpluses than vertices).
-    recv = next(part for part in parts if part.name == surplus_part)
-    recv_targets = recv.targets.astype(np.int64)
-    recv_units = np.zeros(len(recv_targets), dtype=np.int64)
+    names = [name for name, _ in parts]
+    fills = [np.asarray(t, dtype=np.int64) for _, t in parts]
+    recv = next((i for i, t in enumerate(fills) if len(t)), len(parts) - 1)
+    recv_units = np.zeros(len(fills[recv]), dtype=np.int64)
     receivers = np.zeros(0, dtype=np.int64)
     if surplus_count:
-        if len(recv_targets) == 0:
-            raise InputError(f"no fill vertices in part {surplus_part} to take surplus half-edges")
-        order = np.argsort(recv_targets, kind="stable")[::-1]
+        if len(fills[recv]) == 0:
+            raise InputError(f"no fill vertices in part {names[recv]} to take surplus half-edges")
+        order = np.argsort(fills[recv], kind="stable")[::-1]
         receivers = order[np.arange(surplus_count) % len(order)]
-        recv_units = np.bincount(receivers, minlength=len(recv_targets))
-        recv_targets -= recv_units
-        if (recv_targets < 1).any():
+        recv_units = np.bincount(receivers, minlength=len(fills[recv]))
+        fills[recv] = fills[recv] - recv_units
+        if (fills[recv] < 1).any():
             raise InputError(
                 f"{surplus_count} surplus half-edges cannot be routed into part "
-                f"{surplus_part} without dropping a fill target below 1"
+                f"{names[recv]} without dropping a fill target below 1"
             )
-        recv.targets = recv_targets
 
     # Realize each part on its own index space, then shift into place.
     offset = n_embed
+    part_ranges = {block: (0, n_embed)}
+    is_upper = {block: float(n_embed // 2)}  # the m pair cliques
     certs: dict[str, CliqueCoverCertificate] = {}
     deficits: list[tuple[int, int]] = []
     labels = dict.fromkeys(range(n_embed), "embedded")
-    part_position: dict[str, np.ndarray] = {}
+    recv_position = np.zeros(0, dtype=np.int64)
     blocks = []
-    for part in parts:
-        part.offset = offset
-        if len(part.targets) == 0:
-            part.certificate = None
-            part_position[part.name] = np.zeros(0, dtype=np.int64)
+    for i, (name, fill) in enumerate(zip(names, fills)):
+        part_ranges[name] = (offset, offset + len(fill))
+        is_upper[name] = 0.0
+        if len(fill) == 0:
             continue
-        srt = np.argsort(part.targets, kind="stable")
-        sorted_targets = part.targets[srt]
-        graph_part, cert = realize(sorted_targets)
-        # position[j] = final vertex id of the part's j-th pre-sort entry
-        position = np.empty(len(srt), dtype=np.int64)
-        position[srt] = np.arange(len(srt)) + offset
-        part_position[part.name] = position
+        srt = np.argsort(fill, kind="stable")
+        graph_part, cert = realize(fill[srt])
+        if i == recv:
+            # recv_position[j] = final vertex id of the part's j-th pre-sort entry
+            recv_position = np.empty(len(srt), dtype=np.int64)
+            recv_position[srt] = np.arange(len(srt)) + offset
         pu, pv, pm = graph_part.arrays()
         blocks.append((pu + offset, pv + offset, pm))
         cert = cert.shifted(offset)
-        part.certificate = cert
-        certs[part.name] = cert
+        certs[name] = cert
+        is_upper[name] = float(cert.size)
         if cert.parity_deficit:
             local = cert.parity_deficit_vertex - offset
             intended = int(cert.target_degrees[local])
-            if part.name == surplus_part:
+            if i == recv:
                 # A receiver's realize target was pre-lowered; the routed edge
                 # restores it, so the deficit is against the original class.
                 intended += int(recv_units[srt[local]])
             deficits.append((cert.parity_deficit_vertex, intended))
-        labels.update(dict.fromkeys(range(offset, offset + len(sorted_targets)), part.label))
-        offset += len(sorted_targets)
+        labels.update(dict.fromkeys(range(offset, offset + len(fill)), f"residual-{name}"))
+        offset += len(fill)
 
     # The head holds every edge with an endpoint in [0, n_embed): the doubled
     # block, the raised matching units and the routed surplus edges to their
@@ -183,9 +206,22 @@ def assemble(
     head_cols = zip(
         doubled.arrays(),
         (raised, raised + 1, (t1 - d1)[raised // 2]),
-        (seconds, part_position[surplus_part][receivers], np.ones(surplus_count, dtype=np.int64)),
+        (seconds, recv_position[receivers], np.ones(surplus_count, dtype=np.int64)),
     )
     head = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in head_cols)))
     columns = [head.arrays(), *blocks]
     graph = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in zip(*columns))), labels)
-    return graph, certs, deficits
+
+    witness = map_witness(walks, witness_source).tolist()
+    if not is_independent(graph, witness):
+        raise InternalError("mapped witness is not independent in the output")
+    fields = {
+        "part_ranges": part_ranges,
+        "part_sizes": {name: hi - lo for name, (lo, hi) in part_ranges.items()},
+        "is_upper_bounds": is_upper,
+        "certificates": certs,
+        "parity_deficits": deficits,
+        "conformance": degree_conformance(graph, p, deficits),
+        "is_lower_witness": witness,
+    }
+    return graph, fields

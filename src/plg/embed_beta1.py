@@ -9,16 +9,16 @@ the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._assembly import AssembledPart, assemble, assign_pair_slots, double_with_pairs, top_interval_slots
+from ._assembly import assemble, double_with_pairs, slot_targets, top_interval_slots
 from .errors import InputError, InternalError, ResourceLimitError
-from .graph import EdgeArrays, MultiGraph, is_independent
+from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
 from .realizer import interval_degree_sequence
-from .report import EmbeddingReport, degree_conformance
+from .report import EmbeddingReport
 from .solver import greedy_maximal_is, mis_size
 
 _MAX_BUMPS = 64
@@ -209,7 +209,7 @@ class WalkProduct:
     base: MultiGraph
     expander: ExpanderCertificate
     k: int
-    walks: list[tuple[int, ...]]
+    walks: np.ndarray  # (n_d, k) int64, one walk per row
     product: MultiGraph
 
     @property
@@ -265,7 +265,7 @@ def walk_product(
         pairs.append(np.array(np.nonzero(np.triu(adj))) + lo)
     u, v = np.concatenate(pairs, axis=1)
     product = MultiGraph(count, EdgeArrays(u, v, np.ones_like(u)))
-    return WalkProduct(g, h, k, [tuple(t) for t in walks.tolist()], product)
+    return WalkProduct(g, h, k, walks, product)
 
 
 def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> int:
@@ -347,16 +347,12 @@ class Beta1Params:
     bumps: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_d": self.n_d,
-            "alpha": self.alpha,
-            "x": self.x,
-            "delta": self.delta,
-            "a_x": self.a_x,
-            "h": self.h,
-            "L": self.L,
-            "bumps": self.bumps,
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Beta1Params:
+        """Inverse of ``to_dict``; keys that are not fields are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _beta1_at_alpha(n_d: float, alpha: float, bumps: int) -> Beta1Params:
@@ -578,16 +574,12 @@ def embed_beta1(
     dgraph = wp.product
     n_d = dgraph.vertex_count
     doubled = double_with_pairs(dgraph, loops="to_matching")
-    ddeg = doubled.degrees()
-    pair_deg = [int(ddeg[2 * i]) for i in range(n_d)]
-    order = sorted(range(n_d), key=lambda i: (pair_deg[i], i))
 
     # The doubling needs 2*n_d slots at degrees covering the doubled walk
     # degrees (up to ~4*n_d on dense products), twice what condition (I) asks
     # for.  Bump steps scale as 1/n_d while the needed growth of e^alpha does
     # not, so the number of steps is found by exponential + binary search
     # rather than walking one step at a time.
-    ordered_deg = [pair_deg[i] for i in order]
     base = choose_params_beta1(n_d)
     step = math.log1p(1.0 / n_d)
 
@@ -596,10 +588,8 @@ def embed_beta1(
         if not _beta1_conditions(params):
             return None
         slots = top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x)
-        assigned = assign_pair_slots(slots, ordered_deg)
-        if assigned is None:
-            return None
-        return params, assigned
+        seated = slot_targets(doubled, slots)
+        return None if seated is None else (params, seated)
 
     got = trial(0)
     if got is None:
@@ -615,42 +605,23 @@ def embed_beta1(
             else:
                 t_hi = mid
         got = trial(t_hi)
-    params, assigned = got
+    params, (pair_targets, leftover) = got
     p = PowerLawParams(params.alpha, 1.0)
-    sorted_targets, leftover = assigned
-    pair_targets: list[tuple[int, int]] = [(0, 0)] * n_d
-    for j, i in enumerate(order):
-        pair_targets[i] = sorted_targets[j]
 
     g2_targets = (
         interval_degree_sequence(p, 1, params.a_x - 1)
         if params.a_x > 1
         else np.zeros(0, dtype=np.int64)
     )
-    parts = [
-        AssembledPart("G1", "residual-G1", leftover),
-        AssembledPart("G2", "residual-G2", g2_targets),
-    ]
-    surplus_part = "G1" if len(leftover) else "G2"
-    graph, certs, deficits = assemble(p, doubled, pair_targets, parts, surplus_part)
-
     # Witness: walks confined to a maximal independent set of g are pairwise
     # non-adjacent in D; their first pair members stay independent in the PLG.
     witness_source = greedy_maximal_is(g)
-    smask = 0
-    for v in witness_source:
-        smask |= 1 << v
-    confined = [
-        i
-        for i, w in enumerate(wp.walks)
-        if all(smask >> v & 1 for v in w)
-    ]
+    graph, assembled = assemble(
+        p, doubled, "D", pair_targets, [("G1", leftover), ("G2", g2_targets)], wp.walks, witness_source
+    )
     dp_count = count_walks_within(h, witness_source, k)
-    if dp_count != len(confined):
+    if dp_count != len(assembled["is_lower_witness"]):
         raise InternalError("walk DP count disagrees with enumeration")
-    witness = sorted(2 * i for i in confined)
-    if not is_independent(graph, witness):
-        raise InternalError("mapped witness is not independent in the output")
 
     is_g, is_g_optimal = mis_size(g, budget=solver_budget)
     lo, hi = alon_interval(is_g, n, d, h.lambda_1, h.lambda_min, k)
@@ -670,23 +641,9 @@ def embed_beta1(
         b=is_g / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5
     )
 
-    conformance = degree_conformance(graph, p, deficits)
-    part_ranges = {"D": (0, 2 * n_d)}
-    part_sizes = {"D": 2 * n_d}
-    for part in parts:
-        part_ranges[part.name] = (part.offset, part.offset + len(part.targets))
-        part_sizes[part.name] = len(part.targets)
-    is_upper = {
-        "D": float(n_d),  # pair cliques
-        "G1": float(certs["G1"].size) if "G1" in certs else 0.0,
-        "G2": float(certs["G2"].size) if "G2" in certs else 0.0,
-    }
     report = EmbeddingReport(
         kind="beta1",
         params=params.to_dict(),
-        part_ranges=part_ranges,
-        part_sizes=part_sizes,
-        is_upper_bounds=is_upper,
         bounds_closed={
             "layered_exact": float(layered.exact),
             "layered_asymptotic": layered.asymptotic,
@@ -694,10 +651,7 @@ def embed_beta1(
             "alon_lo": lo,
             "alon_hi": hi,
         },
-        is_lower_witness=witness,
-        conformance=conformance,
-        parity_deficits=deficits,
-        certificates=certs,
+        **assembled,
         extras={
             "log_base": "natural",
             "lambda": h.lam,

@@ -11,16 +11,16 @@ bounds, and every independent set of the input maps to one of the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._assembly import AssembledPart, assemble, assign_pair_slots, double_with_pairs, top_interval_slots
+from ._assembly import assemble, double_with_pairs, slot_targets, top_interval_slots
 from .errors import InputError, InternalError, ResourceLimitError
-from .graph import MultiGraph, is_independent
+from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
 from .realizer import DEFAULT_EDGE_CAP, interval_degree_sequence
-from .report import Conformance, EmbeddingReport, degree_conformance
+from .report import EmbeddingReport
 from .solver import greedy_maximal_is
 
 _MAX_BUMPS = 64
@@ -59,17 +59,15 @@ class Sub1Params:
     bumps: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_embedded": self.n,
-            "beta": self.beta,
-            "x": self.x,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "a_x": self.a_x,
-            "y_split": self.y_split,
-            "g3_cut": self.g3_cut,
-            "bumps": self.bumps,
-        }
+        d = asdict(self)
+        d["n_embedded"] = d.pop("n")
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Sub1Params:
+        """Inverse of ``to_dict``; keys that are not fields are ignored."""
+        d = {**d, "n": d["n_embedded"]}
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def choose_params_sub1(n: int, beta: float) -> Sub1Params:
@@ -169,18 +167,10 @@ def embed_sub1(
             f"(caps {max_vertices}, {max_edge_units})"
         )
 
-    slots = top_interval_slots(p, params.a_x)
-    degs = gd.degrees()
-    m = g.vertex_count
-    pair_deg = [int(degs[2 * i]) for i in range(m)]
-    order = sorted(range(m), key=lambda i: (pair_deg[i], i))
-    assigned = assign_pair_slots(slots, [pair_deg[i] for i in order])
-    if assigned is None:
+    seated = slot_targets(gd, top_interval_slots(p, params.a_x))
+    if seated is None:
         raise InternalError("slot assignment infeasible despite satisfied conditions")
-    sorted_targets, leftover = assigned
-    pair_targets: list[tuple[int, int]] = [(0, 0)] * m
-    for j, i in enumerate(order):
-        pair_targets[i] = sorted_targets[j]
+    pair_targets, leftover = seated
 
     # The split point e^(alpha/(beta+1)) can exceed x*delta at small n (high
     # beta); G1 is then clipped so the residual classes stay a partition.
@@ -195,47 +185,29 @@ def embed_sub1(
         if g1_high >= 1
         else np.zeros(0, dtype=np.int64)
     )
-    parts = [
-        AssembledPart("G2", "residual-G2", g2_targets),
-        AssembledPart("G1", "residual-G1", g1_targets),
-    ]
-    surplus_part = "G2" if len(g2_targets) else "G1"
-    graph, certs, deficits = assemble(p, gd, pair_targets, parts, surplus_part)
-
     witness_source = greedy_maximal_is(g)
-    witness = sorted(2 * i for i in witness_source)
-    if not is_independent(graph, witness):
-        raise InternalError("mapped witness is not independent in the output")
+    graph, assembled = assemble(
+        p,
+        gd,
+        "Gprime",
+        pair_targets,
+        [("G2", g2_targets), ("G1", g1_targets)],
+        np.arange(g.vertex_count)[:, None],
+        witness_source,
+    )
 
     bounds = residual_is_bound_sub1(params)
-    conformance: Conformance = degree_conformance(graph, p, deficits)
-    part_ranges = {"Gprime": (0, 2 * m)}
-    part_sizes = {"Gprime": 2 * m}
-    for part in parts:
-        part_ranges[part.name] = (part.offset, part.offset + len(part.targets))
-        part_sizes[part.name] = len(part.targets)
-    is_upper = {
-        "Gprime": float(m),  # the m pair cliques cover the embedded block
-        "G1": float(certs["G1"].size) if "G1" in certs else 0.0,
-        "G2": float(certs["G2"].size) if "G2" in certs else 0.0,
-    }
     split_index = guarded_ceil(math.sqrt(params.delta))
     report = EmbeddingReport(
         kind="sub1",
         params=params.to_dict(),
-        part_ranges=part_ranges,
-        part_sizes=part_sizes,
-        is_upper_bounds=is_upper,
         bounds_closed={
             "g1_bound": bounds.g1_bound,
             "g3_bound": bounds.g3_bound,
             "i_y1": bounds.i_y1,
             "i_y2": bounds.i_y2,
         },
-        is_lower_witness=witness,
-        conformance=conformance,
-        parity_deficits=deficits,
-        certificates=certs,
+        **assembled,
         extras={
             "log_base": "natural",
             "witness_source_vertices": sorted(witness_source),

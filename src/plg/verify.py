@@ -2,7 +2,8 @@
 
 Every check recomputes from first principles: histogram against the
 distribution definition, clique covers against the assembled edges, witness
-independence, and the closed-form bounds from the recorded parameters.
+independence and its mapping from the recorded source, the closed-form bounds
+from the recorded parameters, and the embedded block.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._assembly import map_witness
 from .embed_beta1 import (
     Beta1Params,
     alon_interval,
@@ -177,33 +179,42 @@ def _check_embedded(plg: MultiGraph, rep: dict, block: str, expected: MultiGraph
     return {"check": "embedded", "ok": True, "detail": ""}
 
 
-def _walk_block(rep: dict, original: MultiGraph) -> MultiGraph:
-    """kind "beta1": the walk product the block D doubles, rebuilt from the
-    input and the report's (n_base, d, k, seed), with its self-loops
-    dropped (the embedder turns them into matching units).  The walk caps
-    are checked before the expander is drawn."""
+def _embedded_source(rep: dict, original: MultiGraph) -> tuple[str, MultiGraph, np.ndarray]:
+    """The embedded block's name, the graph it doubles and the walks its
+    witness maps.  Kind "sub1": the input, walked one vertex at a time.
+    Kind "beta1": the walk product rebuilt from the input and the report's
+    (n_base, d, k, seed), with its self-loops dropped (the embedder turns
+    them into matching units), and its walks; the walk caps are checked
+    before the expander is drawn."""
+    if rep["kind"] == "sub1":
+        return "Gprime", original, np.arange(original.vertex_count)[:, None]
     ex = rep["extras"]
     n, d, k = ex["n_base"], ex["d"], ex["k"]
     if n != original.vertex_count:
         raise InputError(f"n_base {n} is not the input's {original.vertex_count} vertices")
     check_walk_caps(n, d, k)
     h = random_regular_expander(n, d, ex["seed"])
-    product = walk_product(original, h, k).product
-    u, v, mult = product.arrays()
+    wp = walk_product(original, h, k)
+    u, v, mult = wp.product.arrays()
     keep = u != v
-    return MultiGraph(product.vertex_count, EdgeArrays(u[keep], v[keep], mult[keep]))
+    return "D", MultiGraph(wp.n_d, EdgeArrays(u[keep], v[keep], mult[keep])), wp.walks
 
 
-def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph) -> dict:
+def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, walks: np.ndarray) -> dict:
+    """The witness is independent in the output and is exactly the image of
+    its source, an independent set of the input, under ``walks``."""
     witness = rep["witness"]
     if not is_independent(plg, witness):
         return {"check": "witness", "ok": False, "detail": "witness not independent in output"}
     source = rep["extras"].get("witness_source_vertices")
-    if source is not None and not is_independent(original, source):
+    if source is None:
+        return {"check": "witness", "ok": False, "detail": "witness source missing"}
+    if not is_independent(original, source):
         return {"check": "witness", "ok": False, "detail": "witness source not independent in input"}
-    if rep["kind"] == "sub1" and source is not None:
-        if sorted(2 * i for i in source) != sorted(witness):
-            return {"check": "witness", "ok": False, "detail": "witness does not match its source"}
+    if list(witness) != map_witness(walks, source).tolist():
+        return {"check": "witness", "ok": False, "detail": "witness does not match its source"}
+    if rep["kind"] == "beta1" and len(witness) != rep["extras"].get("witness_walk_count"):
+        return {"check": "witness", "ok": False, "detail": "witness size differs from witness_walk_count"}
     return {"check": "witness", "ok": True, "detail": ""}
 
 
@@ -211,18 +222,7 @@ def _check_bounds(rep: dict) -> dict:
     params = rep["params"]
     bounds = rep["bounds"]
     if rep["kind"] == "sub1":
-        sp = Sub1Params(
-            n=params["n_embedded"],
-            beta=params["beta"],
-            x=params["x"],
-            alpha=params["alpha"],
-            delta=params["delta"],
-            a_x=params["a_x"],
-            y_split=params["y_split"],
-            g3_cut=params["g3_cut"],
-            bumps=params["bumps"],
-        )
-        rb = residual_is_bound_sub1(sp)
+        rb = residual_is_bound_sub1(Sub1Params.from_dict(params))
         expect = {
             "g1_bound": rb.g1_bound,
             "g3_bound": rb.g3_bound,
@@ -230,17 +230,7 @@ def _check_bounds(rep: dict) -> dict:
             "i_y2": rb.i_y2,
         }
     else:
-        bp = Beta1Params(
-            n_d=params["n_d"],
-            alpha=params["alpha"],
-            x=params["x"],
-            delta=params["delta"],
-            a_x=params["a_x"],
-            h=params["h"],
-            L=params["L"],
-            bumps=params["bumps"],
-        )
-        layered = layered_is_bound(bp)
+        layered = layered_is_bound(Beta1Params.from_dict(params))
         ex = rep["extras"]
         lo, hi = alon_interval(
             ex["is_g"], ex["n_base"], ex["d"], ex["lambda_1"], ex["lambda_min"], ex["k"]
@@ -275,16 +265,17 @@ def verify_embedding(
         _check_conformance(plg, rep),
         _check_parts(plg, rep),
         _check_certificates(plg, rep),
-        _check_witness(plg, rep, original),
-        _check_bounds(rep),
     ]
-    if rep["kind"] == "sub1":
-        checks.append(_check_embedded(plg, rep, "Gprime", original))
+    # The witness and the embedded block share one rebuild of the source.
+    try:
+        block, expected, walks = _embedded_source(rep, original)
+    except (InputError, ResourceLimitError) as exc:
+        refused = {"ok": False, "detail": f"walk product: {exc}"}
+        checks += [{"check": "witness", **refused}, _check_bounds(rep), {"check": "embedded", **refused}]
     else:
-        try:
-            product = _walk_block(rep, original)
-        except (InputError, ResourceLimitError) as exc:
-            checks.append({"check": "embedded", "ok": False, "detail": f"walk product: {exc}"})
-        else:
-            checks.append(_check_embedded(plg, rep, "D", product))
+        checks += [
+            _check_witness(plg, rep, original, walks),
+            _check_bounds(rep),
+            _check_embedded(plg, rep, block, expected),
+        ]
     return VerifyResult(all(c["ok"] for c in checks), checks)

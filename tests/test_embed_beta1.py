@@ -272,7 +272,7 @@ def test_walk_product_matches_pair_loop(d, k, extra, base, p, seed):
     h = random_regular_expander(n, d, seed)
     got = walk_product(g, h, k)
     want = _walk_product_reference(g, h, k)
-    assert got.walks == want.walks
+    assert list(map(tuple, got.walks.tolist())) == want.walks
     assert got.product == want.product
 
 
@@ -282,7 +282,7 @@ def test_walk_product_irregular_walk_graph():
     h = ExpanderCertificate(MultiGraph(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), 2, 0.5, 0.5, -0.5, 1.0, True, 0, 0)
     for g in (MultiGraph(4, [(0, 1)]), MultiGraph(4, [(1, 3), (2, 3)])):
         got, want = walk_product(g, h, 2), _walk_product_reference(g, h, 2)
-        assert got.walks == want.walks == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 3), (3, 0), (3, 2)]
+        assert list(map(tuple, got.walks.tolist())) == want.walks == [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 3), (3, 0), (3, 2)]
         assert got.product == want.product
 
 
@@ -594,3 +594,10 @@ def test_assign_pair_slots_matches_loop_on_search_slots():
             slots = top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x)
             needs = sorted(rng.randint(1, 4 * int(math.log(n_d)) + 3) for _ in range(n_d))
             _assert_slots_match_loop(slots.tolist(), needs)
+
+
+def test_params_dict_roundtrip():
+    from plg.embed_beta1 import Beta1Params
+
+    params = choose_params_beta1(40)
+    assert Beta1Params.from_dict({**params.to_dict(), "extra": 1}) == params

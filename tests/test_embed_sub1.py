@@ -198,3 +198,12 @@ def test_embed_resource_guard():
     # x = (1/2)^(1/(1-beta)) explodes as beta -> 1; the guard names the counts
     with pytest.raises(ResourceLimitError, match="edge units"):
         embed_sub1(MultiGraph(6, [(0, 1), (2, 3), (1, 4)]), 0.9)
+
+
+def test_params_dict_roundtrip():
+    from plg import Sub1Params
+
+    params = choose_params_sub1(10, 0.5)
+    record = params.to_dict()
+    assert record["n_embedded"] == 10 and "n" not in record
+    assert Sub1Params.from_dict({**record, "extra": 1}) == params

@@ -588,3 +588,47 @@ def test_cli_parser_is_reused_without_state(tmp_path, capsys):
     assert json.loads((tmp_path / "e.json").read_text())["extras"]["k"] == 2
     assert main(["verify", "--plg", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json"),
                  "--in", str(tmp_path / "c5.plg")]) == 0
+
+
+# -- witness against its source ------------------------------------------------------
+
+
+def _drop_source(doc):
+    # An empty witness is independent; without its source nothing ties it to
+    # the input, so the source is required.
+    doc["witness"] = []
+    del doc["extras"]["witness_source_vertices"]
+
+
+_C40 = MultiGraph(40, [(i, (i + 1) % 40) for i in range(40)] + [(i, i + 20) for i in range(0, 20, 3)])
+
+
+@pytest.mark.parametrize(
+    "embed, graph, forge",
+    [
+        (["embed-sub1", "--beta", "0.5"], MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), _drop_source),
+        (["embed-beta1", "--d", "4", "--seed", "3"], _C40, lambda doc: doc.update(witness=[])),
+        (["embed-beta1", "--d", "4", "--seed", "3"], _C40, lambda doc: doc.update(witness=doc["witness"][:-1])),
+    ],
+    ids=["sub1-without-source", "beta1-empty", "beta1-one-short"],
+)
+def test_cli_verify_fails_forged_witness(tmp_path, capsys, embed, graph, forge):
+    src, out, rep = tmp_path / "g.plg", tmp_path / "e.plg", tmp_path / "e.json"
+    src.write_text(write_graph(graph))
+    assert main(embed + ["--in", str(src), "--out", str(out), "--report", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    forge(doc)
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
+    assert failing(json.loads(capsys.readouterr().out)["checks"]) == ["witness"]
+
+
+def test_verify_beta1_witness_walk_count(c5):
+    from plg import embed_beta1
+
+    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    doc = copy.deepcopy(rep.to_dict())
+    doc["extras"]["witness_walk_count"] += 1
+    res = verify_embedding(g, doc, c5)
+    assert failing(res.checks) == ["witness"]
