@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError, InternalError
 from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams
-from .realizer import CliqueCoverCertificate, interval_counts, realize
+from .realizer import CliqueCoverCertificate, _realize_columns, interval_counts
 from .report import degree_conformance
 
 
@@ -178,12 +178,11 @@ def assemble(
         if len(fill) == 0:
             continue
         srt = np.argsort(fill, kind="stable")
-        graph_part, cert = realize(fill[srt])
+        (pu, pv, pm), cert = _realize_columns(fill[srt])
         if i == recv:
             # recv_position[j] = final vertex id of the part's j-th pre-sort entry
             recv_position = np.empty(len(srt), dtype=np.int64)
             recv_position[srt] = np.arange(len(srt)) + offset
-        pu, pv, pm = graph_part.arrays()
         blocks.append((pu + offset, pv + offset, pm))
         cert = cert.shifted(offset)
         certs[name] = cert

@@ -294,13 +294,7 @@ class KWindow:
     window_empty: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k_l": self.k_l,
-            "k_u": self.k_u,
-            "k": self.k,
-            "delta_k": self.delta_k,
-            "window_empty": self.window_empty,
-        }
+        return asdict(self)
 
 
 def walk_degree_bound(d: int, k: int) -> float:

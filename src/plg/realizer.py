@@ -380,6 +380,17 @@ def realize(
     materializing more than ``DEFAULT_EDGE_CAP`` clique edges raises
     ResourceLimitError before anything is allocated.
     """
+    edges, cert = _realize_columns(degrees, materialize)
+    if edges is None:
+        return None, cert
+    return MultiGraph(len(cert.target_degrees), edges), cert
+
+
+def _realize_columns(
+    degrees: np.ndarray | list[int], materialize: bool = True
+) -> tuple[EdgeArrays | None, CliqueCoverCertificate]:
+    """``realize`` with the edges as columns sorted by key ``u * m + v``
+    (m the sequence length), which a ``MultiGraph`` takes with no sort."""
     target = np.asarray(degrees, dtype=np.int64)
     if target.ndim != 1 or len(target) == 0:
         raise InputError("degree sequence must be a non-empty 1-d array")
@@ -434,10 +445,7 @@ def realize(
     mult = np.ones(len(u), dtype=np.int64)
     mult[pos[on_pair]] += fill.mult[on_pair]
     off = ~on_pair
-    edges = EdgeArrays(*(np.insert(c, pos[off], f[off]) for c, f in zip((u, v, mult), fill)))
-    # The graph copies its columns: drop the pre-insert ones first.
-    del u, v, mult
-    return MultiGraph(m, edges), cert
+    return EdgeArrays(*(np.insert(c, pos[off], f[off]) for c, f in zip((u, v, mult), fill))), cert
 
 
 @dataclass(frozen=True)

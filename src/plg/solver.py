@@ -94,15 +94,7 @@ def exact_mis(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """
     t0 = time.perf_counter()
     n = g.vertex_count
-    adj = [0] * n
-    for (u, v), _m in g.edge_dict().items():
-        if u != v:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    eligible = 0
-    for v in range(n):
-        if not g.has_loop(v):
-            eligible |= 1 << v
+    adj, eligible = _adjacency_bitsets(g)
 
     best_size = 0
     best_set: list[int] = []

@@ -8,6 +8,7 @@ from the recorded parameters, and the embedded block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,42 +45,60 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def _check_conformance(plg: MultiGraph, rep: dict) -> dict:
+def _check(name: str):
+    """Make a check body, which returns "" on pass or a failure detail, a
+    function that returns the check's record.  Report data the body cannot
+    use fails the check instead of raising: a missing key, or a value of the
+    wrong type, range or size (``InputError`` among them), or one past a size
+    cap.  ``InternalError`` and ``AssertionError`` still propagate."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args) -> dict:
+            try:
+                detail = body(*args)
+            except KeyError as exc:
+                detail = f"report lacks key {exc}"
+            except (AttributeError, IndexError, TypeError, ValueError, ResourceLimitError) as exc:
+                detail = str(exc) or type(exc).__name__
+            return {"check": name, "ok": not detail, "detail": detail}
+
+        return check
+
+    return decorate
+
+
+@_check("conformance")
+def _check_conformance(plg: MultiGraph, rep: dict) -> str:
     params = rep["params"]
     p = PowerLawParams(params["alpha"], params.get("beta", 1.0))
     deficits = [tuple(t) for t in rep["parity_deficits"]]
     if len(deficits) > 2:
-        return {"check": "conformance", "ok": False, "detail": "more than 2 deficits declared"}
+        return "more than 2 deficits declared"
     if not all(len(d) == 2 and isinstance(d[1], int) for d in deficits):
-        return {"check": "conformance", "ok": False, "detail": "deficits must be [vertex, degree] pairs"}
+        return "deficits must be [vertex, degree] pairs"
     bad = degree_conformance(plg, p, deficits).mismatched_buckets
     if bad:
         worst = min(bad)
-        return {
-            "check": "conformance",
-            "ok": False,
-            "detail": f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}",
-        }
-    return {"check": "conformance", "ok": True, "detail": ""}
+        return f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}"
+    return ""
 
 
-def _check_parts(plg: MultiGraph, rep: dict) -> dict:
+@_check("parts")
+def _check_parts(plg: MultiGraph, rep: dict) -> str:
     spans = sorted(part["range"] for part in rep["parts"].values())
     pos = 0
     for lo, hi in spans:
         if lo != pos:
-            return {"check": "parts", "ok": False, "detail": f"gap or overlap at vertex {pos}"}
+            return f"gap or overlap at vertex {pos}"
         pos = hi
     if pos != plg.vertex_count:
-        return {
-            "check": "parts",
-            "ok": False,
-            "detail": f"parts cover {pos} vertices, graph has {plg.vertex_count}",
-        }
-    return {"check": "parts", "ok": True, "detail": ""}
+        return f"parts cover {pos} vertices, graph has {plg.vertex_count}"
+    return ""
 
 
-def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
+@_check("certificates")
+def _check_certificates(plg: MultiGraph, rep: dict) -> str:
     for name, cert in rep["certificates"].items():
         lo, hi = rep["parts"][name]["range"]
         cliques = cert["cliques"]
@@ -96,71 +115,49 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> dict:
                 aligned = j
                 break
             if start < 0 or stop > plg.vertex_count:
-                return {
-                    "check": "certificates",
-                    "ok": False,
-                    "detail": f"{name}: clique [{start},{stop}) lies outside the graph's {plg.vertex_count} vertices",
-                }
+                return f"{name}: clique [{start},{stop}) lies outside the graph's {plg.vertex_count} vertices"
             pairs += (stop - start) * (stop - start - 1) // 2
             pos = stop
         if pairs > plg.distinct_edge_count():
-            return {
-                "check": "certificates",
-                "ok": False,
-                "detail": f"{name}: cliques need {pairs} distinct edges, the graph has {plg.distinct_edge_count()}",
-            }
+            return f"{name}: cliques need {pairs} distinct edges, the graph has {plg.distinct_edge_count()}"
         spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
         # Pairs come clique by clique, so the first missing one is reported.
         u, v = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])[:2]
         missing = np.flatnonzero(plg.multiplicities(u, v) < 1)
         if len(missing):
             first = missing[0]
-            return {
-                "check": "certificates",
-                "ok": False,
-                "detail": f"{name}: missing clique edge ({u[first]},{v[first]})",
-            }
+            return f"{name}: missing clique edge ({u[first]},{v[first]})"
         if aligned < len(cliques):
             start, stop = cliques[aligned]
-            return {
-                "check": "certificates",
-                "ok": False,
-                "detail": f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})",
-            }
+            return f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})"
         covered = pos - lo
         if covered != hi - lo:
-            return {
-                "check": "certificates",
-                "ok": False,
-                "detail": f"{name}: cliques cover {covered} of {hi - lo} vertices",
-            }
+            return f"{name}: cliques cover {covered} of {hi - lo} vertices"
         if len(cliques) != cert["is_upper_bound"]:
-            return {
-                "check": "certificates",
-                "ok": False,
-                "detail": f"{name}: is_upper_bound does not equal the clique count",
-            }
-    return {"check": "certificates", "ok": True, "detail": ""}
+            return f"{name}: is_upper_bound does not equal the clique count"
+    return ""
 
 
 # What each embedder doubles into its embedded block.
 _BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
 
 
-def _check_embedded(plg: MultiGraph, rep: dict, block: str, expected: MultiGraph) -> dict:
-    """The part ``block`` is the doubled graph ``expected``: it is the block
-    [0, 2m), every pair {2i, 2i+1} is joined and the graph induced on
-    {2i : i < m}, read back at i, equals ``expected``, so every independent
-    set of ``expected`` maps."""
+@_check("embedded")
+def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
+    """The part ``block`` is the doubled graph ``expected``, both from
+    ``block_source()``: it is the block [0, 2m), every pair {2i, 2i+1} is
+    joined and the graph induced on {2i : i < m}, read back at i, equals
+    ``expected``, so every independent set of ``expected`` maps."""
+    block, expected, _ = block_source()
     m = expected.vertex_count
     source = _BLOCK_SOURCES[block]
     if list(rep["parts"][block]["range"]) != [0, 2 * m]:
-        return {"check": "embedded", "ok": False, "detail": f"{block} is not the block [0,{2 * m})"}
+        return f"{block} is not the block [0,{2 * m})"
     first = 2 * np.arange(m, dtype=np.int64)
     unjoined = np.flatnonzero(plg.multiplicities(first, first + 1) < 1)
     if len(unjoined):
         i = int(first[unjoined[0]])
-        return {"check": "embedded", "ok": False, "detail": f"pair ({i},{i + 1}) not joined"}
+        return f"pair ({i},{i + 1}) not joined"
     u, v, mult = plg.arrays()
     even = (u % 2 == 0) & (v % 2 == 0) & (v < 2 * m)
     iu, iv, im = u[even] // 2, v[even] // 2, mult[even]
@@ -171,12 +168,8 @@ def _check_embedded(plg: MultiGraph, rep: dict, block: str, expected: MultiGraph
     dv = np.concatenate([iv[extra], ov[lost]])
     if len(du):
         k = np.lexsort((dv, du))[0]
-        return {
-            "check": "embedded",
-            "ok": False,
-            "detail": f"induced block differs from the {source} at {source} edge ({du[k]},{dv[k]})",
-        }
-    return {"check": "embedded", "ok": True, "detail": ""}
+        return f"induced block differs from the {source} at {source} edge ({du[k]},{dv[k]})"
+    return ""
 
 
 def _embedded_source(rep: dict, original: MultiGraph) -> tuple[str, MultiGraph, np.ndarray]:
@@ -200,35 +193,55 @@ def _embedded_source(rep: dict, original: MultiGraph) -> tuple[str, MultiGraph, 
     return "D", MultiGraph(wp.n_d, EdgeArrays(u[keep], v[keep], mult[keep])), wp.walks
 
 
-def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, walks: np.ndarray) -> dict:
+def _source_once(rep: dict, original: MultiGraph):
+    """``_embedded_source`` as a function that builds it on its first call
+    and returns it, or raises what the build raised, at every call; a
+    refused rebuild raises ``InputError("walk product: …")``."""
+    built: list = []
+
+    def block_source() -> tuple[str, MultiGraph, np.ndarray]:
+        if not built:
+            try:
+                built.append(_embedded_source(rep, original))
+            except (InputError, ResourceLimitError) as exc:
+                built.append(InputError(f"walk product: {exc}"))
+            except Exception as exc:
+                built.append(exc)
+        if isinstance(built[0], Exception):
+            raise built[0]
+        return built[0]
+
+    return block_source
+
+
+@_check("witness")
+def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_source) -> str:
     """The witness is independent in the output and is exactly the image of
-    its source, an independent set of the input, under ``walks``."""
+    its source, an independent set of the input, under the walks of
+    ``block_source()``."""
+    walks = block_source()[2]
     witness = rep["witness"]
     if not is_independent(plg, witness):
-        return {"check": "witness", "ok": False, "detail": "witness not independent in output"}
+        return "witness not independent in output"
     source = rep["extras"].get("witness_source_vertices")
     if source is None:
-        return {"check": "witness", "ok": False, "detail": "witness source missing"}
+        return "witness source missing"
     if not is_independent(original, source):
-        return {"check": "witness", "ok": False, "detail": "witness source not independent in input"}
+        return "witness source not independent in input"
     if list(witness) != map_witness(walks, source).tolist():
-        return {"check": "witness", "ok": False, "detail": "witness does not match its source"}
+        return "witness does not match its source"
     if rep["kind"] == "beta1" and len(witness) != rep["extras"].get("witness_walk_count"):
-        return {"check": "witness", "ok": False, "detail": "witness size differs from witness_walk_count"}
-    return {"check": "witness", "ok": True, "detail": ""}
+        return "witness size differs from witness_walk_count"
+    return ""
 
 
-def _check_bounds(rep: dict) -> dict:
+@_check("bounds")
+def _check_bounds(rep: dict) -> str:
     params = rep["params"]
     bounds = rep["bounds"]
     if rep["kind"] == "sub1":
         rb = residual_is_bound_sub1(Sub1Params.from_dict(params))
-        expect = {
-            "g1_bound": rb.g1_bound,
-            "g3_bound": rb.g3_bound,
-            "i_y1": rb.i_y1,
-            "i_y2": rb.i_y2,
-        }
+        expect = {key: getattr(rb, key) for key in ("g1_bound", "g3_bound", "i_y1", "i_y2")}
     else:
         layered = layered_is_bound(Beta1Params.from_dict(params))
         ex = rep["extras"]
@@ -244,12 +257,8 @@ def _check_bounds(rep: dict) -> dict:
         }
     for key, val in expect.items():
         if key not in bounds or not _close(bounds[key], val):
-            return {
-                "check": "bounds",
-                "ok": False,
-                "detail": f"{key}: report {bounds.get(key)}, recomputed {val}",
-            }
-    return {"check": "bounds", "ok": True, "detail": ""}
+            return f"{key}: report {bounds.get(key)}, recomputed {val}"
+    return ""
 
 
 def verify_embedding(
@@ -257,25 +266,20 @@ def verify_embedding(
 ) -> VerifyResult:
     """Re-check an embedding run: conformance, certificates, witness, bounds,
     and the embedded block: for kind "sub1" against the input, for kind
-    "beta1" against the input's walk product."""
+    "beta1" against the input's walk product.  A report that lacks a key or
+    holds a value a check cannot use fails that check."""
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
-    if rep.get("schema") != SCHEMA:
+    if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
+    # The witness and the embedded block share one rebuild of the source,
+    # made when the witness check first needs it, after the certificates.
+    block_source = _source_once(rep, original)
     checks = [
         _check_conformance(plg, rep),
         _check_parts(plg, rep),
         _check_certificates(plg, rep),
+        _check_witness(plg, rep, original, block_source),
+        _check_bounds(rep),
+        _check_embedded(plg, rep, block_source),
     ]
-    # The witness and the embedded block share one rebuild of the source.
-    try:
-        block, expected, walks = _embedded_source(rep, original)
-    except (InputError, ResourceLimitError) as exc:
-        refused = {"ok": False, "detail": f"walk product: {exc}"}
-        checks += [{"check": "witness", **refused}, _check_bounds(rep), {"check": "embedded", **refused}]
-    else:
-        checks += [
-            _check_witness(plg, rep, original, walks),
-            _check_bounds(rep),
-            _check_embedded(plg, rep, block, expected),
-        ]
     return VerifyResult(all(c["ok"] for c in checks), checks)

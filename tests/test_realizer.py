@@ -352,17 +352,26 @@ def _heap_realize(d):
     return MultiGraph(len(d), edges), cross
 
 
-def _realized_sequences(monkeypatch, embed) -> list[np.ndarray]:
+def _recorded_parts(monkeypatch) -> list[tuple[np.ndarray, EdgeArrays]]:
+    """Record the (degree sequence, edge columns) of every part that
+    ``_assembly`` realizes."""
     seen = []
+    realize_columns = _assembly._realize_columns
 
     def recording(d, *args, **kwargs):
-        seen.append(np.array(d))
-        return realize(d, *args, **kwargs)
+        edges, cert = realize_columns(d, *args, **kwargs)
+        seen.append((np.array(d), edges))
+        return edges, cert
 
-    monkeypatch.setattr(_assembly, "realize", recording)
+    monkeypatch.setattr(_assembly, "_realize_columns", recording)
+    return seen
+
+
+def _realized_sequences(monkeypatch, embed) -> list[np.ndarray]:
+    parts = _recorded_parts(monkeypatch)
     embed()
     monkeypatch.undo()
-    return seen
+    return [d for d, _ in parts]
 
 
 @pytest.mark.parametrize(
@@ -470,16 +479,17 @@ def test_final_builds_receive_sorted_keys(monkeypatch, embed):
 
     realized = _recorded_builds(monkeypatch, realizer)
     assembled = _recorded_builds(monkeypatch, _assembly)
+    parts = _recorded_parts(monkeypatch)
     graph, _ = embed()
     assert graph == MultiGraph(assembled[-1][0], assembled[-1][1], graph.labels)
     assert isinstance(assembled[-1][1], EdgeArrays) and len(assembled[-1][1].u) > 1000
     assert _keys_strictly_increase(*assembled[-1])
-    # realize builds twice per call: the summed fill, then the final graph.
-    finals = realized[1::2]
-    assert len(realized) == 4 and len(finals) == 2
-    for n, edges in finals:
+    # The realizer builds only each part's summed fill; the parts reach the
+    # final build as columns.
+    assert len(realized) == 2 and len(parts) == 2
+    for d, edges in parts:
         assert isinstance(edges, EdgeArrays) and len(edges.u) > 100
-        assert _keys_strictly_increase(n, edges)
+        assert _keys_strictly_increase(len(d), edges)
 
 
 @pytest.mark.parametrize("d", [[1, 1], [2, 2, 2], [1, 2, 3, 3, 3, 5, 5, 5], list(range(1, 30)), [7] * 9])

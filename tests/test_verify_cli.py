@@ -12,6 +12,7 @@ import pytest
 
 from plg import MultiGraph, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
+from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
 from plg.verify import _check_certificates, _check_conformance
 
@@ -632,3 +633,195 @@ def test_verify_beta1_witness_walk_count(c5):
     doc["extras"]["witness_walk_count"] += 1
     res = verify_embedding(g, doc, c5)
     assert failing(res.checks) == ["witness"]
+
+
+# -- malformed reports fail a check ---------------------------------------------------
+
+
+_CHECK_ORDER = ["conformance", "parts", "certificates", "witness", "bounds", "embedded"]
+
+
+def _c5_outputs(c5, kind):
+    from plg import embed_beta1
+
+    g, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k_override=2)
+    return g, copy.deepcopy(rep.to_dict())
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def forge(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+
+    return forge
+
+
+def _delete(*path):
+    def forge(doc):
+        for p in path[:-1]:
+            doc = doc[p]
+        del doc[path[-1]]
+
+    return forge
+
+
+def _append(*path_and_value):
+    *path, value = path_and_value
+
+    def forge(doc):
+        for p in path:
+            doc = doc[p]
+        doc.append(value)
+
+    return forge
+
+
+@pytest.mark.parametrize(
+    "kind, forge, failed, detail",
+    [
+        pytest.param(
+            "sub1", _delete("params", "g3_cut"), ["bounds"], "report lacks key 'g3_cut'",
+            id="del-g3_cut",
+        ),
+        pytest.param(
+            "beta1", _delete("extras", "seed"), ["witness", "embedded"], "report lacks key 'seed'",
+            id="del-seed",
+        ),
+        pytest.param(
+            "sub1", _delete("parity_deficits"), ["conformance"], "report lacks key 'parity_deficits'",
+            id="del-parity_deficits",
+        ),
+        pytest.param(
+            "beta1", _delete("witness"), ["witness"], "report lacks key 'witness'",
+            id="del-witness",
+        ),
+        pytest.param(
+            "sub1", _append("witness", 1000000), ["witness"], "vertex 1000000 out of range",
+            id="sub1-witness-out-of-range",
+        ),
+        pytest.param(
+            "beta1", _append("witness", 1000000), ["witness"], "vertex 1000000 out of range",
+            id="beta1-witness-out-of-range",
+        ),
+        pytest.param(
+            "sub1", _append("extras", "witness_source_vertices", 1000000), ["witness"], "vertex 1000000 out of range",
+            id="sub1-source-out-of-range",
+        ),
+        pytest.param(
+            "beta1", _append("extras", "witness_source_vertices", 1000000), ["witness"], "vertex 1000000 out of range",
+            id="beta1-source-out-of-range",
+        ),
+        pytest.param("sub1", _set("witness", None), ["witness"], None, id="witness-null"),
+        pytest.param("sub1", _set("witness", ["a"]), ["witness"], None, id="witness-str"),
+        pytest.param("sub1", _set("params", "alpha", "a"), ["conformance", "bounds"], None, id="alpha-str"),
+        pytest.param(
+            "sub1", _set("params", "alpha", -1), ["conformance", "bounds"], "alpha and beta must be positive",
+            id="sub1-alpha-negative",
+        ),
+        pytest.param(
+            "beta1", _set("params", "alpha", -1), ["conformance", "bounds"], "alpha and beta must be positive",
+            id="beta1-alpha-negative",
+        ),
+        pytest.param(
+            "sub1", _set("parts", "G1", "range", "x"), ["parts", "certificates"], None,
+            id="range-str",
+        ),
+        pytest.param(
+            "sub1", _set("parity_deficits", [5]), ["conformance"], "'int' object is not iterable",
+            id="deficits-int",
+        ),
+        pytest.param("sub1", _set("certificates", "G1", "cliques", 0, [1]), ["certificates"], None, id="clique-short"),
+        pytest.param("sub1", _set("parts", []), ["parts", "certificates", "embedded"], None, id="parts-list"),
+        pytest.param("beta1", _set("extras", "k", 2.5), ["witness", "embedded"], None, id="k-float"),
+    ],
+)
+def test_verify_fails_malformed_report(c5, kind, forge, failed, detail):
+    g, doc = _c5_outputs(c5, kind)
+    forge(doc)
+    res = verify_embedding(g, doc, c5)
+    assert not res.ok
+    assert failing(res.checks) == failed
+    assert [c["check"] for c in res.checks] == _CHECK_ORDER
+    if detail is not None:
+        assert next(c["detail"] for c in res.checks if c["check"] == failed[0]) == detail
+
+
+@pytest.mark.parametrize("report", [[1, 2], "plg-report/1", 5, None])
+def test_verify_fails_report_that_is_not_an_object(c5, report):
+    g, _ = embed_sub1(c5, 0.5)
+    res = verify_embedding(g, report, c5)
+    assert res.to_dict()["checks"] == [{"check": "schema", "ok": False, "detail": "unknown schema"}]
+
+
+@pytest.mark.parametrize("fault", [InternalError("bug"), AssertionError("bug")])
+def test_verify_propagates_program_faults(c5, monkeypatch, fault):
+    import plg.verify
+
+    def broken(*args):
+        raise fault
+
+    g, rep = embed_sub1(c5, 0.5)
+    monkeypatch.setattr(plg.verify, "degree_conformance", broken)
+    with pytest.raises(type(fault)):
+        verify_embedding(g, rep, c5)
+
+
+def test_verify_builds_block_source_once(c5, monkeypatch):
+    # The witness and embedded checks share one rebuild, a refused one too,
+    # and both report the refusal.
+    import plg.verify
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return embedded_source(*args)
+
+    embedded_source = plg.verify._embedded_source
+    monkeypatch.setattr(plg.verify, "_embedded_source", counting)
+    g, doc = _c5_outputs(c5, "beta1")
+    assert verify_embedding(g, doc, c5).ok and len(calls) == 1
+    doc["extras"]["n_base"] = 6
+    res = verify_embedding(g, doc, c5)
+    assert len(calls) == 2
+    assert failing(res.checks) == ["witness", "bounds", "embedded"]
+    for c in res.checks:
+        if c["check"] in ("witness", "embedded"):
+            assert c["detail"] == "walk product: n_base 6 is not the input's 5 vertices"
+
+
+def test_verify_looks_checks_up_at_call_time(c5, monkeypatch):
+    # Wrappers installed on the module (as a tracer does) are the ones called.
+    import plg.verify
+
+    seen = []
+    for name in _CHECK_ORDER:
+        check = getattr(plg.verify, f"_check_{name}")
+        monkeypatch.setattr(plg.verify, f"_check_{name}", lambda *a, c=check, n=name: seen.append(n) or c(*a))
+    g, rep = embed_sub1(c5, 0.5)
+    res = verify_embedding(g, rep, c5)
+    assert res.ok and seen == _CHECK_ORDER
+
+
+@pytest.mark.parametrize(
+    "forge, failed",
+    [(_append("witness", 1000000), "witness"), (_delete("params", "g3_cut"), "bounds")],
+    ids=["witness-out-of-range", "missing-g3_cut"],
+)
+def test_cli_verify_fails_malformed_report(tmp_path, capsys, forge, failed):
+    write_c5(tmp_path / "c5.plg")
+    out, rep = tmp_path / "e.plg", tmp_path / "e.json"
+    argv = ["embed-sub1", "--beta", "0.5", "--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(rep)]
+    assert main(argv) == 0
+    doc = json.loads(rep.read_text())
+    forge(doc)
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(tmp_path / "c5.plg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rec = json.loads(captured.out)
+    assert not rec["ok"] and failing(rec["checks"]) == [failed]
