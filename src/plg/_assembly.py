@@ -97,6 +97,27 @@ def slot_targets(doubled: MultiGraph, slots: np.ndarray) -> tuple[np.ndarray, np
     return targets, leftover
 
 
+def first_fit(trial, limit: int):
+    """``trial(t)`` at the least t in [0, limit] where it is not None, found by
+    doubling t from 0 and then bisecting, so ``trial`` must be monotone: once
+    not None, not None at every larger t.  Raises ``InternalError`` when
+    ``trial(limit)`` is None."""
+    lo, hi, got = -1, 0, trial(0)
+    while got is None:
+        if hi >= limit:
+            raise InternalError(f"no fit within {limit} steps")
+        lo, hi = hi, min(limit, 2 * hi or 1)
+        got = trial(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        at_mid = trial(mid)
+        if at_mid is None:
+            lo = mid
+        else:
+            hi, got = mid, at_mid
+    return got
+
+
 def map_witness(walks: np.ndarray, source: list[int]) -> np.ndarray:
     """First pair members 2i of the walks i (rows of ``walks``) that stay
     inside ``source``: the image of an independent set of the base graph."""

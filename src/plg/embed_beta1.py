@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._assembly import assemble, double_with_pairs, slot_targets, top_interval_slots
+from ._assembly import assemble, double_with_pairs, first_fit, slot_targets, top_interval_slots
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
@@ -22,6 +22,8 @@ from .report import EmbeddingReport
 from .solver import greedy_maximal_is, mis_size
 
 _MAX_BUMPS = 64
+# Search nodes ``mis_size`` may spend on alpha of the input.
+_SOLVER_BUDGET = 2_000_000
 WALK_VERTEX_CAP = 200_000
 # Walk pairs bound the pair matrix M = W·A·Wᵀ behind a walk product's edges:
 # its work and the product's edge columns grow with them, so this cap keeps
@@ -32,22 +34,25 @@ WALK_PAIR_CAP = 20_000_000
 _ROW_BLOCK_ENTRIES = 1 << 20
 
 
-def check_walk_caps(n: int, d: int, k: int, cap: int = WALK_VERTEX_CAP) -> int:
+def check_walk_caps(n: int, d: int, k: int) -> int:
     """The walk count n*d^(k-1) of a k-walk product over a d-regular graph on
-    n vertices.  Raises ``ResourceLimitError`` when it exceeds ``cap`` or its
-    walk pairs exceed ``WALK_PAIR_CAP``, so callers can refuse before building
-    anything."""
+    n vertices.  Raises ``ResourceLimitError`` when it exceeds
+    ``WALK_VERTEX_CAP`` or its walk pairs exceed ``WALK_PAIR_CAP``, so callers
+    can refuse before building anything, and ``InputError`` unless k is an
+    integer >= 1."""
+    if not isinstance(k, (int, np.integer)):
+        raise InputError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InputError("k must be >= 1")
-    if n > 0 and d > 1 and k - 1 > cap.bit_length():
+    if n > 0 and d > 1 and k - 1 > WALK_VERTEX_CAP.bit_length():
         # d^(k-1) > cap already; a huge k would take long to raise d to.
         raise ResourceLimitError(
-            f"walk product would have {n}*{d}^{k - 1} vertices (cap {cap})"
+            f"walk product would have {n}*{d}^{k - 1} vertices (cap {WALK_VERTEX_CAP})"
         )
     count = n * d ** (k - 1)
-    if count > cap:
+    if count > WALK_VERTEX_CAP:
         raise ResourceLimitError(
-            f"walk product would have {count} vertices (cap {cap})"
+            f"walk product would have {count} vertices (cap {WALK_VERTEX_CAP})"
         )
     pairs = count * (count - 1) // 2
     if pairs > WALK_PAIR_CAP:
@@ -103,6 +108,16 @@ class ExpanderCertificate:
             "passes": self.passes,
             "seed": self.seed,
             "attempts": self.attempts,
+        }
+
+    def report_extras(self) -> dict:
+        """The spectral certificate under an embedding report's extras keys."""
+        return {
+            "lambda": self.lam,
+            "lambda_1": self.lambda_1,
+            "lambda_min": self.lambda_min,
+            "lambda_bound": self.bound,
+            "expander_passes": self.passes,
         }
 
 
@@ -217,9 +232,7 @@ class WalkProduct:
         return self.product.vertex_count
 
 
-def walk_product(
-    g: MultiGraph, h: ExpanderCertificate, k: int, cap: int = WALK_VERTEX_CAP
-) -> WalkProduct:
+def walk_product(g: MultiGraph, h: ExpanderCertificate, k: int) -> WalkProduct:
     """Build the k-walk product of g over the expander h.
 
     Walks are listed in lexicographic order, each step taking the expander's
@@ -232,15 +245,15 @@ def walk_product(
     product's O(count^2 * n).  A revisited vertex is counted twice, which
     changes no entry's sign; entries are at most k^2, so the sums are exact.
 
-    ``cap`` bounds the walk count n*d^(k-1) and ``WALK_PAIR_CAP`` the number
-    of walk pairs, both checked before any walk is enumerated.
+    ``check_walk_caps`` bounds the walk count n*d^(k-1) and the number of
+    walk pairs before any walk is enumerated.
     """
     if not g.is_simple():
         raise InputError("walk products are defined for simple base graphs")
     if g.vertex_count != h.graph.vertex_count:
         raise InputError("base graph and expander must share a vertex set")
     n = g.vertex_count
-    count = check_walk_caps(n, h.d, k, cap)
+    count = check_walk_caps(n, h.d, k)
     nbr_of, nbr = np.nonzero(_adjacency_matrix(h.graph))
     first_nbr = np.searchsorted(nbr_of, np.arange(n + 1))
     walks = np.arange(n)[:, None]
@@ -266,6 +279,20 @@ def walk_product(
     u, v = np.concatenate(pairs, axis=1)
     product = MultiGraph(count, EdgeArrays(u, v, np.ones_like(u)))
     return WalkProduct(g, h, k, walks, product)
+
+
+def walk_block(
+    g: MultiGraph, d: int, seed: int, k: int
+) -> tuple[ExpanderCertificate, WalkProduct, MultiGraph]:
+    """What a beta = 1 embedding doubles into its block, as (h, wp, doubled):
+    the expander h drawn on g's vertex set from ``seed``, the k-walk product
+    wp of g over h and wp's pair doubling, whose matching edges take the
+    walks' self-loops so embedded vertices stay loop-free.  The walk caps are
+    checked before the expander is drawn."""
+    check_walk_caps(g.vertex_count, d, k)
+    h = random_regular_expander(g.vertex_count, d, seed)
+    wp = walk_product(g, h, k)
+    return h, wp, double_with_pairs(wp.product, loops="to_matching")
 
 
 def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> int:
@@ -365,29 +392,24 @@ def _beta1_at_alpha(n_d: float, alpha: float, bumps: int) -> Beta1Params:
     )
 
 
-def _beta1_conditions(params: Beta1Params) -> bool:
-    p = PowerLawParams(params.alpha, 1.0)
-    ln_nd = math.log(params.n_d)
-    cond_i = interval_size_exact(p, params.a_x, params.delta) >= params.n_d
+def _beta1_fit(n_d: int | float, t: int) -> Beta1Params | None:
+    """The parameters at the t-th bump, alpha = ln(n_d) + t*ln(1+1/n_d), if
+    both interval conditions hold there against exact summation."""
+    params = _beta1_at_alpha(n_d, math.log(n_d) + t * math.log1p(1.0 / n_d), t)
+    cond_i = interval_size_exact(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta) >= n_d
     # Condition (II): the first usable slot must reach log(n_d).  The real
     # product x*delta equals log(n_d) only when e^alpha is an integer, so the
     # integer slot floor carries the condition.
-    cond_ii = params.a_x + 1e-9 >= ln_nd
-    return cond_i and cond_ii
+    cond_ii = params.a_x + 1e-9 >= math.log(n_d)
+    return params if cond_i and cond_ii else None
 
 
 def choose_params_beta1(n_d: int | float) -> Beta1Params:
-    """alpha = ln(n_d), bumped by ln(1+1/n_d) steps until the interval
-    conditions hold against exact summation."""
+    """The least bump of alpha = ln(n_d), t = 0..64, where ``_beta1_fit``
+    holds."""
     if n_d < 3:
         raise InputError("need n_d >= 3")
-    alpha = math.log(n_d)
-    for bumps in range(_MAX_BUMPS + 1):
-        params = _beta1_at_alpha(n_d, alpha, bumps)
-        if _beta1_conditions(params):
-            return params
-        alpha += math.log1p(1.0 / n_d)
-    raise InternalError("beta=1 parameter conditions did not stabilize in 64 steps")
+    return first_fit(lambda t: _beta1_fit(n_d, t), _MAX_BUMPS)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -450,9 +472,12 @@ def alon_interval(
 ) -> tuple[float, float]:
     """Spectral bracket for the independence number of the k-walk product.
 
-    [is*d^(k-1)*(r + lambda_min*(1-r))^(k-1), is*d^(k-1)*(r + lambda_1*(1-r))^(k-1)]
-    with r = is/n.  The lower endpoint is clamped at 0 when a negative inner
-    base raised to an odd power would make it negative.
+    [is*d^(k-1)*max(0, r + lambda_min*(1-r))^(k-1), is*d^(k-1)*(r + lambda_1*(1-r))^(k-1)]
+    with r = is/n.  Both ends bound the number of k-walks confined to an
+    independent set of size is (Alon, Feige, Wigderson and Zuckerman,
+    "Derandomized graph products", STOC 1995).  The lower one holds only for a
+    non-negative base: a negative base says nothing, and an even power would
+    turn it into a spurious positive bound, so it is clamped at 0 first.
     """
     if not (0 <= is_g <= n):
         raise InputError("need 0 <= is_g <= n")
@@ -460,11 +485,26 @@ def alon_interval(
         raise InputError("eigenvalues must satisfy -1 <= lambda_min <= lambda_1 <= 1")
     r = is_g / n
     scale = is_g * d ** (k - 1)
-    lo = scale * (r + lambda_min * (1 - r)) ** (k - 1)
+    lo = scale * max(0.0, r + lambda_min * (1 - r)) ** (k - 1)
     hi = scale * (r + lambda_1 * (1 - r)) ** (k - 1)
-    if lo < 0:
-        lo = 0.0
     return lo, hi
+
+
+def beta1_bounds(params: Beta1Params, extras: dict) -> tuple[dict[str, float], LayeredBound]:
+    """The report's closed bounds table, from ``params`` and the extras'
+    is_g, n_base, d, lambda_1, lambda_min and k, with the layered estimate
+    behind its ``layered_*`` entries."""
+    layered = layered_is_bound(params)
+    lo, hi = alon_interval(
+        extras["is_g"], extras["n_base"], extras["d"], extras["lambda_1"], extras["lambda_min"], extras["k"]
+    )
+    return {
+        "layered_exact": float(layered.exact),
+        "layered_asymptotic": layered.asymptotic,
+        "layered_naive": float(layered.naive),
+        "alon_lo": lo,
+        "alon_hi": hi,
+    }, layered
 
 
 @dataclass(frozen=True)
@@ -538,19 +578,13 @@ def degree_one_heuristic(g: MultiGraph) -> list[int]:
 
 
 def embed_beta1(
-    g: MultiGraph,
-    d: int,
-    seed: int,
-    k_override: int | None = None,
-    cap: int = WALK_VERTEX_CAP,
-    solver_budget: int = 2_000_000,
+    g: MultiGraph, d: int, seed: int, k_override: int | None = None
 ) -> tuple[MultiGraph, EmbeddingReport]:
     """Embed the walk product of g into a full (alpha, 1)-PLG.
 
-    Pipeline: expander on g's vertex set, k-walk product D, pair doubling of D
-    (walk self-loops become matching multi-edges so embedded vertices stay
-    loop-free), slot assignment in [x*delta, delta], leftover slots realized
-    as G1, the low interval [1, x*delta) realized as G2.
+    Pipeline: ``walk_block`` (expander on g's vertex set, k-walk product D,
+    pair doubling of D), slot assignment in [x*delta, delta], leftover slots
+    realized as G1, the low interval [1, x*delta) realized as G2.
 
     k defaults to 2 at desk scale; the asymptotic window is reported
     alongside whenever the input is large enough to define it.
@@ -559,47 +593,24 @@ def embed_beta1(
         raise InputError("embedding requires a simple input graph")
     n = g.vertex_count
     k = 2 if k_override is None else k_override
-    # Refuse an oversized product before building the expander.
-    check_walk_caps(n, d, k, cap)
-    h = random_regular_expander(n, d, seed)
+    h, wp, doubled = walk_block(g, d, seed, k)
     window = choose_k(n, d) if n >= 16 else None
-
-    wp = walk_product(g, h, k, cap)
     dgraph = wp.product
     n_d = dgraph.vertex_count
-    doubled = double_with_pairs(dgraph, loops="to_matching")
 
     # The doubling needs 2*n_d slots at degrees covering the doubled walk
     # degrees (up to ~4*n_d on dense products), twice what condition (I) asks
     # for.  Bump steps scale as 1/n_d while the needed growth of e^alpha does
-    # not, so the number of steps is found by exponential + binary search
-    # rather than walking one step at a time.
-    base = choose_params_beta1(n_d)
-    step = math.log1p(1.0 / n_d)
-
+    # not, so the bumps are found by doubling and bisection (``first_fit``)
+    # rather than one step at a time.
     def trial(t: int):
-        params = _beta1_at_alpha(float(n_d), base.alpha + t * step, base.bumps + t)
-        if not _beta1_conditions(params):
+        params = _beta1_fit(float(n_d), t)
+        if params is None:
             return None
-        slots = top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x)
-        seated = slot_targets(doubled, slots)
+        seated = slot_targets(doubled, top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x))
         return None if seated is None else (params, seated)
 
-    got = trial(0)
-    if got is None:
-        t_lo, t_hi = 0, 1
-        while trial(t_hi) is None:
-            t_lo, t_hi = t_hi, t_hi * 2
-            if t_hi > 1 << 30:
-                raise InternalError("slot assignment for the walk product did not stabilize")
-        while t_hi - t_lo > 1:
-            mid = (t_lo + t_hi) // 2
-            if trial(mid) is None:
-                t_lo = mid
-            else:
-                t_hi = mid
-        got = trial(t_hi)
-    params, (pair_targets, leftover) = got
+    params, (pair_targets, leftover) = first_fit(trial, 1 << 30)
     p = PowerLawParams(params.alpha, 1.0)
 
     g2_targets = (
@@ -617,57 +628,40 @@ def embed_beta1(
     if dp_count != len(assembled["is_lower_witness"]):
         raise InternalError("walk DP count disagrees with enumeration")
 
-    is_g, is_g_optimal = mis_size(g, budget=solver_budget)
-    lo, hi = alon_interval(is_g, n, d, h.lambda_1, h.lambda_min, k)
-    layered = layered_is_bound(params)
-    bracket_ratio = hi / lo if lo > 0 else None
-    gap_record = {
-        "bracket_lo": lo,
-        "bracket_hi": hi,
-        "bracket_ratio": bracket_ratio,
-        "eps2_surrogate": h.lam,
+    is_g, is_g_optimal = mis_size(g, budget=_SOLVER_BUDGET)
+    extras = {
+        "log_base": "natural",
+        **h.report_extras(),
+        "seed": seed,
+        "d": d,
         "k": k,
+        "n_base": n,
+        "k_window": window.to_dict() if window else None,
+        "n_d": n_d,
+        "delta_k_design": walk_degree_bound(d, k),
+        "product_max_degree": int(dgraph.degrees().max()) if n_d else 0,
+        "is_g": is_g,
+        "is_g_optimal": is_g_optimal,
     }
+    bounds, layered = beta1_bounds(params, extras)
+    lo, hi = bounds["alon_lo"], bounds["alon_hi"]
     # Feasibility inequality sides are reported, never asserted: they encode
     # asymptotic viability and only bite at large n.  The instance's own
     # independence ratio stands in for the class constant b; eps = 0.5.
-    feasibility = amplification_feasibility(
-        b=is_g / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5
-    )
-
-    report = EmbeddingReport(
-        kind="beta1",
-        params=params.to_dict(),
-        bounds_closed={
-            "layered_exact": float(layered.exact),
-            "layered_asymptotic": layered.asymptotic,
-            "layered_naive": float(layered.naive),
-            "alon_lo": lo,
-            "alon_hi": hi,
-        },
-        **assembled,
-        extras={
-            "log_base": "natural",
-            "lambda": h.lam,
-            "lambda_1": h.lambda_1,
-            "lambda_min": h.lambda_min,
-            "lambda_bound": h.bound,
-            "expander_passes": h.passes,
-            "seed": seed,
-            "d": d,
+    extras.update(
+        gap_ratio={
+            "bracket_lo": lo,
+            "bracket_hi": hi,
+            "bracket_ratio": hi / lo if lo > 0 else None,
+            "eps2_surrogate": h.lam,
             "k": k,
-            "n_base": n,
-            "k_window": window.to_dict() if window else None,
-            "n_d": n_d,
-            "delta_k_design": walk_degree_bound(d, k),
-            "product_max_degree": int(dgraph.degrees().max()) if n_d else 0,
-            "is_g": is_g,
-            "is_g_optimal": is_g_optimal,
-            "gap_ratio": gap_record,
-            "feasibility": feasibility,
-            "witness_source_vertices": sorted(witness_source),
-            "witness_walk_count": dp_count,
-            "layered": layered.to_dict(),
         },
+        feasibility=amplification_feasibility(b=is_g / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5),
+        witness_source_vertices=sorted(witness_source),
+        witness_walk_count=dp_count,
+        layered=layered.to_dict(),
+    )
+    report = EmbeddingReport(
+        kind="beta1", params=params.to_dict(), bounds_closed=bounds, **assembled, extras=extras
     )
     return graph, report

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._assembly import assemble, double_with_pairs, slot_targets, top_interval_slots
+from ._assembly import assemble, double_with_pairs, first_fit, slot_targets, top_interval_slots
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
@@ -71,36 +71,41 @@ class Sub1Params:
 
 
 def choose_params_sub1(n: int, beta: float) -> Sub1Params:
-    """Pick x = (1/2)^(1/(1-beta)) and the minimal alpha = beta*ln(n/x) whose
-    floored distribution satisfies n <= x*delta and n <= |[x*delta, delta]|.
+    """Pick x = (1/2)^(1/(1-beta)) and the minimal alpha = beta*ln(n/x) +
+    t*beta*ln(1+1/n), t = 0..64, whose floored distribution satisfies
+    n <= x*delta and n <= |[x*delta, delta]|.
 
-    Each retry raises alpha by beta*ln(1+1/n), multiplying e^(alpha/beta)
-    by (1+1/n); more than 64 retries indicates a bug.
+    Each step multiplies e^(alpha/beta) by (1+1/n); needing more than 64
+    indicates a bug.
     """
     if not 0 < beta < 1:
         raise InputError("beta must be in (0, 1)")
     if n < 2 or n % 2:
         raise InputError("n must be even and >= 2 (a doubled vertex count)")
     x = 0.5 ** (1.0 / (1.0 - beta))
-    alpha = beta * math.log(n / x)
-    for bumps in range(_MAX_BUMPS + 1):
+    alpha0 = beta * math.log(n / x)
+    step = beta * math.log1p(1.0 / n)
+
+    def trial(t: int) -> Sub1Params | None:
+        alpha = alpha0 + t * step
         p = PowerLawParams(alpha, beta)
         d = p.delta
         a_x = max(1, guarded_ceil(x * d))
-        if x * d + 1e-9 >= n and interval_size_exact(p, a_x, d) >= n:
-            return Sub1Params(
-                n=n,
-                beta=beta,
-                x=x,
-                alpha=alpha,
-                delta=d,
-                a_x=a_x,
-                y_split=d**-0.5,
-                g3_cut=guarded_ceil(math.exp(alpha / (beta + 1))),
-                bumps=bumps,
-            )
-        alpha += beta * math.log1p(1.0 / n)
-    raise InternalError("parameter conditions did not stabilize within 64 steps")
+        if x * d + 1e-9 < n or interval_size_exact(p, a_x, d) < n:
+            return None
+        return Sub1Params(
+            n=n,
+            beta=beta,
+            x=x,
+            alpha=alpha,
+            delta=d,
+            a_x=a_x,
+            y_split=d**-0.5,
+            g3_cut=guarded_ceil(math.exp(alpha / (beta + 1))),
+            bumps=t,
+        )
+
+    return first_fit(trial, _MAX_BUMPS)
 
 
 @dataclass(frozen=True)
@@ -140,31 +145,35 @@ def residual_is_bound_sub1(params: Sub1Params) -> Sub1ResidualBounds:
     return Sub1ResidualBounds(i_y1=i_y1, i_y2=i_y2, g1_bound=i_y1 + i_y2, g3_bound=g3)
 
 
-def embed_sub1(
-    g: MultiGraph,
-    beta: float,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_edge_units: int = DEFAULT_EDGE_CAP,
-) -> tuple[MultiGraph, EmbeddingReport]:
-    """Embed the simple graph g into a full (alpha, beta)-PLG, beta < 1."""
+def sub1_bounds(params: Sub1Params) -> dict[str, float]:
+    """The report's closed bounds table: ``residual_is_bound_sub1`` by key."""
+    rb = residual_is_bound_sub1(params)
+    return {"g1_bound": rb.g1_bound, "g3_bound": rb.g3_bound, "i_y1": rb.i_y1, "i_y2": rb.i_y2}
+
+
+def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]:
+    """Embed the simple graph g into a full (alpha, beta)-PLG, beta < 1.
+
+    Raises ``ResourceLimitError`` when the output would pass
+    ``DEFAULT_VERTEX_CAP`` vertices or ``DEFAULT_EDGE_CAP`` edge units."""
     if g.vertex_count < 1:
         raise InputError("need at least one vertex")
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
     # The embedded block alone has 2n vertices; refuse before doubling.
-    if 2 * g.vertex_count > max_vertices:
+    if 2 * g.vertex_count > DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(
-            f"output would have at least {2 * g.vertex_count} vertices (cap {max_vertices})"
+            f"output would have at least {2 * g.vertex_count} vertices (cap {DEFAULT_VERTEX_CAP})"
         )
     gd = double_with_pairs(g)
     params = choose_params_sub1(gd.vertex_count, beta)
     p = PowerLawParams(params.alpha, beta)
     n_total = interval_size_exact(p, 1, p.delta)
     edge_units = interval_volume_exact(p, 1, p.delta) // 2
-    if n_total > max_vertices or edge_units > max_edge_units:
+    if n_total > DEFAULT_VERTEX_CAP or edge_units > DEFAULT_EDGE_CAP:
         raise ResourceLimitError(
             f"output would have {n_total} vertices and ~{edge_units} edge units "
-            f"(caps {max_vertices}, {max_edge_units})"
+            f"(caps {DEFAULT_VERTEX_CAP}, {DEFAULT_EDGE_CAP})"
         )
 
     seated = slot_targets(gd, top_interval_slots(p, params.a_x))
@@ -196,17 +205,11 @@ def embed_sub1(
         witness_source,
     )
 
-    bounds = residual_is_bound_sub1(params)
     split_index = guarded_ceil(math.sqrt(params.delta))
     report = EmbeddingReport(
         kind="sub1",
         params=params.to_dict(),
-        bounds_closed={
-            "g1_bound": bounds.g1_bound,
-            "g3_bound": bounds.g3_bound,
-            "i_y1": bounds.i_y1,
-            "i_y2": bounds.i_y2,
-        },
+        bounds_closed=sub1_bounds(params),
         **assembled,
         extras={
             "log_base": "natural",

@@ -13,18 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._assembly import map_witness
-from .embed_beta1 import (
-    Beta1Params,
-    alon_interval,
-    check_walk_caps,
-    layered_is_bound,
-    random_regular_expander,
-    walk_product,
-)
-from .embed_sub1 import Sub1Params, residual_is_bound_sub1
+from ._assembly import double_with_pairs, map_witness
+from .embed_beta1 import Beta1Params, beta1_bounds, walk_block
+from .embed_sub1 import Sub1Params, sub1_bounds
 from .errors import InputError, ResourceLimitError
-from .graph import EdgeArrays, MultiGraph, is_independent
+from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import clique_pairs
 from .report import SCHEMA, EmbeddingReport, degree_conformance
@@ -144,67 +137,66 @@ _BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
 
 @_check("embedded")
 def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
-    """The part ``block`` is the doubled graph ``expected``, both from
-    ``block_source()``: it is the block [0, 2m), every pair {2i, 2i+1} is
-    joined and the graph induced on {2i : i < m}, read back at i, equals
-    ``expected``, so every independent set of ``expected`` maps."""
-    block, expected, _ = block_source()
-    m = expected.vertex_count
-    source = _BLOCK_SOURCES[block]
-    if list(rep["parts"][block]["range"]) != [0, 2 * m]:
-        return f"{block} is not the block [0,{2 * m})"
-    first = 2 * np.arange(m, dtype=np.int64)
-    unjoined = np.flatnonzero(plg.multiplicities(first, first + 1) < 1)
+    """The part ``block`` is the doubling ``doubled`` and the report's
+    spectrum is that of the expander ``h``, all from ``block_source()``: the
+    block is [0, 2m), the recorded lambdas and pass flag match ``h`` (kind
+    "beta1"), and every edge inside the block has its multiplicity in
+    ``doubled``, or at least that on a pair edge {2i, 2i+1}, which the fill
+    raises.  So the block's independent sets are those of ``doubled``."""
+    block, doubled, _, h = block_source()
+    n_embed = doubled.vertex_count
+    if list(rep["parts"][block]["range"]) != [0, n_embed]:
+        return f"{block} is not the block [0,{n_embed})"
+    if h is not None:
+        for key, val in h.report_extras().items():
+            if not _close(rep["extras"][key], val):
+                return f"{key}: report {rep['extras'][key]}, expander {val}"
+    du, dv, dm = doubled.arrays()
+    got = plg.multiplicities(du, dv)
+    pair = (du % 2 == 0) & (dv == du + 1)
+    unjoined = np.flatnonzero(pair & (got == 0))
     if len(unjoined):
-        i = int(first[unjoined[0]])
+        i = du[unjoined[0]]
         return f"pair ({i},{i + 1}) not joined"
-    u, v, mult = plg.arrays()
-    even = (u % 2 == 0) & (v % 2 == 0) & (v < 2 * m)
-    iu, iv, im = u[even] // 2, v[even] // 2, mult[even]
-    ou, ov, om = expected.arrays()
-    extra = expected.multiplicities(iu, iv) != im
-    lost = plg.multiplicities(2 * ou, 2 * ov) != om
-    du = np.concatenate([iu[extra], ou[lost]])
-    dv = np.concatenate([iv[extra], ov[lost]])
-    if len(du):
-        k = np.lexsort((dv, du))[0]
-        return f"induced block differs from the {source} at {source} edge ({du[k]},{dv[k]})"
+    lost = np.where(pair, got < dm, got != dm)
+    u, v, _ = plg.arrays()
+    u, v = u[v < n_embed], v[v < n_embed]
+    extra = doubled.multiplicities(u, v) == 0
+    eu, ev = np.concatenate([du[lost], u[extra]]), np.concatenate([dv[lost], v[extra]])
+    if len(eu):
+        k = np.lexsort((ev, eu))[0]
+        return f"block differs from the doubled {_BLOCK_SOURCES[block]} at edge ({eu[k]},{ev[k]})"
     return ""
 
 
-def _embedded_source(rep: dict, original: MultiGraph) -> tuple[str, MultiGraph, np.ndarray]:
-    """The embedded block's name, the graph it doubles and the walks its
-    witness maps.  Kind "sub1": the input, walked one vertex at a time.
-    Kind "beta1": the walk product rebuilt from the input and the report's
-    (n_base, d, k, seed), with its self-loops dropped (the embedder turns
-    them into matching units), and its walks; the walk caps are checked
-    before the expander is drawn."""
+def _embedded_source(rep: dict, original: MultiGraph):
+    """The embedded block's name, the doubling it must equal, the walks its
+    witness maps and the expander behind them, if any.  Kind "sub1": the
+    input's doubling, walked one vertex at a time.  Kind "beta1":
+    ``walk_block`` of the input at the report's (d, seed, k), once n_base is
+    checked against the input; a refusal raises ``InputError("walk product:
+    …")``."""
     if rep["kind"] == "sub1":
-        return "Gprime", original, np.arange(original.vertex_count)[:, None]
+        return "Gprime", double_with_pairs(original), np.arange(original.vertex_count)[:, None], None
     ex = rep["extras"]
-    n, d, k = ex["n_base"], ex["d"], ex["k"]
-    if n != original.vertex_count:
-        raise InputError(f"n_base {n} is not the input's {original.vertex_count} vertices")
-    check_walk_caps(n, d, k)
-    h = random_regular_expander(n, d, ex["seed"])
-    wp = walk_product(original, h, k)
-    u, v, mult = wp.product.arrays()
-    keep = u != v
-    return "D", MultiGraph(wp.n_d, EdgeArrays(u[keep], v[keep], mult[keep])), wp.walks
+    try:
+        if ex["n_base"] != original.vertex_count:
+            raise InputError(f"n_base {ex['n_base']} is not the input's {original.vertex_count} vertices")
+        h, wp, doubled = walk_block(original, ex["d"], ex["seed"], ex["k"])
+    except (InputError, ResourceLimitError) as exc:
+        raise InputError(f"walk product: {exc}") from exc
+    return "D", doubled, wp.walks, h
 
 
 def _source_once(rep: dict, original: MultiGraph):
     """``_embedded_source`` as a function that builds it on its first call
-    and returns it, or raises what the build raised, at every call; a
-    refused rebuild raises ``InputError("walk product: …")``."""
+    and returns it, or raises what the build raised, at every call."""
     built: list = []
 
-    def block_source() -> tuple[str, MultiGraph, np.ndarray]:
+    def block_source():
         if not built:
             try:
                 built.append(_embedded_source(rep, original))
-            except (InputError, ResourceLimitError) as exc:
-                built.append(InputError(f"walk product: {exc}"))
             except Exception as exc:
                 built.append(exc)
         if isinstance(built[0], Exception):
@@ -240,21 +232,9 @@ def _check_bounds(rep: dict) -> str:
     params = rep["params"]
     bounds = rep["bounds"]
     if rep["kind"] == "sub1":
-        rb = residual_is_bound_sub1(Sub1Params.from_dict(params))
-        expect = {key: getattr(rb, key) for key in ("g1_bound", "g3_bound", "i_y1", "i_y2")}
+        expect = sub1_bounds(Sub1Params.from_dict(params))
     else:
-        layered = layered_is_bound(Beta1Params.from_dict(params))
-        ex = rep["extras"]
-        lo, hi = alon_interval(
-            ex["is_g"], ex["n_base"], ex["d"], ex["lambda_1"], ex["lambda_min"], ex["k"]
-        )
-        expect = {
-            "layered_exact": float(layered.exact),
-            "layered_asymptotic": layered.asymptotic,
-            "layered_naive": float(layered.naive),
-            "alon_lo": lo,
-            "alon_hi": hi,
-        }
+        expect = beta1_bounds(Beta1Params.from_dict(params), rep["extras"])[0]
     for key, val in expect.items():
         if key not in bounds or not _close(bounds[key], val):
             return f"{key}: report {bounds.get(key)}, recomputed {val}"
@@ -265,9 +245,9 @@ def verify_embedding(
     plg: MultiGraph, report: EmbeddingReport | dict, original: MultiGraph
 ) -> VerifyResult:
     """Re-check an embedding run: conformance, certificates, witness, bounds,
-    and the embedded block: for kind "sub1" against the input, for kind
-    "beta1" against the input's walk product.  A report that lacks a key or
-    holds a value a check cannot use fails that check."""
+    and the embedded block: for kind "sub1" against the input's doubling, for
+    kind "beta1" against the doubled walk product and its expander.  A report
+    that lacks a key or holds a value a check cannot use fails that check."""
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])

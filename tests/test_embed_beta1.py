@@ -25,12 +25,13 @@ from plg import (
     interval_size_exact,
     is_independent,
     layered_is_bound,
+    mis_size,
     random_regular_expander,
     realize,
     verify_embedding,
     walk_product,
 )
-from plg._assembly import assign_pair_slots
+from plg._assembly import assign_pair_slots, first_fit
 from plg.embed_beta1 import (
     WALK_PAIR_CAP,
     WALK_VERTEX_CAP,
@@ -150,9 +151,10 @@ def test_walk_product_edge_rule_symmetric_loops(c5):
 
 
 def test_walk_product_cap():
+    # 5 * 4^8 = 327,680 walks pass WALK_VERTEX_CAP.
     h = random_regular_expander(5, 4, seed=1)
-    with pytest.raises(ResourceLimitError):
-        walk_product(MultiGraph(5), h, 9, cap=1000)
+    with pytest.raises(ResourceLimitError, match="327680 vertices"):
+        walk_product(MultiGraph(5), h, 9)
 
 
 def test_walk_product_pair_cap():
@@ -313,6 +315,32 @@ def test_walk_caps_refuse_before_the_expander():
         embed_beta1(MultiGraph(20_000, [(i, i + 1) for i in range(19_999)]), 4, seed=1)
 
 
+def test_walk_caps_refuse_non_integer_k():
+    with pytest.raises(InputError, match="k must be an integer"):
+        check_walk_caps(5, 4, 2.5)
+    assert check_walk_caps(5, 4, np.int64(2)) == 20
+
+
+@pytest.mark.parametrize("least", [0, 1, 2, 3, 5, 17, 64])
+def test_first_fit_returns_least_fit(least):
+    calls = []
+
+    def trial(t):
+        calls.append(t)
+        return t if t >= least else None
+
+    assert first_fit(trial, 64) == least
+    assert len(calls) <= 2 * max(1, least).bit_length() + 1
+
+
+def test_first_fit_raises_past_limit():
+    with pytest.raises(InternalError, match="within 64 steps"):
+        first_fit(lambda t: t if t > 64 else None, 64)
+    with pytest.raises(InternalError):
+        first_fit(lambda t: None, 0)
+    assert first_fit(lambda t: t if t == 64 else None, 64) == 64
+
+
 def test_walk_count_dp(c5):
     h = random_regular_expander(5, 4, seed=1)
     wp = walk_product(c5, h, 2)
@@ -423,6 +451,20 @@ def test_alon_interval_edgeless():
 def test_alon_interval_clamps_negative():
     lo, _hi = alon_interval(1, 10, 3, 0.2, -0.9, 2)
     assert lo == 0.0
+    # The base 0.1 - 0.9 * 0.9 < 0 is clamped before the even power k - 1 = 2.
+    assert alon_interval(1, 10, 3, 0.2, -0.9, 3)[0] == 0.0
+
+
+def test_alon_lower_end_below_product_independence_number():
+    # G(40, 0.5) at d = 4, seed 3, k = 3: alpha(G) = 8 and lambda_min = -0.84,
+    # so the base r + lambda_min*(1 - r) is negative; unclamped, its square
+    # gave alon_lo = 28.4 against alpha(D) = 12.
+    rng = random.Random(4)
+    g = MultiGraph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
+    _, rep = embed_beta1(g, 4, seed=3, k_override=3)
+    d_size, optimal = mis_size(walk_product(g, random_regular_expander(40, 4, seed=3), 3).product)
+    assert optimal and rep.extras["is_g"] == 8
+    assert rep.bounds_closed["alon_lo"] <= d_size <= rep.bounds_closed["alon_hi"]
 
 
 def test_alon_interval_contains_bruteforce(c5):

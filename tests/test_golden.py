@@ -76,7 +76,9 @@ GOLDEN = {
         _BETA1_INPUT,
         (
             "758ebd7419b0a00335b413ab0ee830fc05e03509324c283c4290aba8223df907",
-            "de8f0f3387d7d2f84b3d1d8730e7b1789316837c07c8119494f7f742a257b185",
+            # alon_lo is 0: its base r + lambda_min*(1 - r) is negative, so it
+            # is clamped at 0 before the even power k - 1 = 2.
+            "0c0f2c1e79babf67708a8f50d9a9d02edf8b83eb6ad06be0527a5b4f052af0a1",
             _VERIFY_OK,
         ),
     ),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from plg import MultiGraph, embed_sub1, read_graph, verify_embedding, write_graph
+from plg import MultiGraph, alon_interval, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
 from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
@@ -537,6 +537,64 @@ def test_cli_verify_fails_on_two_swapped_beta1_block(tmp_path, capsys):
     assert failing(rec["checks"]) == ["embedded"]
 
 
+def _swap_edges(path, old, new):
+    """Replace the simple edges ``old`` of the graph file by ``new``, keeping
+    every degree."""
+    g = read_graph(path.read_text())
+    edges = g.edge_dict()
+    assert all(edges.pop(e) == 1 for e in old) and not any(e in edges for e in new)
+    edges.update(dict.fromkeys(new, 1))
+    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    assert sorted(swapped.degrees()) == sorted(g.degrees())
+    path.write_text(write_graph(swapped))
+
+
+@pytest.mark.parametrize(
+    "embed, old, new",
+    [
+        (["embed-sub1", "--beta", "0.5"], [(1, 3), (5, 7)], [(1, 5), (3, 7)]),
+        (["embed-beta1", "--d", "4", "--seed", "3"], [(3, 5), (17, 25)], [(3, 17), (5, 25)]),
+    ],
+    ids=["Gprime", "D"],
+)
+def test_cli_verify_fails_on_odd_copy_two_swap(tmp_path, capsys, embed, old, new):
+    # A 2-swap among odd copies leaves the graph induced on {2i} and the
+    # witness as they were, but the block is no longer the doubling G[K2]:
+    # in Gprime it raises alpha of the block from alpha(C5) = 2 to 3.
+    write_c5(tmp_path / "c5.plg")
+    out, rep = tmp_path / "e.plg", tmp_path / "e.json"
+    assert main(embed + ["--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(rep)]) == 0
+    _swap_edges(out, old, new)
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(tmp_path / "c5.plg")]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert failing(rec["checks"]) == ["embedded"]
+    detail = next(c["detail"] for c in rec["checks"] if c["check"] == "embedded")
+    assert detail.startswith("block differs from the doubled")
+
+
+def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
+    # lambda_1 = 0.1 and lambda_min = -0.1 with alon_lo and alon_hi
+    # rewritten to match pass the bounds check; the expander regenerated
+    # from the report's seed does not have that spectrum.
+    src, out, rep = tmp_path / "g.plg", tmp_path / "e.plg", tmp_path / "e.json"
+    src.write_text(write_graph(_C40))
+    argv = ["embed-beta1", "--d", "4", "--seed", "3", "--in", str(src), "--out", str(out), "--report", str(rep)]
+    assert main(argv) == 0
+    doc = json.loads(rep.read_text())
+    ex = doc["extras"]
+    ex["lambda_1"], ex["lambda_min"] = 0.1, -0.1
+    lo, hi = alon_interval(ex["is_g"], ex["n_base"], ex["d"], 0.1, -0.1, ex["k"])
+    doc["bounds"].update(alon_lo=lo, alon_hi=hi)
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert failing(rec["checks"]) == ["embedded"]
+    detail = next(c["detail"] for c in rec["checks"] if c["check"] == "embedded")
+    assert detail.startswith("lambda_1: report 0.1, expander ")
+
+
 def _embedded_check(g, doc, original):
     return next(c for c in verify_embedding(g, doc, original).checks if c["check"] == "embedded")
 
@@ -735,7 +793,10 @@ def _append(*path_and_value):
         ),
         pytest.param("sub1", _set("certificates", "G1", "cliques", 0, [1]), ["certificates"], None, id="clique-short"),
         pytest.param("sub1", _set("parts", []), ["parts", "certificates", "embedded"], None, id="parts-list"),
-        pytest.param("beta1", _set("extras", "k", 2.5), ["witness", "embedded"], None, id="k-float"),
+        pytest.param(
+            "beta1", _set("extras", "k", 2.5), ["witness", "embedded"], "walk product: k must be an integer, got 2.5",
+            id="k-float",
+        ),
     ],
 )
 def test_verify_fails_malformed_report(c5, kind, forge, failed, detail):
