@@ -38,10 +38,11 @@ def check_walk_caps(n: int, d: int, k: int) -> int:
     """The walk count n*d^(k-1) of a k-walk product over a d-regular graph on
     n vertices.  Raises ``ResourceLimitError`` when it exceeds
     ``WALK_VERTEX_CAP`` or its walk pairs exceed ``WALK_PAIR_CAP``, so callers
-    can refuse before building anything, and ``InputError`` unless k is an
-    integer >= 1."""
-    if not isinstance(k, (int, np.integer)):
-        raise InputError(f"k must be an integer, got {k!r}")
+    can refuse before building anything, and ``InputError`` unless n, d and k
+    are integers and k >= 1."""
+    for name, value in (("n", n), ("d", d), ("k", k)):
+        if not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise InputError("k must be >= 1")
     if n > 0 and d > 1 and k - 1 > WALK_VERTEX_CAP.bit_length():
@@ -169,6 +170,7 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
     passes, the best-lambda candidate is returned with passes=False.  An n
     whose C(n, 2) exceeds ``WALK_PAIR_CAP`` is refused before any draw: no
     walk product could use the expander, and its spectrum needs n x n floats.
+    The seed must be a non-negative integer.
     """
     if d < 3:
         raise InputError("expander degree must be >= 3")
@@ -180,6 +182,8 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
         raise ResourceLimitError(
             f"expander on {n} vertices has {n * (n - 1) // 2} vertex pairs (cap {WALK_PAIR_CAP})"
         )
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     bound = 2 * math.sqrt(d - 1) / d
     if n == d + 1:
         edges = {(u, v): 1 for u in range(n) for v in range(u + 1, n)}

@@ -65,6 +65,8 @@ class PowerLawParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise InputError("alpha and beta must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InputError("alpha and beta must be finite")
         try:
             finite = math.isfinite(math.exp(max(self.alpha, self.alpha / self.beta)))
         except OverflowError:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plg import MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
+from plg import InputError, MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
 from plg import graph as graph_module
 from plg.graph import EdgeArrays, _format_edges, _graph_bytes, _read_canonical, _read_lines
 
@@ -128,8 +128,8 @@ def test_round_trip_property(n, data):
 def _outcome(parse, text):
     try:
         return parse(text), None
-    except ParseError as err:
-        return None, (str(err), err.line_no)
+    except InputError as err:  # a ParseError, or the constructor's int64 refusal
+        return None, (str(err), getattr(err, "line_no", None))
 
 
 def _field_edit(edit):
@@ -179,6 +179,40 @@ def _extra_edge_line(lines, data):
     return lines
 
 
+def _edit_kind(prefix, edit):
+    """Mutation that rewrites one line starting with ``prefix``, if any."""
+
+    def mutate(lines, data):
+        chosen = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        if chosen:
+            i = data.draw(st.sampled_from(chosen))
+            lines[i : i + 1] = edit(lines[i], data)
+        return lines
+
+    return mutate
+
+
+def _insert_char(s, data):
+    i = data.draw(st.integers(0, len(s)))
+    return s[:i] + data.draw(st.sampled_from(["\x0b", "\x1c", "\u2028"])) + s[i:]
+
+
+def _swap_edge_lines(lines, data):
+    edge_lines = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    if len(edge_lines) > 1:
+        i, j = data.draw(st.lists(st.sampled_from(edge_lines), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _reverse_endpoints(line, data):
+    return [re.sub(r"^(e\s+)(\S+)(\s+)(\S+)", r"\1\4\3\2", line)]
+
+
+def _label_vertex_out_of_range(line, data):
+    return [re.sub(r"^(l\s+)\S+", lambda m: m[1] + str(data.draw(st.integers(10, 12))), line)]
+
+
 MUTATIONS = {
     "none": lambda lines, data: lines,
     "extra space": _line_edit(lambda s, data: s.replace(" ", "  ", 1)),
@@ -193,6 +227,16 @@ MUTATIONS = {
     "huge header n": _huge_header,
     "missing edge line": _drop_edge_line,
     "extra edge line": _extra_edge_line,
+    "e inside field": _field_edit(lambda f, data: f + "e" + f),
+    "decimal point": _field_edit(lambda f, data: f + ".0"),
+    "19-digit field": _field_edit(lambda f, data: str(data.draw(st.integers(10**18, 2**63 - 1)))),
+    "2^63 field": _field_edit(lambda f, data: str(2**63)),
+    "separator char": _line_edit(_insert_char),
+    "label tag with space": _edit_kind("l ", lambda line, data: [line + " b"]),
+    "label vertex out of range": _edit_kind("l ", _label_vertex_out_of_range),
+    "swapped edge lines": _swap_edge_lines,
+    "duplicated edge line": _edit_kind("e ", lambda line, data: [line, line]),
+    "u > v edge line": _edit_kind("e ", _reverse_endpoints),
 }
 
 
@@ -202,7 +246,7 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 10), rng.randint(0, 12))
     for v in rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count)):
-        g.labels[v] = rng.choice(["embedded", "residual-G1", "x"])
+        g.labels[v] = rng.choice(["embedded", "residual-G1", "x", "naïve", "l", "e", "1"])
     lines = write_graph(g).split("\n")[:-1]
     for name in names:
         lines = MUTATIONS[name](lines, data)

@@ -345,6 +345,12 @@ def test_count_threshold_matches_level_set_search(ab, data):
     assert got.tolist() == [min(hi, _count_threshold_level_set(p, v)) for v in levels]
 
 
+@pytest.mark.parametrize("alpha, beta", [(3.0, math.inf), (math.inf, 1.0), (math.inf, math.inf)])
+def test_params_refuse_non_finite(alpha, beta):
+    with pytest.raises(InputError, match="finite"):
+        PowerLawParams(alpha, beta)
+
+
 def test_exact_sum_limits_refuse_before_work():
     with pytest.raises(InputError, match="overflows"):
         PowerLawParams(800.0, 1.0)

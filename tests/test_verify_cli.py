@@ -223,6 +223,27 @@ def test_cli_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["expander", "--n", "6", "--d", "3", "--seed", "-1"],
+        ["expander", "--n", "5", "--d", "4", "--seed", "-3"],  # K5, drawn without the seed
+        ["embed-beta1", "--in", "c5.plg", "--d", "4", "--seed", "-1", "--out", "g.plg", "--report", "r.json"],
+        ["walkprod", "--in", "c5.plg", "--d", "4", "--k", "2", "--seed", "-2"],
+        ["dist", "--alpha", "3", "--beta", "inf"],
+        ["dist", "--alpha", "inf", "--beta", "1"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_cli_bad_numeric_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_c5(tmp_path / "c5.plg")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "g.plg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["solve"],
         ["embed-sub1", "--beta", "0.5", "--out", "g.plg", "--report", "r.json"],
         ["embed-beta1", "--d", "4", "--seed", "1", "--out", "g.plg", "--report", "r.json"],
@@ -796,6 +817,20 @@ def _append(*path_and_value):
         pytest.param(
             "beta1", _set("extras", "k", 2.5), ["witness", "embedded"], "walk product: k must be an integer, got 2.5",
             id="k-float",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "d", 4.0), ["witness", "embedded"], "walk product: d must be an integer, got 4.0",
+            id="d-float",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "seed", 1.5), ["witness", "embedded"],
+            "walk product: seed must be a non-negative integer, got 1.5",
+            id="seed-float",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "seed", -1), ["witness", "embedded"],
+            "walk product: seed must be a non-negative integer, got -1",
+            id="seed-negative",
         ),
     ],
 )
