@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError, InternalError
 from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams
-from .realizer import CliqueCoverCertificate, _realize_columns, interval_counts
+from .realizer import CliqueCoverCertificate, _realize_columns
 from .report import degree_conformance
 
 
@@ -49,12 +49,6 @@ def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
             np.concatenate([matching, np.ones(4 * len(a), dtype=np.int64)]),
         ),
     )
-
-
-def top_interval_slots(p: PowerLawParams, a_x: int) -> np.ndarray:
-    """Degree slots of the interval [a_x, delta], ascending with multiplicity."""
-    counts = interval_counts(p, a_x, p.delta)
-    return np.repeat(np.arange(a_x, p.delta + 1, dtype=np.int64), counts)
 
 
 def assign_pair_slots(

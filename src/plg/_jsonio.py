@@ -4,8 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
+
+
+class Record:
+    """Dataclass mixin for records that round-trip through reports:
+    ``to_dict`` is ``asdict``, and ``from_dict`` its inverse, which ignores
+    keys that are not fields."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _fmt_float(v: float) -> str:

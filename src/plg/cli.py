@@ -29,6 +29,11 @@ from .report import SCHEMA
 _COUNTS_LIMIT = 100_000
 
 
+def _read_graph_file(path: str):
+    """The graph in the file at ``path``, read as bytes."""
+    return read_graph(Path(path).read_bytes())
+
+
 def _cmd_dist(args) -> int:
     p = PowerLawParams(args.alpha, args.beta)
     t = totals(p)
@@ -81,7 +86,7 @@ def _cmd_realize(args) -> int:
 def _cmd_embed_sub1(args) -> int:
     from .embed_sub1 import embed_sub1
 
-    g = read_graph(Path(args.infile).read_text())
+    g = _read_graph_file(args.infile)
     graph, report = embed_sub1(g, args.beta)
     Path(args.out).write_bytes(_graph_bytes(graph))
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
@@ -91,7 +96,7 @@ def _cmd_embed_sub1(args) -> int:
 def _cmd_embed_beta1(args) -> int:
     from .embed_beta1 import embed_beta1
 
-    g = read_graph(Path(args.infile).read_text())
+    g = _read_graph_file(args.infile)
     graph, report = embed_beta1(g, args.d, args.seed, args.k)
     Path(args.out).write_bytes(_graph_bytes(graph))
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
@@ -109,12 +114,9 @@ def _cmd_expander(args) -> int:
 
 
 def _cmd_walkprod(args) -> int:
-    from .embed_beta1 import check_walk_caps, random_regular_expander, walk_product
+    from .embed_beta1 import walk_block
 
-    g = read_graph(Path(args.infile).read_text())
-    check_walk_caps(g.vertex_count, args.d, args.k)
-    h = random_regular_expander(g.vertex_count, args.d, args.seed)
-    wp = walk_product(g, h, args.k)
+    wp = walk_block(_read_graph_file(args.infile), args.d, args.seed, args.k)
     u, v, _ = wp.product.arrays()
     if args.out:
         Path(args.out).write_bytes(_graph_bytes(wp.product))
@@ -125,7 +127,7 @@ def _cmd_walkprod(args) -> int:
                 "n_d": wp.n_d,
                 "k": args.k,
                 "d": args.d,
-                "lambda": h.lam,
+                "lambda": wp.expander.lam,
                 "max_degree": int(wp.product.degrees().max()) if wp.n_d else 0,
                 "self_loops": int((u == v).sum()),
             }
@@ -138,7 +140,7 @@ def _cmd_solve(args) -> int:
     from .embed_beta1 import WALK_VERTEX_CAP
     from .solver import exact_mis
 
-    g = read_graph(Path(args.infile).read_text())
+    g = _read_graph_file(args.infile)
     # exact_mis allocates a bitset per vertex: refuse what embed-beta1's
     # walk cap would refuse as an input.
     if g.vertex_count > WALK_VERTEX_CAP:
@@ -162,9 +164,12 @@ def _cmd_verify(args) -> int:
 
     from .verify import verify_embedding
 
-    plg = read_graph(Path(args.plg).read_text())
-    report = json.loads(Path(args.report).read_text())
-    original = read_graph(Path(args.infile).read_text())
+    plg = _read_graph_file(args.plg)
+    try:
+        report = json.loads(Path(args.report).read_bytes())
+    except ValueError:  # not JSON: the schema check fails it
+        report = None
+    original = _read_graph_file(args.infile)
     result = verify_embedding(plg, report, original)
     sys.stdout.write(_jsonio.dumps(result.to_dict()))
     return 0 if result.ok else 1
@@ -245,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (InputError, ResourceLimitError, FileNotFoundError) as exc:
+    except (InputError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,12 @@ the base.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._assembly import assemble, double_with_pairs, first_fit, slot_targets, top_interval_slots
+from ._assembly import assemble, double_with_pairs, first_fit, slot_targets
+from ._jsonio import Record
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
@@ -235,6 +236,12 @@ class WalkProduct:
     def n_d(self) -> int:
         return self.product.vertex_count
 
+    def doubled(self) -> MultiGraph:
+        """The product's pair doubling, which a beta = 1 embedding takes as
+        its block: the walks' self-loops go to the matching edges, so
+        embedded vertices stay loop-free."""
+        return double_with_pairs(self.product, loops="to_matching")
+
 
 def walk_product(g: MultiGraph, h: ExpanderCertificate, k: int) -> WalkProduct:
     """Build the k-walk product of g over the expander h.
@@ -285,18 +292,13 @@ def walk_product(g: MultiGraph, h: ExpanderCertificate, k: int) -> WalkProduct:
     return WalkProduct(g, h, k, walks, product)
 
 
-def walk_block(
-    g: MultiGraph, d: int, seed: int, k: int
-) -> tuple[ExpanderCertificate, WalkProduct, MultiGraph]:
-    """What a beta = 1 embedding doubles into its block, as (h, wp, doubled):
-    the expander h drawn on g's vertex set from ``seed``, the k-walk product
-    wp of g over h and wp's pair doubling, whose matching edges take the
-    walks' self-loops so embedded vertices stay loop-free.  The walk caps are
-    checked before the expander is drawn."""
+def walk_block(g: MultiGraph, d: int, seed: int, k: int) -> WalkProduct:
+    """The k-walk product of g over the expander drawn on g's vertex set
+    from ``seed``, whose ``doubled()`` a beta = 1 embedding takes as its
+    block.  The walk caps are checked before the expander is drawn."""
     check_walk_caps(g.vertex_count, d, k)
     h = random_regular_expander(g.vertex_count, d, seed)
-    wp = walk_product(g, h, k)
-    return h, wp, double_with_pairs(wp.product, loops="to_matching")
+    return walk_product(g, h, k)
 
 
 def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> int:
@@ -315,7 +317,7 @@ def count_walks_within(h: ExpanderCertificate, members: list[int], k: int) -> in
 
 
 @dataclass(frozen=True)
-class KWindow:
+class KWindow(Record):
     """Walk length window [lnln n/(3 ln d), lnln n/ln d] and the pick in it."""
 
     k_l: float
@@ -323,9 +325,6 @@ class KWindow:
     k: int
     delta_k: float  # d^(k-1) * 3k^2 at the picked k
     window_empty: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def walk_degree_bound(d: int, k: int) -> float:
@@ -359,7 +358,7 @@ def choose_k(n: int, d: int) -> KWindow:
 
 
 @dataclass(frozen=True)
-class Beta1Params:
+class Beta1Params(Record):
     """Embedding parameters for beta = 1: alpha = ln(n_d), x = ln(n_d)/e^alpha."""
 
     n_d: float
@@ -370,14 +369,6 @@ class Beta1Params:
     h: float  # sqrt(e^alpha / alpha)
     L: int  # round(alpha), at least 1
     bumps: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Beta1Params:
-        """Inverse of ``to_dict``; keys that are not fields are ignored."""
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _beta1_at_alpha(n_d: float, alpha: float, bumps: int) -> Beta1Params:
@@ -420,21 +411,13 @@ def choose_params_beta1(n_d: int | float) -> Beta1Params:
 
 
 @dataclass(frozen=True)
-class LayeredBound:
+class LayeredBound(Record):
     """Layered cover estimate for IS([x*delta, delta]) in an (alpha,1)-PLG."""
 
     exact: int
     asymptotic: float
     naive: int
     layers: tuple[tuple[int, int, int], ...]  # (lo, hi, term) per layer
-
-    def to_dict(self) -> dict:
-        return {
-            "exact": self.exact,
-            "asymptotic": self.asymptotic,
-            "naive": self.naive,
-            "layers": [list(t) for t in self.layers],
-        }
 
 
 def layered_is_bound(params: Beta1Params) -> LayeredBound:
@@ -512,14 +495,11 @@ def beta1_bounds(params: Beta1Params, extras: dict) -> tuple[dict[str, float], L
 
 
 @dataclass(frozen=True)
-class GapRatio:
+class GapRatio(Record):
     """Amplified approximation-gap ratio between the two instance classes."""
 
     ratio: float
     min_expander_degree: float  # the d > 16/(b-a)^2 requirement
-
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "min_expander_degree": self.min_expander_degree}
 
 
 def gap_ratio(a: float, b: float, eps2: float, k: int) -> GapRatio:
@@ -597,7 +577,8 @@ def embed_beta1(
         raise InputError("embedding requires a simple input graph")
     n = g.vertex_count
     k = 2 if k_override is None else k_override
-    h, wp, doubled = walk_block(g, d, seed, k)
+    wp = walk_block(g, d, seed, k)
+    h, doubled = wp.expander, wp.doubled()
     window = choose_k(n, d) if n >= 16 else None
     dgraph = wp.product
     n_d = dgraph.vertex_count
@@ -611,17 +592,13 @@ def embed_beta1(
         params = _beta1_fit(float(n_d), t)
         if params is None:
             return None
-        seated = slot_targets(doubled, top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x))
+        seated = slot_targets(doubled, interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta))
         return None if seated is None else (params, seated)
 
     params, (pair_targets, leftover) = first_fit(trial, 1 << 30)
     p = PowerLawParams(params.alpha, 1.0)
 
-    g2_targets = (
-        interval_degree_sequence(p, 1, params.a_x - 1)
-        if params.a_x > 1
-        else np.zeros(0, dtype=np.int64)
-    )
+    g2_targets = interval_degree_sequence(p, 1, params.a_x - 1)
     # Witness: walks confined to a maximal independent set of g are pairwise
     # non-adjacent in D; their first pair members stay independent in the PLG.
     witness_source = greedy_maximal_is(g)

@@ -11,11 +11,12 @@ bounds, and every independent set of the input maps to one of the output.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._assembly import assemble, double_with_pairs, first_fit, slot_targets, top_interval_slots
+from ._assembly import assemble, double_with_pairs, first_fit, slot_targets
+from ._jsonio import Record
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
@@ -37,18 +38,22 @@ def double_graph(g: MultiGraph) -> MultiGraph:
     Copies have degree 2*deg(v)+1, the output has the same maximum
     independent set size as the input, and the pair edges form a perfect
     matching available for multi-edge degree fill.  Defined for simple
-    graphs only.
+    graphs only: a self-loop or multi-edge raises ``InputError``.  Raises
+    ``ResourceLimitError`` before building anything when the copies alone
+    pass ``DEFAULT_VERTEX_CAP``.
     """
-    if not g.is_simple():
-        raise InputError("double_graph requires a simple graph")
+    if 2 * g.vertex_count > DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"output would have at least {2 * g.vertex_count} vertices (cap {DEFAULT_VERTEX_CAP})"
+        )
     return double_with_pairs(g)
 
 
 @dataclass(frozen=True)
-class Sub1Params:
+class Sub1Params(Record):
     """Embedding parameters for the beta < 1 construction."""
 
-    n: int  # doubled vertex count to embed
+    n_embedded: int  # doubled vertex count to embed
     beta: float
     x: float
     alpha: float
@@ -57,17 +62,6 @@ class Sub1Params:
     y_split: float  # delta^(-1/2)
     g3_cut: int  # ceil(e^(alpha/(beta+1)))
     bumps: int
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_embedded"] = d.pop("n")
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Sub1Params:
-        """Inverse of ``to_dict``; keys that are not fields are ignored."""
-        d = {**d, "n": d["n_embedded"]}
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def choose_params_sub1(n: int, beta: float) -> Sub1Params:
@@ -94,7 +88,7 @@ def choose_params_sub1(n: int, beta: float) -> Sub1Params:
         if x * d + 1e-9 < n or interval_size_exact(p, a_x, d) < n:
             return None
         return Sub1Params(
-            n=n,
+            n_embedded=n,
             beta=beta,
             x=x,
             alpha=alpha,
@@ -160,12 +154,7 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]
         raise InputError("need at least one vertex")
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
-    # The embedded block alone has 2n vertices; refuse before doubling.
-    if 2 * g.vertex_count > DEFAULT_VERTEX_CAP:
-        raise ResourceLimitError(
-            f"output would have at least {2 * g.vertex_count} vertices (cap {DEFAULT_VERTEX_CAP})"
-        )
-    gd = double_with_pairs(g)
+    gd = double_graph(g)
     params = choose_params_sub1(gd.vertex_count, beta)
     p = PowerLawParams(params.alpha, beta)
     n_total = interval_size_exact(p, 1, p.delta)
@@ -176,24 +165,16 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]
             f"(caps {DEFAULT_VERTEX_CAP}, {DEFAULT_EDGE_CAP})"
         )
 
-    seated = slot_targets(gd, top_interval_slots(p, params.a_x))
+    seated = slot_targets(gd, interval_degree_sequence(p, params.a_x, p.delta))
     if seated is None:
         raise InternalError("slot assignment infeasible despite satisfied conditions")
     pair_targets, leftover = seated
 
     # The split point e^(alpha/(beta+1)) can exceed x*delta at small n (high
     # beta); G1 is then clipped so the residual classes stay a partition.
-    g1_high = min(params.g3_cut, params.a_x) - 1
-    if params.g3_cut <= params.a_x - 1:
-        g2_low = interval_degree_sequence(p, params.g3_cut, params.a_x - 1)
-    else:
-        g2_low = np.zeros(0, dtype=np.int64)
-    g2_targets = np.concatenate([g2_low, leftover])
-    g1_targets = (
-        interval_degree_sequence(p, 1, g1_high)
-        if g1_high >= 1
-        else np.zeros(0, dtype=np.int64)
-    )
+    cut = min(params.g3_cut, params.a_x)
+    g2_targets = np.concatenate([interval_degree_sequence(p, cut, params.a_x - 1), leftover])
+    g1_targets = interval_degree_sequence(p, 1, cut - 1)
     witness_source = greedy_maximal_is(g)
     graph, assembled = assemble(
         p,

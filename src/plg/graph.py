@@ -37,6 +37,7 @@ from .errors import InputError, ParseError
 
 # Largest key base whose keys u * base + v (u, v < base) stay below 2^63.
 _MAX_KEY_BASE = 3_037_000_499
+_INT64_LIMIT = 1 << 63
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
@@ -245,10 +246,8 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
     if len(s) * (len(s) - 1) // 2 <= g.distinct_edge_count():
         i, j = np.triu_indices(len(mem), 1)
         return not g.multiplicities(mem[i], mem[j]).any()
-    inside = np.zeros(g.vertex_count, dtype=bool)
-    inside[mem] = True
     u, v, _ = g.arrays()
-    return not (inside[u] & inside[v] & (u != v)).any()
+    return not (np.isin(u, mem) & np.isin(v, mem) & (u != v)).any()
 
 
 # -- text format ------------------------------------------------------------
@@ -392,15 +391,14 @@ def write_graph(g: MultiGraph) -> str:
     return str(_graph_bytes(g), "utf-8")
 
 
-def _read_canonical(text: str) -> MultiGraph | None:
-    """The graph of ``text`` if ``write_graph`` reproduces ``text`` exactly
-    from it, else None.  The parse is lenient (numpy's text reader over the
-    edge lines with their 'e's deleted, ``str.split`` over the label lines)
-    and checks only what the constructor checks.  It is sound: a tag split
-    on whitespace holds none, and every line separator is whitespace, so the
+def _read_canonical(data: bytes) -> MultiGraph | None:
+    """The graph of ``data`` if the writer reproduces ``data`` exactly from
+    it, else None.  The parse is lenient (numpy's text reader over the edge
+    lines with their 'e's deleted, ``str.split`` over the label lines) and
+    checks only what the constructor checks.  It is sound: a tag split on
+    whitespace holds none, and every line separator is whitespace, so the
     line parser reads a text equal to a graph's rendering to that graph."""
     try:
-        data = text.encode("utf-8")
         head = _HEADER.match(data)
         if head is None:
             return None
@@ -419,13 +417,24 @@ def _read_canonical(text: str) -> MultiGraph | None:
     return g if np.array_equal(_graph_bytes(g), np.frombuffer(data, dtype=np.uint8)) else None
 
 
-def read_graph(text: str) -> MultiGraph:
-    g = _read_canonical(text)
-    return g if g is not None else _read_lines(text)
+def read_graph(data: bytes | str) -> MultiGraph:
+    """The graph of a text in the format above, given as UTF-8 bytes (a str
+    is encoded first).  Raises ``ParseError`` on a malformed text."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    g = _read_canonical(data)
+    return g if g is not None else _read_lines(data)
 
 
-def _read_lines(text: str) -> MultiGraph:
-    """Line-by-line parser for any valid text; raises ParseError otherwise."""
+def _read_lines(data: bytes) -> MultiGraph:
+    """Line-by-line parser for any valid text; raises ParseError otherwise,
+    on bytes that are not UTF-8 too."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first bad byte, counted as str.splitlines counts.
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError("text is not UTF-8", line_no) from None
     n = None
     declared_edges = None
     edges: dict[tuple[int, int], int] = {}
@@ -463,6 +472,8 @@ def _read_lines(text: str) -> MultiGraph:
                 raise ParseError(f"endpoint out of range: ({u},{v})", line_no)
             if m <= 0:
                 raise ParseError(f"non-positive multiplicity {m}", line_no)
+            if max(v, m) >= _INT64_LIMIT:
+                raise ParseError("edge fields must be below 2^63", line_no)
             if (u, v) in edges:
                 raise ParseError(f"duplicate edge ({u},{v})", line_no)
             edges[(u, v)] = m

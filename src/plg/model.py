@@ -119,11 +119,12 @@ def degree_count(p: PowerLawParams, i: int) -> int:
     """y_i = floor(e^alpha / i^beta); zero outside 1..delta."""
     if i < 1 or i > p.delta:
         return 0
-    return guarded_floor(math.exp(p.alpha) / i**p.beta)
+    return int(_floored_at(p, np.float64(i)))
 
 
 def _floored_at(p: PowerLawParams, i: np.ndarray) -> np.ndarray:
-    """y_i as int64 by the snap rule, for an array of float64 degrees >= 1."""
+    """y_i as int64 by the snap rule, for float64 degrees >= 1 (an array or
+    a scalar): the one floored count kernel."""
     v = math.exp(p.alpha) / i**p.beta
     c = np.round(v)
     snapped = np.abs(v - c) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))

@@ -105,17 +105,12 @@ class CliqueCoverCertificate:
         }
 
 
-def interval_counts(p: PowerLawParams, a: int, b: int) -> np.ndarray:
-    """(y_a, ..., y_b) as an int64 array."""
-    return _floored_counts(p, max(a, 1), min(b, p.delta))
-
-
 def interval_degree_sequence(p: PowerLawParams, a: int, b: int) -> np.ndarray:
-    """Sorted degree sequence of the interval [a, b]: y_i copies of each i."""
-    if not (1 <= a <= b <= p.delta):
+    """Sorted degree sequence of the interval [a, b]: y_i copies of each i,
+    empty when a > b.  Raises ``InputError`` when a < 1 or b > delta."""
+    if a < 1 or b > p.delta:
         raise InputError(f"need 1 <= {a} <= {b} <= delta={p.delta}")
-    counts = interval_counts(p, a, b)
-    return np.repeat(np.arange(a, b + 1, dtype=np.int64), counts)
+    return np.repeat(np.arange(a, b + 1, dtype=np.int64), _floored_counts(p, a, b))
 
 
 def _clique_walk(d: np.ndarray) -> tuple[list[range], list[int]]:

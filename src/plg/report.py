@@ -40,23 +40,52 @@ def degree_conformance(
     conformance passes iff the histogram differences are exactly those
     predicted by the deficit list.  A target outside the histogram's range
     leaves its buckets mismatched rather than failing.
-    """
-    from .model import degree_counts
 
-    deg = g.degrees()
-    size = max(p.delta + 2, int(deg.max(initial=0)) + 1)
+    Buckets 0..delta+1 are tabulated, and degrees and deficit buckets above
+    them are counted sparsely.  Two bounds keep every array within the
+    graph's size, each leaving out buckets above one that must mismatch, so
+    the lowest mismatched bucket is still listed:
+      * with k deficits, more than 2 * (distinct edges) + k vertices put
+        bucket 0 past what the deficits explain: buckets above 0 are left
+        out, and no per-vertex array is built;
+      * each class 1..delta holds a vertex, so when delta exceeds n + 2k + 1
+        the n degrees and 2k deficit buckets leave a class up to n + 2k + 1
+        empty: the classes above it are left out.
+    """
+    from .model import _floored_counts, degree_counts
+
+    n, k = g.vertex_count, len(deficits)
+    # The highest bucket listed (None: all are) and the tabulated buckets
+    # 0..size-1; bucket 0 alone is counted sparsely, as n may pass int64.
+    if n > 2 * g.distinct_edge_count() + k:
+        listed, size = 0, 0
+    elif p.delta > n + 2 * k + 1:
+        listed = n + 2 * k + 1
+        size = listed + 1
+    else:
+        listed, size = None, p.delta + 2
+    classes = min(p.delta, size - 1)
     expected = np.zeros(size, dtype=np.int64)
-    expected[1 : p.delta + 1] = degree_counts(p)
-    outside: dict[int, int] = {}  # bucket -> expected count, outside [0, size)
+    expected[1 : classes + 1] = degree_counts(p) if classes == p.delta else _floored_counts(p, 1, classes)
+    outside: dict[int, list[int]] = {}  # bucket -> [expected, actual], outside [0, size)
     for _v, t in deficits:
         for bucket, change in ((t, -1), (t - 1, 1)):
             if 0 <= bucket < size:
                 expected[bucket] += change
             else:
-                outside[bucket] = outside.get(bucket, 0) + change
-    actual = np.bincount(deg, minlength=size)
+                outside.setdefault(bucket, [0, 0])[0] += change
+    if listed == 0:
+        u, v, _ = g.arrays()
+        outside.setdefault(0, [0, 0])[1] = n - len(np.unique(np.concatenate([u, v])))
+        actual = np.zeros(0, dtype=np.int64)
+    else:
+        deg = g.degrees()
+        high = deg >= size
+        for d, c in zip(*np.unique(deg[high], return_counts=True)):
+            outside.setdefault(int(d), [0, 0])[1] = int(c)
+        actual = np.bincount(deg[~high], minlength=size)
     mism = {int(i): (int(expected[i]), int(actual[i])) for i in np.flatnonzero(expected != actual)}
-    mism.update({b: (c, 0) for b, c in outside.items() if c})
+    mism.update({b: (e, a) for b, (e, a) in outside.items() if e != a and (listed is None or b <= listed)})
     mism = dict(sorted(mism.items()))
     return Conformance(ok=not mism, deficits=deficits, mismatched_buckets=mism)
 

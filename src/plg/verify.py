@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._assembly import double_with_pairs, map_witness
+from ._assembly import map_witness
 from .embed_beta1 import Beta1Params, beta1_bounds, walk_block
-from .embed_sub1 import Sub1Params, sub1_bounds
+from .embed_sub1 import Sub1Params, double_graph, sub1_bounds
 from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
@@ -138,12 +138,14 @@ _BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
 @_check("embedded")
 def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
     """The part ``block`` is the doubling ``doubled`` and the report's
-    spectrum is that of the expander ``h``, all from ``block_source()``: the
-    block is [0, 2m), the recorded lambdas and pass flag match ``h`` (kind
-    "beta1"), and every edge inside the block has its multiplicity in
-    ``doubled``, or at least that on a pair edge {2i, 2i+1}, which the fill
-    raises.  So the block's independent sets are those of ``doubled``."""
-    block, doubled, _, h = block_source()
+    spectrum is that of the expander ``h``, all from ``block_source``, the
+    ``_embedded_source`` tuple or the exception its build raised (raised
+    again here): the block is [0, 2m), the recorded lambdas and pass flag
+    match ``h`` (kind "beta1"), and every edge inside the block has its
+    multiplicity in ``doubled``, or at least that on a pair edge {2i, 2i+1},
+    which the fill raises.  So the block's independent sets are those of
+    ``doubled``."""
+    block, doubled, _, h = _built(block_source)
     n_embed = doubled.vertex_count
     if list(rep["parts"][block]["range"]) != [0, n_embed]:
         return f"{block} is not the block [0,{n_embed})"
@@ -171,38 +173,29 @@ def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
 
 def _embedded_source(rep: dict, original: MultiGraph):
     """The embedded block's name, the doubling it must equal, the walks its
-    witness maps and the expander behind them, if any.  Kind "sub1": the
-    input's doubling, walked one vertex at a time.  Kind "beta1":
-    ``walk_block`` of the input at the report's (d, seed, k), once n_base is
-    checked against the input; a refusal raises ``InputError("walk product:
-    …")``."""
+    witness maps and the expander behind them, if any.  Kind "sub1":
+    ``double_graph`` of the input, which refuses an input the embedder would
+    refuse as too large before doubling it, walked one vertex at a time.
+    Kind "beta1": the doubled ``walk_block`` of the input at the report's
+    (d, seed, k), once n_base is checked against the input; a refusal
+    raises ``InputError("walk product: …")``."""
     if rep["kind"] == "sub1":
-        return "Gprime", double_with_pairs(original), np.arange(original.vertex_count)[:, None], None
+        return "Gprime", double_graph(original), np.arange(original.vertex_count)[:, None], None
     ex = rep["extras"]
     try:
         if ex["n_base"] != original.vertex_count:
             raise InputError(f"n_base {ex['n_base']} is not the input's {original.vertex_count} vertices")
-        h, wp, doubled = walk_block(original, ex["d"], ex["seed"], ex["k"])
+        wp = walk_block(original, ex["d"], ex["seed"], ex["k"])
     except (InputError, ResourceLimitError) as exc:
         raise InputError(f"walk product: {exc}") from exc
-    return "D", doubled, wp.walks, h
+    return "D", wp.doubled(), wp.walks, wp.expander
 
 
-def _source_once(rep: dict, original: MultiGraph):
-    """``_embedded_source`` as a function that builds it on its first call
-    and returns it, or raises what the build raised, at every call."""
-    built: list = []
-
-    def block_source():
-        if not built:
-            try:
-                built.append(_embedded_source(rep, original))
-            except Exception as exc:
-                built.append(exc)
-        if isinstance(built[0], Exception):
-            raise built[0]
-        return built[0]
-
+def _built(block_source):
+    """``block_source``, an ``_embedded_source`` tuple, or the exception its
+    build raised, raised again."""
+    if isinstance(block_source, Exception):
+        raise block_source
     return block_source
 
 
@@ -210,8 +203,8 @@ def _source_once(rep: dict, original: MultiGraph):
 def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_source) -> str:
     """The witness is independent in the output and is exactly the image of
     its source, an independent set of the input, under the walks of
-    ``block_source()``."""
-    walks = block_source()[2]
+    ``block_source`` (as in ``_check_embedded``)."""
+    walks = _built(block_source)[2]
     witness = rep["witness"]
     if not is_independent(plg, witness):
         return "witness not independent in output"
@@ -251,9 +244,12 @@ def verify_embedding(
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
-    # The witness and the embedded block share one rebuild of the source,
-    # made when the witness check first needs it, after the certificates.
-    block_source = _source_once(rep, original)
+    # The witness and the embedded block share one rebuild of the source;
+    # a refused rebuild fails both checks with the same detail.
+    try:
+        block_source = _embedded_source(rep, original)
+    except Exception as exc:
+        block_source = exc
     checks = [
         _check_conformance(plg, rep),
         _check_parts(plg, rep),

@@ -24,3 +24,17 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # The benchmark's tracer wraps each (module, attribute) it lists and
+    # fails at install on one that is gone, so a rename must fail here too.
+    import importlib
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, _span, _count in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)

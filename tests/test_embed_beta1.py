@@ -627,13 +627,11 @@ def test_assign_pair_slots_matches_loop(slots, needs):
 def test_assign_pair_slots_matches_loop_on_search_slots():
     # The slot lists the beta = 1 search sees: a top interval per alpha step,
     # against the ascending doubled degrees of a walk product.
-    from plg._assembly import top_interval_slots
-
     rng = random.Random(11)
     for n_d in (16, 64, 256):
         for t in (0, 1, 5, 30):
             params = _beta1_at_alpha(float(n_d), math.log(n_d) + t * math.log1p(1.0 / n_d), t)
-            slots = top_interval_slots(PowerLawParams(params.alpha, 1.0), params.a_x)
+            slots = interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta)
             needs = sorted(rng.randint(1, 4 * int(math.log(n_d)) + 3) for _ in range(n_d))
             _assert_slots_match_loop(slots.tolist(), needs)
 

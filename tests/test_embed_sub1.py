@@ -98,7 +98,7 @@ def test_residual_bound_g3_example():
     from plg import Sub1Params
 
     sp = Sub1Params(
-        n=4, beta=0.5, x=0.25, alpha=4.0, delta=2980, a_x=746,
+        n_embedded=4, beta=0.5, x=0.25, alpha=4.0, delta=2980, a_x=746,
         y_split=2980**-0.5, g3_cut=15, bumps=0,
     )
     rb = residual_is_bound_sub1(sp)
@@ -114,7 +114,7 @@ def test_g1_bound_scales_with_sqrt_delta_beta_half():
     for alpha in [2 + 0.5 * i for i in range(13)]:
         delta = math.floor(math.exp(alpha / 0.5))
         sp = Sub1Params(
-            n=2, beta=0.5, x=0.25, alpha=alpha, delta=delta,
+            n_embedded=2, beta=0.5, x=0.25, alpha=alpha, delta=delta,
             a_x=math.ceil(0.25 * delta), y_split=delta**-0.5,
             g3_cut=math.ceil(math.exp(alpha / 1.5)), bumps=0,
         )

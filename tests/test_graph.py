@@ -90,6 +90,9 @@ def test_read_examples():
         ("p plg 2 2\ne 0 1 1\ne 0 1 2\n", 3),  # duplicate edge
         ("e 0 1 1\n", 1),  # missing header
         ("p plg 2 1\nz 0 1 1\n", 2),  # unknown line type
+        (b"p plg 2 1\ne 0 1 1\nl 0 \xff\n", 3),  # not UTF-8
+        (b"\xffp plg 1 0\n", 1),
+        (b"p plg 2 0\r\n\x0bl 0 \xc3\n", 3),  # str.splitlines counts \x0b as a line break
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -251,8 +254,8 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     for name in names:
         lines = MUTATIONS[name](lines, data)
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
-    fast = _read_canonical(text)
-    slow, slow_err = _outcome(_read_lines, text)
+    fast = _read_canonical(text.encode())
+    slow, slow_err = _outcome(_read_lines, text.encode())
     if fast is not None:
         assert slow_err is None and fast == slow
     assert _outcome(read_graph, text) == (slow, slow_err)
@@ -272,8 +275,8 @@ def test_round_trip_seeded_loops_multi_edges_labels():
         labels = {v: rng.choice(["embedded", "residual-G1", "residual-G2"]) for v in range(0, n, 3)}
         g = MultiGraph(n, edges, labels)
         text = write_graph(g)
-        assert text == write_graph(_read_lines(text))
-        assert _read_canonical(text) == g == read_graph(text)
+        assert text == write_graph(_read_lines(text.encode()))
+        assert _read_canonical(text.encode()) == g == read_graph(text)
         assert write_graph(read_graph(text)) == text
 
 
@@ -287,7 +290,7 @@ def test_round_trip_seeded_loops_multi_edges_labels():
 )
 def test_huge_header_keys_do_not_overflow(text, u, v, m):
     g = read_graph(text)
-    assert _read_canonical(text) == g == _read_lines(text)
+    assert _read_canonical(text.encode()) == g == _read_lines(text.encode())
     assert g.multiplicity(u, v) == m
     assert g.multiplicity(u, v + 1) == 0
     assert g.multiplicity(0, g.vertex_count - 1) == 0

@@ -220,6 +220,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["latin1.plg", "."], ids=["not-utf8", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in"],
+        ["walkprod", "--d", "4", "--k", "2", "--seed", "1", "--in"],
+        ["verify", "--report", "r.json", "--in", "c5.plg", "--plg"],
+        ["verify", "--plg", "c5.plg", "--report", "r.json", "--in"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_cli_unreadable_graph_file_exits_2(tmp_path, monkeypatch, capsys, argv, bad):
+    monkeypatch.chdir(tmp_path)
+    write_c5(tmp_path / "c5.plg")
+    (tmp_path / "r.json").write_text("{}")
+    (tmp_path / "latin1.plg").write_bytes(b"p plg 2 1\ne 0 1 1\nl 0 na\xefve\n")
+    assert main(argv + [bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if bad != ".":
+        assert err == "error: line 3: text is not UTF-8\n"
+
+
+@pytest.mark.parametrize("text", ["", "{", "not json", "\ufeff{]"])
+def test_cli_verify_report_not_json_fails_schema(tmp_path, capsys, text):
+    write_c5(tmp_path / "c5.plg")
+    out, rep = tmp_path / "e.plg", tmp_path / "e.json"
+    argv = ["--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(rep)]
+    assert main(["embed-sub1", "--beta", "0.5", *argv]) == 0
+    rep.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(tmp_path / "c5.plg")]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [{"check": "schema", "ok": False, "detail": "unknown schema"}]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -433,6 +468,30 @@ def test_conformance_matches_dict_check_on_forged_deficits(c5, beta):
         assert _check_conformance(g, doc) == _dict_check_conformance(g, doc), deficits
 
 
+def test_conformance_matches_dict_check_past_size_bounds():
+    # Small graphs against forged parameters: more degree-0 vertices than
+    # deficits explain, or fewer vertices than delta has classes.  The check
+    # tabulates only up to a bucket that must mismatch, and reports the same
+    # lowest bucket as the full dict check.
+    rng = random.Random(7)
+    fired = 0
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        edges: dict[tuple[int, int], int] = {}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            edges[(u, v)] = edges.get((u, v), 0) + rng.choice([1, 1, 2, 5])
+        g = MultiGraph(n, edges)
+        beta = rng.choice([0.5, 0.8, 1.0])
+        alpha = rng.uniform(0.3, 3.0) * beta
+        delta = PowerLawParams(alpha, beta).delta
+        deficits = [[rng.randrange(n), rng.randint(-2, delta + 3)] for _ in range(rng.randint(0, 2))]
+        doc = {"params": {"alpha": alpha, "beta": beta}, "parity_deficits": deficits}
+        fired += n > 2 * len(edges) + len(deficits) or delta > n + 2 * len(deficits) + 1
+        assert _check_conformance(g, doc) == _dict_check_conformance(g, doc), (n, edges, alpha, beta, deficits)
+    assert fired > 100
+
+
 def test_conformance_fails_on_out_of_range_deficit(c5):
     g, rep = embed_sub1(c5, 0.5)
     doc = rep.to_dict()
@@ -501,6 +560,59 @@ def test_certificate_check_fails_more_pairs_than_edges():
     got = _check_certificates(MultiGraph(10, k10[1:]), rep)
     assert not got["ok"]
     assert got["detail"] == "P: cliques need 45 distinct edges, the graph has 44"
+
+
+def _huge_multiplicity(tmp_path):
+    path = tmp_path / "g.plg"
+    lines = path.read_text().split("\n")
+    # The last edge that is not a loop: its endpoints get degree about 10^18.
+    i = max(j for j, line in enumerate(lines) if line.startswith("e ") and line.split()[1] != line.split()[2])
+    lines[i] = " ".join(lines[i].split()[:3] + [str(10**18)])
+    path.write_text("\n".join(lines))
+
+
+def _huge_output_header(tmp_path):
+    path = tmp_path / "g.plg"
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(f"p plg 68719476736 {head.split()[3]}\n{rest}")
+
+
+def _forged_alpha(alpha):
+    def forge(tmp_path):
+        rep = json.loads((tmp_path / "r.json").read_text())
+        rep["params"]["alpha"] = alpha
+        (tmp_path / "r.json").write_text(json.dumps(rep))
+
+    return forge
+
+
+def _huge_input_header(tmp_path):
+    path = tmp_path / "in.plg"
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(f"p plg 20000000000 {head.split()[3]}\n{rest}")
+
+
+@pytest.mark.parametrize(
+    "beta, forge, failed",
+    [
+        (0.5, _huge_multiplicity, ["conformance"]),  # 6.94 EiB of histogram
+        (0.5, _huge_output_header, ["conformance", "parts"]),  # 512 GiB of degrees
+        (0.8, _forged_alpha(24), ["conformance", "bounds"]),  # 77.8 TiB of counts
+        (0.8, _forged_alpha(30), ["conformance", "bounds"]),  # 137 PiB of counts
+        (0.5, _huge_input_header, ["witness", "embedded"]),  # 149 GiB of doubling
+    ],
+    ids=["multiplicity-1e18", "output-header-2^36", "alpha-24", "alpha-30", "input-header-2e10"],
+)
+def test_cli_verify_fails_oversized_numbers_before_allocating(tmp_path, beta, forge, failed):
+    # Numbers in a header or report that would size an array past memory
+    # fail a check instead; run apart under a 2 GiB address space.
+    write_c5(tmp_path / "in.plg")
+    argv = ["embed-sub1", "--beta", str(beta), "--in", "in.plg", "--out", "g.plg", "--report", "r.json"]
+    assert _run_cli_limited(tmp_path, argv).returncode == 0
+    forge(tmp_path)
+    proc = _run_cli_limited(tmp_path, ["verify", "--plg", "g.plg", "--report", "r.json", "--in", "in.plg"])
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert failing(json.loads(proc.stdout)["checks"]) == failed
 
 
 @pytest.mark.parametrize(
