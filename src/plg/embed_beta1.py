@@ -427,9 +427,12 @@ def layered_is_bound(params: Beta1Params) -> LayeredBound:
     Layer boundaries are ceil(x*delta*h^j) clipped to delta, the last forced
     to delta; with h = sqrt(e^alpha/alpha) only the first two layers are
     non-empty (x*delta*h^2 = delta).  The asymptotic comparison value is
-    (e^a/L)*(1 - a/e^a)/(1 - (a/e^a)^(1/L)).
+    (e^a/L)*(1 - a/e^a)/(1 - (a/e^a)^(1/L)).  An L other than
+    max(1, round(alpha)) raises ``InputError`` before any layer is built.
     """
     p = PowerLawParams(params.alpha, 1.0)
+    if params.L != max(1, round(params.alpha)):
+        raise InputError(f"L must be max(1, round(alpha)) = {max(1, round(params.alpha))}, got {params.L}")
     d = params.delta
     xd = params.x * d
     bounds = [guarded_ceil(xd * params.h**j) for j in range(params.L)]

@@ -20,15 +20,16 @@ time by gathering 4-byte words of a fixed table of ASCII digit rows, and
 each block is copied in with the zero bytes left where a value is shorter
 than its field dropped.
 
-Canonical text is what the writer emits.  The reader keeps its lenient
-numpy parse of a text only if re-emitting the graph reproduces the text
-byte for byte; any other text goes to the line parser.
+Canonical text is what the writer emits.  The reader parses the edge lines
+a block at a time, reading every field at once as the value of a run of
+ASCII digits, and keeps the parse only if the writer renders each block's
+rows back to its bytes and the graph built from them to the header and
+label lines; any other text goes to the line parser.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -171,6 +172,17 @@ class MultiGraph:
         out[found] = self._mult[idx[found]]
         return out
 
+    def later_neighbour_counts(self, u, stop) -> np.ndarray:
+        """Per i, how many of the vertices u[i] + 1 .. stop[i] - 1 share an
+        edge with u[i] >= 0.  Two binary searches on the sorted keys: the
+        edges (u, v) with u < v < stop are the keys in
+        [u * base + u + 1, u * base + min(stop, base)), and a vertex u >=
+        base is no edge's lower endpoint."""
+        u = np.minimum(np.asarray(u, dtype=np.int64), self._base)
+        row = u * self._base
+        hi = np.searchsorted(self._edges, row + np.minimum(stop, self._base))
+        return np.maximum(hi - np.searchsorted(self._edges, row + u + 1), 0)
+
     def distinct_edge_count(self) -> int:
         return len(self._edges)
 
@@ -261,14 +273,19 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 # through the digit-table writer ``_text_buffer`` (base-10^4 chunks gathered
 # from ``_UNITS_WORDS`` and ``_HIGH_WORDS``, compacted block by block); the
 # writer is the format's only definition.  ``read_graph`` checks a text's
-# claim to be canonical by re-emitting the graph its lenient numpy parse
-# gives, and hands any text that the writer does not reproduce (extra
-# whitespace, CRLF, signs, unsorted lines, any error) to the line parser,
-# the only producer of ParseError.
+# claim to be canonical block by block: ``_digit_runs`` reads the fields of
+# a block of edge lines (``_READ_BLOCK_BYTES``, cut at a line break) and
+# ``_text_buffer`` must render them back to the block's bytes; the graph
+# built from all blocks must keep their rows as they are and give the
+# text's header and label lines.  Any text that the writer does not
+# reproduce (extra whitespace, CRLF, signs, leading zeros, unsorted lines,
+# any error) goes to the line parser, the only producer of ParseError.
 
 _HEADER = re.compile(rb"p plg ([0-9]+) [0-9]+\n")
 _CHUNK = 10_000  # the writer's digit chunk, four places
 _WRITE_BLOCK_BYTES = 1 << 20  # the writer's line matrix, per block of rows
+_READ_BLOCK_BYTES = 1 << 18  # the reader's edge text, per block of lines
+_MIN_EDGE_LINE = len(b"e 0 0 1\n")
 
 
 def _digit_rows() -> tuple[np.ndarray, np.ndarray]:
@@ -379,42 +396,108 @@ def _format_edges(cols: EdgeArrays) -> str:
     return str(_text_buffer(cols).data, "ascii")
 
 
+def _header(g: MultiGraph) -> bytes:
+    return f"p plg {g.vertex_count} {g.distinct_edge_count()}\n".encode("ascii")
+
+
+def _label_text(g: MultiGraph) -> bytes:
+    return "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels)).encode("utf-8")
+
+
 def _graph_bytes(g: MultiGraph) -> np.ndarray:
     """The canonical text of ``g`` as a uint8 array of UTF-8 bytes (ASCII
     but for labels), built in one buffer."""
-    header = f"p plg {g.vertex_count} {g.distinct_edge_count()}\n"
-    labels = "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels))
-    return _text_buffer(g.arrays(), header.encode("ascii"), labels.encode("utf-8"))
+    return _text_buffer(g.arrays(), _header(g), _label_text(g))
 
 
 def write_graph(g: MultiGraph) -> str:
     return str(_graph_bytes(g), "utf-8")
 
 
+def _digit_runs(a: np.ndarray) -> np.ndarray:
+    """At each byte of the uint8 array ``a``, the value of the run of ASCII
+    digits that ends there; 0 at every other byte.
+
+    The writer's place-value chunking in reverse.  Each byte first holds its
+    own digit, then the value of the run of at most 2, 4, 8 and 16 digits
+    ending at it: where the run ending at byte i is longer than w, its
+    2w-digit value is the w-digit value at i plus 10^w times the w-digit
+    value at i - w.  The values are built in uint16, then uint32, then
+    uint64, and a last uint64 step covers runs of 17 to 19 digits; a
+    longer run wraps.  The steps stop once no run is longer than w."""
+    d = a - np.uint8(ord("0"))
+    digit = d < 10
+    val = np.multiply(d, digit, dtype=np.uint16)
+    # more[i]: the run ending at byte i is longer than w, i.e. bytes i-w..i
+    # are all digits.
+    more = np.zeros_like(digit)
+    np.logical_and(digit[1:], digit[:-1], out=more[1:])
+    w = 1
+    for dtype in (np.uint16, np.uint16, np.uint32, np.uint64, np.uint64):
+        if not more.any():
+            break
+        val = val.astype(dtype, copy=False)
+        # Arithmetic on the mask: a masked ufunc branches on every byte.
+        step = more[w:].astype(dtype)
+        step *= dtype(10**w)
+        step *= val[:-w]
+        val[w:] += step
+        more[w:] &= more[:-w]
+        w *= 2
+    return val
+
+
 def _read_canonical(data: bytes) -> MultiGraph | None:
     """The graph of ``data`` if the writer reproduces ``data`` exactly from
-    it, else None.  The parse is lenient (numpy's text reader over the edge
-    lines with their 'e's deleted, ``str.split`` over the label lines) and
-    checks only what the constructor checks.  It is sound: a tag split on
-    whitespace holds none, and every line separator is whitespace, so the
-    line parser reads a text equal to a graph's rendering to that graph."""
+    it, else None.
+
+    The edge text is read in blocks of about ``_READ_BLOCK_BYTES`` cut at
+    line breaks.  A block's rows are the values of its digit runs, three
+    per line, and the writer must render those rows to the block's bytes.
+    The rows go into columns sized for the shortest edge line, and the
+    graph is built from them once.  It must keep every row in place (so no
+    line has u > v, and the lines are sorted with no repeat), and the
+    header and the label lines must be the writer's for it.  This is as
+    strict as re-emitting the whole text, since the writer renders each
+    line from its own row alone."""
     try:
         head = _HEADER.match(data)
         if head is None:
             return None
-        cut = data.find(b"\nl ", head.end() - 1) + 1 or len(data)  # first label line
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.fromstring(data[head.end() : cut].translate(None, b"e"), dtype=np.int64, sep=" ")
-        labels = {}
-        for line in data[cut:].decode("utf-8").splitlines():
-            _, w, tag = line.split()
-            labels[int(w)] = tag
-        g = MultiGraph(int(head[1]), EdgeArrays(*table.reshape(-1, 3).T), labels)
-        del table  # the graph holds copies; free it before re-emitting
-    except (DeprecationWarning, ValueError):  # InputError and UnicodeError are ValueErrors
+        cut = data.find(b"l", head.end())  # the first label line: no edge line holds an 'l'
+        if cut < 0:
+            cut = len(data)
+        text = np.frombuffer(data, dtype=np.uint8)
+        cols = np.empty((3, (cut - head.end()) // _MIN_EDGE_LINE), dtype=np.int64)
+        rows = 0
+        lo = head.end()
+        while lo < cut:
+            hi = data.rfind(b"\n", lo, min(lo + _READ_BLOCK_BYTES, cut)) + 1
+            if hi <= lo:  # a line longer than a block
+                hi = data.find(b"\n", lo, cut) + 1 or cut
+            block = text[lo:hi]
+            digit = block - np.uint8(ord("0")) < 10
+            vals = _digit_runs(block)[np.flatnonzero(digit[:-1] > digit[1:])].astype(np.int64)
+            if len(vals) % 3 or (vals < 0).any():  # a field of 2^63 or more
+                return None
+            part = vals.reshape(-1, 3).T
+            if not np.array_equal(_text_buffer(EdgeArrays(*part)), block):
+                return None
+            cols[:, rows : rows + part.shape[1]] = part
+            rows += part.shape[1]
+            lo = hi
+        # A tag split on whitespace holds no line separator, so the line
+        # parser reads the same labels from a text equal to their rendering.
+        fields = data[cut:].decode("utf-8").split()
+        if len(fields) % 3:
+            return None
+        labels = dict(zip(map(int, fields[1::3]), fields[2::3]))
+        parsed = EdgeArrays(*cols[:, :rows])
+        g = MultiGraph(int(head[1]), parsed, labels)
+    except ValueError:  # InputError and UnicodeError are ValueErrors
         return None
-    return g if np.array_equal(_graph_bytes(g), np.frombuffer(data, dtype=np.uint8)) else None
+    kept = all(np.array_equal(mine, row) for mine, row in zip(g.arrays(), parsed))
+    return g if kept and data[: head.end()] == _header(g) and data[cut:] == _label_text(g) else None
 
 
 def read_graph(data: bytes | str) -> MultiGraph:

@@ -19,7 +19,6 @@ from .embed_sub1 import Sub1Params, double_graph, sub1_bounds
 from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
-from .realizer import clique_pairs
 from .report import SCHEMA, EmbeddingReport, degree_conformance
 
 _REL_TOL = 1e-9
@@ -42,8 +41,9 @@ def _check(name: str):
     """Make a check body, which returns "" on pass or a failure detail, a
     function that returns the check's record.  Report data the body cannot
     use fails the check instead of raising: a missing key, or a value of the
-    wrong type, range or size (``InputError`` among them), or one past a size
-    cap.  ``InternalError`` and ``AssertionError`` still propagate."""
+    wrong type, range or size (``InputError`` among them), one too large for
+    a float, or one past a size cap.  ``InternalError`` and
+    ``AssertionError`` still propagate."""
 
     def decorate(body):
         @functools.wraps(body)
@@ -52,7 +52,7 @@ def _check(name: str):
                 detail = body(*args)
             except KeyError as exc:
                 detail = f"report lacks key {exc}"
-            except (AttributeError, IndexError, TypeError, ValueError, ResourceLimitError) as exc:
+            except (AttributeError, IndexError, OverflowError, TypeError, ValueError, ResourceLimitError) as exc:
                 detail = str(exc) or type(exc).__name__
             return {"check": name, "ok": not detail, "detail": detail}
 
@@ -99,9 +99,9 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
         # misaligned one are tested for missing edges.
         aligned = len(cliques)
         pos = lo
-        # The aligned cliques' pairs are built below; a forged report must
-        # not size them past the graph, so their span and count are checked
-        # first.
+        # The aligned cliques' members are listed below; a forged report
+        # must not size them past the graph, so their span and pair count
+        # are checked first.
         pairs = 0
         for j, (start, stop) in enumerate(cliques):
             if start != pos or stop > hi:
@@ -114,12 +114,18 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
         if pairs > plg.distinct_edge_count():
             return f"{name}: cliques need {pairs} distinct edges, the graph has {plg.distinct_edge_count()}"
         spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
-        # Pairs come clique by clique, so the first missing one is reported.
-        u, v = clique_pairs(spans[:, 0], spans[:, 1] - spans[:, 0])[:2]
-        missing = np.flatnonzero(plg.multiplicities(u, v) < 1)
-        if len(missing):
-            first = missing[0]
-            return f"{name}: missing clique edge ({u[first]},{v[first]})"
+        # Member u of a clique [s, t) has an edge to each of u+1 .. t-1
+        # exactly when it has t - 1 - u of them, so rows are counted, not
+        # pairs listed.  Members come clique by clique in ascending order,
+        # so the first short row holds the first missing pair.
+        sizes = np.maximum(spans[:, 1] - spans[:, 0], 0)
+        stop = np.repeat(spans[:, 1], sizes)
+        u = np.arange(len(stop)) + np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
+        short = np.flatnonzero(plg.later_neighbour_counts(u, stop) < stop - 1 - u)
+        if len(short):
+            x = u[short[0]]
+            later = np.arange(x + 1, stop[short[0]])
+            return f"{name}: missing clique edge ({x},{later[plg.multiplicities(x, later) < 1][0]})"
         if aligned < len(cliques):
             start, stop = cliques[aligned]
             return f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})"

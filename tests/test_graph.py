@@ -254,16 +254,20 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     for name in names:
         lines = MUTATIONS[name](lines, data)
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
-    fast = _read_canonical(text.encode())
     slow, slow_err = _outcome(_read_lines, text.encode())
-    if fast is not None:
-        assert slow_err is None and fast == slow
-    assert _outcome(read_graph, text) == (slow, slow_err)
-    if not names and not crlf:
-        assert fast == g
+    # A line per block, one or a few lines per block, and the default.
+    for block_bytes in (1, 20, 64, graph_module._READ_BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_READ_BLOCK_BYTES", block_bytes)
+            fast = _read_canonical(text.encode())
+            if fast is not None:
+                assert slow_err is None and fast == slow
+            assert _outcome(read_graph, text) == (slow, slow_err)
+        if not names and not crlf:
+            assert fast == g
 
 
-def test_round_trip_seeded_loops_multi_edges_labels():
+def test_round_trip_seeded_loops_multi_edges_labels(monkeypatch):
     rng = random.Random(2024)
     for n, edge_count, top in [(1, 3, 3), (12, 40, 5), (300, 2000, 10**6), (5000, 20000, 10**17)]:
         edges: dict[tuple[int, int], int] = {}
@@ -276,8 +280,11 @@ def test_round_trip_seeded_loops_multi_edges_labels():
         g = MultiGraph(n, edges, labels)
         text = write_graph(g)
         assert text == write_graph(_read_lines(text.encode()))
-        assert _read_canonical(text.encode()) == g == read_graph(text)
-        assert write_graph(read_graph(text)) == text
+        # Blocks of a few lines, of a few hundred, and the default.
+        for block_bytes in (256, 4096, graph_module._READ_BLOCK_BYTES):
+            monkeypatch.setattr(graph_module, "_READ_BLOCK_BYTES", block_bytes)
+            assert _read_canonical(text.encode()) == g == read_graph(text)
+            assert write_graph(read_graph(text)) == text
 
 
 @pytest.mark.parametrize(
@@ -295,6 +302,47 @@ def test_huge_header_keys_do_not_overflow(text, u, v, m):
     assert g.multiplicity(u, v + 1) == 0
     assert g.multiplicity(0, g.vertex_count - 1) == 0
     assert write_graph(g) == text
+
+
+def _run_values(text: str) -> list[int]:
+    """At each character, the value of the digit run ending there, else 0."""
+    out, run = [], ""
+    for ch in text:
+        run = run + ch if ch.isdigit() else ""
+        out.append(int(run) if run else 0)
+    return out
+
+
+_digit_run = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=19).filter(lambda s: int(s) < 2**63),
+    st.integers(0, 2**63 - 1).map(str),
+)
+_separator = st.text(alphabet=" \ne", min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=" \ne", max_size=2), st.lists(st.tuples(_digit_run, _separator)), st.booleans())
+@example("", [], False)
+@example(" ", [("9" * 18, "\n"), (str(2**63 - 1), "e"), ("0" * 19, " ")], True)
+def test_digit_runs_match_python_int(lead, pieces, end_on_digit):
+    # Runs of 1-19 digits with values below 2^63, each followed by a separator.
+    text = lead + "".join(run + sep for run, sep in pieces)
+    if end_on_digit and pieces:
+        text = text[: -len(pieces[-1][1])]
+    got = graph_module._digit_runs(np.frombuffer(text.encode(), dtype=np.uint8))
+    assert [int(x) for x in got] == _run_values(text)
+
+
+def test_later_neighbour_counts_match_brute_force():
+    rng = random.Random(5)
+    for n in (1, 7, 40, 2**40):
+        span = min(n, 40)
+        edges = [tuple(sorted((rng.randrange(span), rng.randrange(span)))) for _ in range(rng.randrange(60))]
+        g = MultiGraph(n, edges)
+        u = [rng.randrange(span + 3) for _ in range(200)]
+        stop = [x + rng.randrange(-2, span + 50) for x in u]
+        want = [sum(g.multiplicity(x, v) > 0 for v in range(x + 1, t)) for x, t in zip(u, stop)]
+        assert g.later_neighbour_counts(u, stop).tolist() == want
 
 
 # -- the digit-table writer against the per-place writer -----------------------

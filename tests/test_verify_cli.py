@@ -382,6 +382,26 @@ def reference_check_certificates(plg, rep):
     return ""
 
 
+def _one_part(n, cliques):
+    return {"parts": {"P": {"range": [0, n]}}, "certificates": {"P": {"cliques": cliques, "is_upper_bound": len(cliques)}}}
+
+
+_K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+# (graph, report, detail) beside the tampered embeddings.
+_CERTIFICATE_CASES = [
+    # Row 1 of [0, 4) lacks (1,2) but holds (1,5) and (1,6) past the clique.
+    (
+        MultiGraph(8, [e for e in _K4 if e != (1, 2)] + [(1, 5), (1, 6), (0, 7)]),
+        _one_part(8, [[0, 4], [4, 5], [5, 6], [6, 7], [7, 8]]),
+        "P: missing clique edge (1,2)",
+    ),
+    # Key base 4 (the largest endpoint is 3), not n = 2^40: the clique [3, 6)
+    # reaches past every endpoint.
+    (MultiGraph(2**40, _K4 + [(v, v) for v in range(4)]), _one_part(6, [[0, 3], [3, 6]]), "P: missing clique edge (3,4)"),
+    (MultiGraph(2**40, _K4 + [(v, v) for v in range(4)]), _one_part(4, [[0, 4]]), ""),
+]
+
+
 def test_certificate_check_matches_pairwise_reference(petersen):
     rng = random.Random(9)
     g, rep = embed_sub1(petersen, 0.5)
@@ -407,6 +427,8 @@ def test_certificate_check_matches_pairwise_reference(petersen):
         got = _check_certificates(tampered, doc)
         assert got["detail"] == reference_check_certificates(tampered, doc)
         assert got["ok"] == (got["detail"] == "")
+    for graph, doc, detail in _CERTIFICATE_CASES:
+        assert _check_certificates(graph, doc)["detail"] == reference_check_certificates(graph, doc) == detail
 
 
 def _dict_check_conformance(plg, rep):
@@ -943,6 +965,15 @@ def _append(*path_and_value):
             "beta1", _set("extras", "seed", -1), ["witness", "embedded"],
             "walk product: seed must be a non-negative integer, got -1",
             id="seed-negative",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "k", 2000), ["witness", "bounds", "embedded"],
+            "walk product: walk product would have 5*4^1999 vertices (cap 200000)",
+            id="k-overflows-float",
+        ),
+        pytest.param(
+            "beta1", _set("params", "L", 10**8), ["bounds"], "L must be max(1, round(alpha)) = 4, got 100000000",
+            id="L-forged",
         ),
     ],
 )
