@@ -99,3 +99,32 @@ def test_golden_outputs(tmp_path, capsys, name):
     assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 0
     got = (_sha(out.read_bytes()), _sha(rep.read_bytes()), _sha(capsys.readouterr().out.encode()))
     assert got == want
+
+
+# realize argv -> sha256 of (graph file, --cert JSON).  The first interval
+# has 221 vertices and its parity deficit at vertex 220, so its last clique's
+# fill starts from residuals not sorted by id; the second has 24,308 vertices.
+GOLDEN_REALIZE = {
+    "alpha5.67-14-29": (
+        ["--alpha", "5.67", "--beta", "1", "--from", "14", "--to", "29"],
+        (
+            "9968ec6e9e8f41dfd66ed1829c34f6435ce59d771baf83e8c8db5c7a196d17bf",
+            "f70fbd274808faf76579aff52c644aebfe9c9393da8f3895a90b4a9a44345467",
+        ),
+    ),
+    "alpha8-1-2980": (
+        ["--alpha", "8", "--beta", "1", "--from", "1", "--to", "2980"],
+        (
+            "c5843adca9f5c78bf5fe6aa0d07b3a5582246b649ad9f68bcc570fdc66a0e6dc",
+            "584420a3276306b9073982837ec59d26ed52683cbe98b46e84ca9efd6cf69cef",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REALIZE))
+def test_golden_realize(tmp_path, name):
+    argv, want = GOLDEN_REALIZE[name]
+    out, cert = tmp_path / "out.plg", tmp_path / "cert.json"
+    assert main(["realize", *argv, "--out", str(out), "--cert", str(cert)]) == 0
+    assert (_sha(out.read_bytes()), _sha(cert.read_bytes())) == want
