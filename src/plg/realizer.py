@@ -29,16 +29,13 @@ next level L2 (0 when none), one event moves
 These give exactly the unit rule's edges, multiplicities and pending vertex,
 with Python work per event rather than per unit.
 
-A group's pairs are not re-listed at each event.  Each level's group is a
-chain (``_Chain``): its ascending ids, one link per consecutive pair, and
-two running accumulators indexed by a link's absolute parity.  A link
-records a snapshot, and owes ``acc[parity] - snapshot`` units.  An even
-round adds to one accumulator; an odd period adds to both and emits only
-(g0, g_last); the one-level-above case adds to one and flushes only the
-split-off last link; removing U's lowest ids flushes only the link it
-breaks.  A merge of non-interleaved chains re-indexes the shorter one onto
-the longer one's accumulators, an interleaved merge flushes both and
-rebuilds, and a chain is flushed when its level reaches 0.
+A group's pairs are not re-listed at each event.  The members are laid out
+once by (residual, id), and every event keeps their levels non-decreasing
+along that layout, so T is always a suffix and U the run under it.  A round
+of T's consecutive pairs is one add to an array of link weights, and units
+between the last member and a range of others one range add to a second
+array; what both owe is emitted at the end, and before a merged run whose
+ids interleave is re-sorted.
 
 If the degree total is odd, one target is lowered by 1 before filling (the
 highest-index vertex whose residual allows it), recorded as the parity
@@ -48,7 +45,6 @@ maximum independent set of the output.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +57,9 @@ from .model import PowerLawParams, _floored_counts, cover_ceiling_sum
 # Materialization cap on distinct edges, shared with the embedders: the
 # interval at alpha = 10, beta = 1 alone needs 156,445,379 clique edges.
 DEFAULT_EDGE_CAP = 10_000_000
+# Longest sequence that can pass that cap: every clique of s >= 2 members has
+# at least s/2 edges, and only the tail clique can have one member.
+SEQUENCE_CAP = 2 * DEFAULT_EDGE_CAP + 1
 
 
 @dataclass
@@ -107,10 +106,18 @@ class CliqueCoverCertificate:
 
 def interval_degree_sequence(p: PowerLawParams, a: int, b: int) -> np.ndarray:
     """Sorted degree sequence of the interval [a, b]: y_i copies of each i,
-    empty when a > b.  Raises ``InputError`` when a < 1 or b > delta."""
+    empty when a > b.  Raises ``InputError`` when a < 1 or b > delta, and
+    ``ResourceLimitError``, before allocating it, when the interval spans
+    or holds more than ``SEQUENCE_CAP`` degrees."""
     if a < 1 or b > p.delta:
         raise InputError(f"need 1 <= {a} <= {b} <= delta={p.delta}")
-    return np.repeat(np.arange(a, b + 1, dtype=np.int64), _floored_counts(p, a, b))
+    if b - a + 1 > SEQUENCE_CAP:
+        raise ResourceLimitError(f"interval [{a}, {b}] spans {b - a + 1} degrees (cap {SEQUENCE_CAP})")
+    counts = _floored_counts(p, a, b)
+    # The max first: a sum of counts past the cap could overflow int64.
+    if len(counts) and (counts.max() > SEQUENCE_CAP or counts.sum() > SEQUENCE_CAP):
+        raise ResourceLimitError(f"interval [{a}, {b}] holds more than {SEQUENCE_CAP} vertices")
+    return np.repeat(np.arange(a, b + 1, dtype=np.int64), counts)
 
 
 def _clique_walk(d: np.ndarray) -> tuple[list[range], list[int]]:
@@ -159,68 +166,22 @@ def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, v, np.repeat(clique, later)
 
 
-class _Chain:
-    """A level's group as a chain: ascending member ids, one link per
-    consecutive pair, and two running accumulators.  Link i has absolute
-    index ``off + i``; its parity picks the accumulator it draws on, and it
-    owes ``acc[parity] - snaps[i]`` units not yet emitted."""
-
-    __slots__ = ("ids", "snaps", "off", "acc")
-
-    def __init__(
-        self, ids: list[int], snaps: list[int] | None = None, off: int = 0, acc: list[int] | None = None
-    ):
-        self.ids = ids
-        self.snaps = [0] * (len(ids) - 1) if snaps is None else snaps
-        self.off = off
-        self.acc = [0, 0] if acc is None else acc
-
-    def flush(self, lo: int, hi: int, us: list[int], vs: list[int], ws: list[int]) -> None:
-        """Emit what links lo..hi-1 owe."""
-        ids, snaps, acc, off = self.ids, self.snaps, self.acc, self.off
-        for i in range(lo, hi):
-            w = acc[(off + i) & 1] - snaps[i]
-            if w:
-                us.append(ids[i])
-                vs.append(ids[i + 1])
-                ws.append(w)
-
-    def rebased(self, acc: list[int], off: int) -> list[int]:
-        """Snapshots that keep every link's owed weight when the chain's links
-        start at absolute index ``off`` and draw on ``acc``."""
-        flip = (off - self.off) & 1
-        snaps = self.snaps[:]
-        for rel in range(min(2, len(snaps))):
-            p = (self.off + rel) & 1
-            shift = acc[p ^ flip] - self.acc[p]
-            if shift:
-                snaps[rel::2] = [s + shift for s in snaps[rel::2]]
-        return snaps
-
-
-def _merge(a: _Chain, b: _Chain, us: list[int], vs: list[int], ws: list[int]) -> _Chain:
-    """One chain of the members of a and b.  When one lies wholly below the
-    other, the longer keeps its links and the shorter is re-indexed onto its
-    accumulators; interleaved chains are flushed and rebuilt."""
-    if a.ids[-1] < b.ids[0]:
-        lo, hi = a, b
-    elif b.ids[-1] < a.ids[0]:
-        lo, hi = b, a
-    else:
-        a.flush(0, len(a.snaps), us, vs, ws)
-        b.flush(0, len(b.snaps), us, vs, ws)
-        return _Chain(sorted(a.ids + b.ids))
-    if len(lo.ids) >= len(hi.ids):
-        off = lo.off + len(lo.ids)
-        lo.snaps.append(lo.acc[(off - 1) & 1])
-        lo.snaps += hi.rebased(lo.acc, off)
-        lo.ids += hi.ids
-        return lo
-    off = hi.off - len(lo.ids)
-    hi.snaps[:0] = lo.rebased(hi.acc, off) + [hi.acc[(hi.off - 1) & 1]]
-    hi.ids[:0] = lo.ids
-    hi.off = off
-    return hi
+def _emit(ids: list[int], link: list[int], star: list[int], us: list[int], vs: list[int], ws: list[int]) -> None:
+    """Append what every link and star pair owes, and zero both arrays."""
+    acc = [0, 0]
+    owed = 0
+    for p in range(len(ids) - 1):
+        acc[p & 1] += link[p]
+        owed += star[p]
+        if acc[p & 1]:
+            us.append(ids[p])
+            vs.append(ids[p + 1])
+            ws.append(acc[p & 1])
+        if owed:
+            us.append(ids[p])
+            vs.append(ids[-1])
+            ws.append(owed)
+    link[:] = star[:] = [0] * len(ids)
 
 
 def _fill_clique(
@@ -234,107 +195,91 @@ def _fill_clique(
     docstring, appending fill batches as pairs (us[i], vs[i]) of
     multiplicity ws[i]; returns the pending vertex, if any.
 
-    Residuals are held as levels: ``groups[r]`` is the chain (``_Chain``) of
-    members with residual r, ``levels`` the ascending list of positive r.
-    Each pass moves the top group T (level ``top``) down in one event, as
-    the unit rule would over many units; U is the group at ``below``, the
-    next level (0 when none).
+    ``ids`` holds the members of positive residual sorted by (residual,
+    id), and ``runs`` is a stack of [first position, level]: a run ends
+    where the next begins, and the bottom run, at level 0, collects the
+    members that are done.  Each pass moves the top run T = [a, n) down in
+    one event, as the unit rule would over many units; U is the run under
+    it (level 0 when none).
 
-    A group's matching is never listed while the group survives: a round
-    of its consecutive pairs (g0,g1), (g2,g3), ... adds to the accumulator
-    of those links' parity, and a link's weight is emitted only when the
-    link breaks (U loses its lowest ids, the last member of an odd group
-    splits off, or two interleaved groups merge) or when its group reaches
-    level 0.  A merge of non-interleaved groups re-indexes the shorter
-    chain onto the longer one's accumulators.  Pairs may still be emitted
-    more than once; callers sum them.
+    Owed weights are kept by position.  Link p is the pair (ids[p],
+    ids[p+1]) and owes the sum of ``link[q]`` over q <= p of p's parity,
+    so a round of T's consecutive pairs is one add at ``link[a]``.  The
+    pair (ids[p], ids[-1]) owes the prefix sum of ``star`` at p, so a lone
+    top member's units on U's lowest ids, or an odd period's (g0, g_last),
+    are one range add.  Both are
+    emitted at the end, and before a merged run whose ids interleave is
+    re-sorted.  Pairs may be emitted more than once; callers sum them.
     """
-    ids_at: dict[int, list[int]] = {}
-    for v, r in zip(members, residuals):
-        if r > 0:
-            ids_at.setdefault(r, []).append(v)
-    groups = {r: _Chain(ids) for r, ids in ids_at.items()}
-    levels = sorted(groups)
+    order = sorted((r, v) for v, r in zip(members, residuals) if r > 0)
+    ids = [v for _, v in order]
+    n = len(ids)
+    link = [0] * n
+    star = [0] * n
+    runs = [[0, 0]]
+    for p, (r, _) in enumerate(order):
+        if r != runs[-1][1]:
+            runs.append([p, r])
 
-    def drop(chain: _Chain, level: int) -> None:
-        if level <= 0:
-            chain.flush(0, len(chain.snaps), us, vs, ws)
+    def settle(i: int) -> None:
+        # Run i joins the run under it when their levels meet; the merged
+        # ids are sorted if the two interleave, after emitting what is owed.
+        lo, hi = runs[i - 1], runs[i]
+        if lo[1] != hi[1]:
             return
-        have = groups.get(level)
-        if have is None:
-            groups[level] = chain
-            bisect.insort(levels, level)
-        else:
-            groups[level] = _merge(have, chain, us, vs, ws)
+        if lo[1] and ids[hi[0] - 1] > ids[hi[0]]:
+            _emit(ids, link, star, us, vs, ws)
+            end = runs[i + 1][0] if i + 1 < len(runs) else n
+            ids[lo[0] : end] = sorted(ids[lo[0] : end])
+        del runs[i]
 
-    while levels:
-        top = levels.pop()
-        group = groups.pop(top)
-        below = levels[-1] if levels else 0
-        ids = group.ids
-        k = len(ids)
-        if k == 1:
-            t = ids[0]
-            if not levels:
-                if top >= 2:
-                    us.append(t)
-                    vs.append(t)
-                    ws.append(top // 2)
-                return t if top % 2 else None
-            under = groups[below]
-            if len(under.ids) == 1:
-                # t pairs with the lone u until u reaches the level below it.
-                del groups[levels.pop()]
-                step = below - (levels[-1] if levels else 0)
-                us.append(t)
-                vs.append(under.ids[0])
-                ws.append(step)
-                drop(under, below - step)
-                drop(group, top - step)
-            else:
-                # t pairs once with each of the j lowest ids of U, one unit
-                # each, until t reaches U's level or U runs out.  The j ids
-                # leave as a chain of their own; only the link to the rest
-                # of U breaks.
-                j = min(top - below, len(under.ids))
-                if j < len(under.ids):
-                    under.flush(j - 1, j, us, vs, ws)
-                    moved = _Chain(under.ids[:j], under.snaps[: j - 1], under.off, under.acc[:])
-                    del under.ids[:j], under.snaps[:j]
-                    under.off += j
-                else:
-                    del groups[levels.pop()]
-                    moved = under
-                us.extend([t] * j)
-                vs.extend(moved.ids)
-                ws.extend([1] * j)
-                drop(moved, below - 1)
-                drop(group, top - j)
-        elif k % 2 == 0:
+    while len(runs) > 1:
+        (b, below), (a, top) = runs[-2], runs[-1]
+        under = len(runs) - 2
+        if a == n - 1:
+            if below == 0:
+                break
+            # t pairs with U's lowest ids: w units with a lone u, until u
+            # reaches the level under U; else one unit with each of the j
+            # lowest, until t reaches U's level or U runs out.
+            j, w = (1, below - runs[under - 1][1]) if a - b == 1 else (min(top - below, a - b), 1)
+            star[b] += w
+            star[b + j] -= w
+            runs[under][1] -= w
+            runs[-1][1] -= j * w
+            if j < a - b:
+                runs.insert(under + 1, [b + j, below])
+                settle(under + 2)
+            settle(under)
+        elif (n - a) % 2 == 0:
             # Rounds of consecutive pairs until the group lands on U.
-            group.acc[group.off & 1] += top - below
-            drop(group, below)
+            link[a] += top - below
+            runs[-1][1] = below
+            settle(under + 1)
         elif top - below >= 2:
             # Odd group: each period of two levels pairs (g0,g1), (g2,g3), ...,
             # then (g0, g_last), then (g1,g2), (g3,g4), ...: every link once.
             f = (top - below) // 2
-            group.acc[0] += f
-            group.acc[1] += f
-            us.append(ids[0])
-            vs.append(ids[-1])
-            ws.append(f)
-            drop(group, top - 2 * f)
+            link[a] += f
+            link[a + 1] += f
+            star[a] += f
+            star[a + 1] -= f
+            runs[-1][1] -= 2 * f
+            settle(under + 1)
         else:
             # One level above U: all but the last member pair off onto U,
             # leaving the last alone on top.
-            group.acc[group.off & 1] += 1
-            group.flush(k - 2, k - 1, us, vs, ws)
-            last = ids.pop()
-            group.snaps.pop()
-            drop(group, below)
-            groups[top] = _Chain([last])
-            levels.append(top)
-    return None
+            link[a] += 1
+            runs[-1][1] = below
+            runs.append([n - 1, top])
+            settle(under + 1)
+    _emit(ids, link, star, us, vs, ws)
+    top = runs[-1][1]
+    if top >= 2:
+        us.append(ids[-1])
+        vs.append(ids[-1])
+        ws.append(top // 2)
+    return ids[-1] if top % 2 else None
 
 
 def _fill_edges(

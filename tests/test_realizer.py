@@ -188,6 +188,27 @@ def test_realize_cap_raises_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, to",
+    [
+        ("30", "1", "1"),  # y_1 = e^30, about 1.07e13 vertices of degree 1
+        ("20", "1", "1"),  # y_1 = 485,165,195: 3.61 GiB before the edge cap
+        ("10", "0.5", "485165195"),  # delta = e^20 degrees, one vertex each
+    ],
+)
+def test_realize_refuses_oversized_interval_before_allocating(tmp_path, capsys, alpha, beta, to):
+    out, cert = tmp_path / "out.plg", tmp_path / "cert.json"
+    argv = ["realize", "--alpha", alpha, "--beta", beta, "--from", "1", "--to", to]
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(out), "--cert", str(cert)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: interval [1, ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- the residual fill against the unit-by-unit heap -----------------------
 
 
@@ -316,14 +337,15 @@ def test_chain_fill_matches_heap(residuals, ordered, offset):
 
 def test_ladder_fill_emits_each_pair_about_once():
     # A group's matching is not re-listed while the group survives: the
-    # ladder above appends at most twice as many entries as it has pairs.
+    # ladder above appends one entry per pair, plus one for the pair its
+    # lowered last member is emitted on before the re-sort.
     members = range(len(_BENCH_LADDER))
     expected: dict[tuple[int, int], int] = {}
     _heap_fill_clique(members, _BENCH_LADDER, expected)
     us: list[int] = []
     _fill_clique(members, _BENCH_LADDER, us, [], [])
     assert len(expected) == 842
-    assert len(us) <= 2 * len(expected)
+    assert len(us) <= len(expected) + 1
 
 
 def _heap_realize(d):
