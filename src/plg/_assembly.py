@@ -37,18 +37,15 @@ def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
     if bad.any():
         kind = "self-loop" if loop[np.argmax(bad)] else "multi-edge"
         raise InputError(f"doubling is defined for simple graphs ({kind} found)")
-    matching = np.ones(n, dtype=np.int64)
-    matching[u[loop]] += 4 * mult[loop]
     a, b = 2 * u[~loop], 2 * v[~loop]
-    pairs = 2 * np.arange(n, dtype=np.int64)
-    return MultiGraph(
-        2 * n,
-        EdgeArrays(
-            np.concatenate([pairs, a, a, a + 1, a + 1]),
-            np.concatenate([pairs + 1, b, b + 1, b, b + 1]),
-            np.concatenate([matching, np.ones(4 * len(a), dtype=np.int64)]),
-        ),
-    )
+    cols = np.ones((3, n + 4 * len(a)), dtype=np.int64)
+    cols[0, :n] = 2 * np.arange(n)
+    cols[1, :n] = cols[0, :n] + 1
+    cols[2, u[loop]] += 4 * mult[loop]
+    copies = cols[:2, n:].reshape(2, 4, len(a))
+    copies[0] = a + np.array([[0], [0], [1], [1]])
+    copies[1] = b + np.array([[0], [1], [0], [1]])
+    return MultiGraph(2 * n, EdgeArrays(*cols))
 
 
 def assign_pair_slots(
@@ -70,7 +67,9 @@ def assign_pair_slots(
     if len(ptr) and ptr[-1] + 1 >= len(slots):
         return None
     targets = list(zip(slots[ptr].tolist(), slots[ptr + 1].tolist()))
-    return targets, np.delete(slots, np.concatenate([ptr, ptr + 1]))
+    left = np.ones(len(slots), dtype=bool)
+    left[ptr] = left[ptr + 1] = False
+    return targets, slots[left]
 
 
 def slot_targets(doubled: MultiGraph, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -91,16 +90,18 @@ def slot_targets(doubled: MultiGraph, slots: np.ndarray) -> tuple[np.ndarray, np
     return targets, leftover
 
 
-def first_fit(trial, limit: int):
-    """``trial(t)`` at the least t in [0, limit] where it is not None, found by
-    doubling t from 0 and then bisecting, so ``trial`` must be monotone: once
-    not None, not None at every larger t.  Raises ``InternalError`` when
-    ``trial(limit)`` is None."""
-    lo, hi, got = -1, 0, trial(0)
+def first_fit(trial, limit: int, start: int = 0):
+    """``trial(t)`` at the least t in [start, limit] where it is not None,
+    for start <= limit, found by doubling the step from ``start`` (trying
+    start, start + 1, start + 2, start + 4, ...) and then bisecting, so
+    ``trial`` must be monotone: once not None, not None at every larger t.
+    That makes the result the least t in [0, limit] whenever trial(start - 1)
+    is None.  Raises ``InternalError`` when ``trial(limit)`` is None."""
+    lo, hi, got = start - 1, start, trial(start)
     while got is None:
         if hi >= limit:
             raise InternalError(f"no fit within {limit} steps")
-        lo, hi = hi, min(limit, 2 * hi or 1)
+        lo, hi = hi, min(limit, start + (2 * (hi - start) or 1))
         got = trial(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -178,7 +179,7 @@ def assemble(
                 f"{names[recv]} without dropping a fill target below 1"
             )
 
-    # Realize each part on its own index space, then shift into place.
+    # Realize each part on its own index space; it is written into place below.
     offset = n_embed
     part_ranges = {block: (0, n_embed)}
     is_upper = {block: float(n_embed // 2)}  # the m pair cliques
@@ -193,12 +194,12 @@ def assemble(
         if len(fill) == 0:
             continue
         srt = np.argsort(fill, kind="stable")
-        (pu, pv, pm), cert = _realize_columns(fill[srt])
+        cols, cert = _realize_columns(fill[srt])
         if i == recv:
             # recv_position[j] = final vertex id of the part's j-th pre-sort entry
             recv_position = np.empty(len(srt), dtype=np.int64)
             recv_position[srt] = np.arange(len(srt)) + offset
-        blocks.append((pu + offset, pv + offset, pm))
+        blocks.append((offset, cols))
         cert = cert.shifted(offset)
         certs[name] = cert
         is_upper[name] = float(cert.size)
@@ -215,16 +216,22 @@ def assemble(
 
     # The head holds every edge with an endpoint in [0, n_embed): the doubled
     # block, the raised matching units and the routed surplus edges to their
-    # receivers.  Each part's block lies above it, in vertex order, so the
-    # columns below arrive sorted and the final build needs no sort.
-    head_cols = zip(
-        doubled.arrays(),
-        (raised, raised + 1, (t1 - d1)[raised // 2]),
-        (seconds, recv_position[receivers], np.ones(surplus_count, dtype=np.int64)),
-    )
-    head = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in head_cols)))
-    columns = [head.arrays(), *blocks]
-    graph = MultiGraph(offset, EdgeArrays(*(np.concatenate(c) for c in zip(*columns))), labels)
+    # receivers.  Each part's edges lie above it, in vertex order, so the
+    # columns are sized once and filled in key order, and the final build
+    # needs no sort.
+    du, dv, dm = doubled.arrays()
+    k, r = len(du), len(du) + len(raised)
+    head_rows = np.ones((3, r + surplus_count), dtype=np.int64)
+    head_rows[:, :k] = du, dv, dm
+    head_rows[:, k:r] = raised, raised + 1, (t1 - d1)[raised // 2]
+    head_rows[:2, r:] = seconds, recv_position[receivers]
+    head = MultiGraph(offset, EdgeArrays(*head_rows)).arrays()
+    stops = np.cumsum([len(head.u)] + [cols.rows for _, cols in blocks])
+    out = np.empty((3, stops[-1]), dtype=np.int64)
+    out[:, : stops[0]] = head
+    for (lo, cols), start, stop in zip(blocks, stops, stops[1:]):
+        cols.write(EdgeArrays(*out[:, start:stop]), lo)
+    graph = MultiGraph(offset, EdgeArrays(*out), labels)
 
     witness = map_witness(walks, witness_source).tolist()
     if not is_independent(graph, witness):

@@ -29,7 +29,10 @@ def _fmt_float(v: float) -> str:
 
 
 def _emit(obj, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
+    if type(obj) in (list, tuple) and all(type(x) is int for x in obj):
+        # Plain ints (not bools) print as str does: one join for the list.
+        out.append("[" + ", ".join(map(str, obj)) + "]")
+    elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, (np.integer, int)):
         out.append(str(int(obj)))

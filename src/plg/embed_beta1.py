@@ -387,16 +387,50 @@ def _beta1_at_alpha(n_d: float, alpha: float, bumps: int) -> Beta1Params:
     )
 
 
-def _beta1_fit(n_d: int | float, t: int) -> Beta1Params | None:
+def _beta1_at_bump(n_d: int | float, t: int) -> Beta1Params | None:
     """The parameters at the t-th bump, alpha = ln(n_d) + t*ln(1+1/n_d), if
-    both interval conditions hold there against exact summation."""
+    condition (II) holds there: the first usable slot reaches log(n_d).  The
+    real product x*delta equals log(n_d) only when e^alpha is an integer, so
+    the integer slot floor carries the condition."""
     params = _beta1_at_alpha(n_d, math.log(n_d) + t * math.log1p(1.0 / n_d), t)
-    cond_i = interval_size_exact(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta) >= n_d
-    # Condition (II): the first usable slot must reach log(n_d).  The real
-    # product x*delta equals log(n_d) only when e^alpha is an integer, so the
-    # integer slot floor carries the condition.
-    cond_ii = params.a_x + 1e-9 >= math.log(n_d)
-    return params if cond_i and cond_ii else None
+    return params if params.a_x + 1e-9 >= math.log(n_d) else None
+
+
+def _beta1_fit(n_d: int | float, t: int) -> Beta1Params | None:
+    """``_beta1_at_bump`` where condition (I) holds too, against exact
+    summation: [a_x, delta] holds at least n_d vertices."""
+    params = _beta1_at_bump(n_d, t)
+    if params is None or interval_size_exact(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta) < n_d:
+        return None
+    return params
+
+
+def _seat_pairs(doubled: MultiGraph, t: int):
+    """Bump t of the beta = 1 search for ``doubled``, the pair doubling of an
+    n_d-vertex walk product: (params, (pair targets, leftover slots)) where
+    both conditions hold and the slots of [a_x, delta] seat every pair, else
+    None.  The slot sequence is built once, and its length is condition
+    (I)'s interval size."""
+    n_d = doubled.vertex_count // 2
+    params = _beta1_at_bump(float(n_d), t)
+    if params is None:
+        return None
+    slots = interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta)
+    seated = slot_targets(doubled, slots) if len(slots) >= n_d else None
+    return None if seated is None else (params, seated)
+
+
+def _seat_floor(doubled: MultiGraph) -> int:
+    """A bump below which ``_seat_pairs`` is None: slots lie in [a_x,
+    delta], delta = floor(e^alpha), so none seats a pair of degree D while
+    e^alpha < D, that is, below bump log(D/n_d)/log(1+1/n_d).  One bump is
+    given up to rounding and delta's snap: it moves e^alpha by a factor
+    1 + 1/n_d, far above the snap's 1e-9."""
+    n_d = doubled.vertex_count // 2
+    top = int(doubled.degrees().max(initial=0))
+    if top <= n_d:
+        return 0
+    return max(0, math.ceil(math.log(top / n_d) / math.log1p(1.0 / n_d)) - 1)
 
 
 def choose_params_beta1(n_d: int | float) -> Beta1Params:
@@ -590,15 +624,8 @@ def embed_beta1(
     # degrees (up to ~4*n_d on dense products), twice what condition (I) asks
     # for.  Bump steps scale as 1/n_d while the needed growth of e^alpha does
     # not, so the bumps are found by doubling and bisection (``first_fit``)
-    # rather than one step at a time.
-    def trial(t: int):
-        params = _beta1_fit(float(n_d), t)
-        if params is None:
-            return None
-        seated = slot_targets(doubled, interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta))
-        return None if seated is None else (params, seated)
-
-    params, (pair_targets, leftover) = first_fit(trial, 1 << 30)
+    # from the first bump whose delta can reach the largest pair degree.
+    params, (pair_targets, leftover) = first_fit(lambda t: _seat_pairs(doubled, t), 1 << 30, _seat_floor(doubled))
     p = PowerLawParams(params.alpha, 1.0)
 
     g2_targets = interval_degree_sequence(p, 1, params.a_x - 1)

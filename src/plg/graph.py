@@ -9,9 +9,9 @@ Storage is columnar: three int64 arrays ``(u, v, mult)``, one entry per
 distinct edge with ``u <= v``, sorted by the key ``u * base + v`` (``base`` is
 the vertex count whenever its square fits in int64), and that key array
 itself.  Degrees, the text format, pair lookups and independence tests run
-as numpy passes over these arrays.  Columns that arrive with strictly
-increasing keys keep their order with no sort; others are sorted and their
-repeated pairs summed.
+as numpy passes over these arrays.  Columns that arrive with u <= v and
+strictly increasing keys are kept as they are, with no copy and no sort;
+others are sorted and their repeated pairs summed.
 
 The writer formats a line per edge with no per-digit work, into one byte
 buffer sized from the fields' digit counts: lines are laid out a block of
@@ -46,7 +46,9 @@ _EMPTY.flags.writeable = False
 class EdgeArrays(NamedTuple):
     """Edges as equal-length integer columns: entry i is edge (u[i], v[i])
     with multiplicity mult[i].  The third ``MultiGraph`` constructor form;
-    ``MultiGraph.arrays()`` returns the graph's own, sorted and read-only."""
+    ``MultiGraph.arrays()`` returns the graph's own, sorted and read-only.
+    A graph keeps int64 columns given in its own order (u <= v, keys
+    strictly increasing) without copying them, and makes them read-only."""
 
     u: np.ndarray
     v: np.ndarray
@@ -104,8 +106,9 @@ class MultiGraph:
         if vertex_count < 0:
             raise InputError("vertex_count must be non-negative")
         n = self.vertex_count = int(vertex_count)
-        a, b, mult = _edge_columns(edges)
-        u, v = np.minimum(a, b), np.maximum(a, b)
+        u, v, mult = _edge_columns(edges)
+        if not (u <= v).all():
+            u, v = np.minimum(u, v), np.maximum(u, v)
         if len(u) and (u.min() < 0 or v.max() >= n or mult.min() <= 0):
             i = int(np.argmax((u < 0) | (v >= n) | (mult <= 0)))
             if u[i] < 0 or v[i] >= n:
@@ -127,7 +130,7 @@ class MultiGraph:
         self._base = base
         self._edges = _frozen(key)
         self._u, self._v = _frozen(u), _frozen(v)
-        self._mult = _frozen(np.array(mult, dtype=np.int64))
+        self._mult = _frozen(mult)
         self.labels = dict(labels) if labels else {}
         for w in self.labels:
             if not (0 <= w < n):
@@ -190,13 +193,32 @@ class MultiGraph:
         return int(self._mult.sum())
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex degrees; self-loops count 2 per multiplicity unit."""
+        """Per-vertex degrees as exact int64; self-loops count 2 per
+        multiplicity unit.  Raises ``InputError`` when a degree is 2^63 or
+        more."""
         if self._degrees is None:
-            # bincount sums in float64, exact for degrees below 2^53.
+            # Each row counts once at either end (u is sorted, so its counts
+            # are the gaps between each vertex's first row), then the rows of
+            # multiplicity above 1 add the rest.  Those extras cannot wrap
+            # int64 while their count times their largest stays below 2^61;
+            # past that they are summed as Python ints.
             n = self.vertex_count
-            deg = np.bincount(self._u, weights=self._mult, minlength=n)
-            deg += np.bincount(self._v, weights=self._mult, minlength=n)
-            self._degrees = deg.astype(np.int64)
+            deg = np.diff(np.searchsorted(self._u, np.arange(n + 1))) + np.bincount(self._v, minlength=n)
+            heavy = np.flatnonzero(self._mult != 1)
+            extra, ends = self._mult[heavy] - 1, (self._u[heavy], self._v[heavy])
+            if len(heavy) and int(extra.max()) > (1 << 61) // len(heavy):
+                exact, weights = deg.tolist(), extra.tolist()
+                for end in ends:
+                    for x, w in zip(end.tolist(), weights):
+                        exact[x] += w
+                top = max(exact)
+                if top >= _INT64_LIMIT:
+                    raise InputError(f"vertex {exact.index(top)} has a degree of 2^63 or more")
+                deg = np.array(exact, dtype=np.int64)
+            else:
+                for end in ends:
+                    np.add.at(deg, end, extra)
+            self._degrees = deg
         return self._degrees
 
     def degree(self, v: int) -> int:
@@ -455,7 +477,7 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
     line breaks.  A block's rows are the values of its digit runs, three
     per line, and the writer must render those rows to the block's bytes.
     The rows go into columns sized for the shortest edge line, and the
-    graph is built from them once.  It must keep every row in place (so no
+    graph is built from them once and keeps them.  It must keep every row in place (so no
     line has u > v, and the lines are sorted with no repeat), and the
     header and the label lines must be the writer's for it.  This is as
     strict as re-emitting the whole text, since the writer renders each

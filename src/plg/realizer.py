@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +144,20 @@ def _pick_deficit_vertex(d: np.ndarray, cliques: list[range]) -> int:
     raise AssertionError("odd degree total implies a positive residual somewhere")
 
 
+def _member_rows(x, later, before, after, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Write rows member by member into the int64 columns ``u`` and ``v``:
+    for member x[i], ``before[i]`` rows, its pairs (x, x + 1), ...,
+    (x, x + later[i]), then ``after[i]`` rows; returns each member's first
+    row.  All of x's rows hold u = x and v counting up by one to its last
+    pair, so a single row before the pairs is the loop (x, x); rows after
+    them are the caller's to fill."""
+    rows = later + before + after
+    first = np.cumsum(rows) - rows
+    u[:] = np.repeat(x, rows)
+    np.subtract(np.arange(len(u)), np.repeat(first + before - x - 1, rows), out=v)
+    return first
+
+
 def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Member pairs (u < v) of the cliques range(start, start + size), as
     (u, v, clique index) int64 arrays; cliques of fewer than two members
@@ -158,12 +173,49 @@ def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Member x of a clique pairs with each of the ``later`` members after it.
     clique = np.repeat(np.arange(len(sizes)), sizes)
     rank = np.arange(len(clique)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    x = starts[clique] + rank
     later = sizes[clique] - 1 - rank
-    row = np.cumsum(later) - later  # where x's pairs begin
-    u = np.repeat(x, later)
-    v = np.arange(len(u)) - np.repeat(row - x - 1, later)
+    u, v = np.empty((2, int(later.sum())), dtype=np.int64)
+    _member_rows(starts[clique] + rank, later, 0, 0, u, v)
     return u, v, np.repeat(clique, later)
+
+
+class PartColumns(NamedTuple):
+    """A realization's edges before they are laid out: its clique sizes (the
+    cliques tile 0..m-1 in order), its fill units inside cliques, summed,
+    as (u, v, mult) columns of pairs u < v and loops u = v, and its cross
+    edges as a (2, k) array of pairs p < q."""
+
+    sizes: np.ndarray
+    units: EdgeArrays
+    cross: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        """Distinct edges: every clique pair, loop and cross edge."""
+        pairs = int((self.sizes * (self.sizes - 1) // 2).sum())
+        return pairs + int(np.count_nonzero(self.units.u == self.units.v)) + self.cross.shape[1]
+
+    def write(self, out: EdgeArrays, offset: int) -> None:
+        """Write the edges, vertex ids moved by ``offset``, into the columns
+        ``out`` of ``rows`` entries, in key order: member x's loop, its pairs
+        with the later members of its clique, then its cross edge.  Fill
+        units on a clique pair add to the pair's multiplicity 1."""
+        sizes = self.sizes
+        x = np.arange(int(sizes.sum()))
+        later = np.repeat(np.cumsum(sizes), sizes) - 1 - x
+        fu, fv, fw = self.units
+        loop = fu == fv
+        lu, pu, pv = fu[loop], fu[~loop], fv[~loop]
+        before = np.zeros(len(x), dtype=np.int64)
+        before[lu] = 1
+        after = np.zeros(len(x), dtype=np.int64)
+        after[self.cross[0]] = 1
+        first = _member_rows(x + offset, later, before, after, out.u, out.v)
+        p, q = self.cross
+        out.v[first[p] + before[p] + later[p]] = q + offset
+        out.mult[:] = 1
+        out.mult[first[pu] + before[pu] + pv - pu - 1] += fw[~loop]
+        out.mult[first[lu]] = fw[loop]
 
 
 def _emit(ids: list[int], link: list[int], star: list[int], us: list[int], vs: list[int], ws: list[int]) -> None:
@@ -282,11 +334,9 @@ def _fill_clique(
     return ids[-1] if top % 2 else None
 
 
-def _fill_edges(
-    cliques: list[range], residuals: list[int], m: int
-) -> tuple[EdgeArrays, list[tuple[int, int]]]:
-    """All cliques' fill edges, repeats summed, with the cross edges that join
-    consecutive pending vertices (also returned as a list)."""
+def _fill_edges(cliques: list[range], residuals: list[int], m: int) -> tuple[EdgeArrays, list[tuple[int, int]]]:
+    """All cliques' fill units inside them, repeats summed, and the cross
+    edges that join consecutive pending vertices."""
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
@@ -297,16 +347,12 @@ def _fill_edges(
             pendings.append(pending)
     if len(pendings) % 2 != 0:
         raise AssertionError("pending half-edges must pair up after parity fix")
-    cross = list(zip(pendings[::2], pendings[1::2]))
-    us += pendings[::2]
-    vs += pendings[1::2]
-    ws += [1] * len(cross)
     # Events repeat pairs: summing them here, and dropping the lists on
-    # return, keeps the final build to the clique edges plus distinct pairs.
+    # return, keeps the layout to the clique edges plus distinct units.
     fill = MultiGraph(m, EdgeArrays(
         np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=np.int64)
     ))
-    return fill.arrays(), cross
+    return fill.arrays(), list(zip(pendings[::2], pendings[1::2]))
 
 
 def realize(
@@ -320,17 +366,20 @@ def realize(
     materializing more than ``DEFAULT_EDGE_CAP`` clique edges raises
     ResourceLimitError before anything is allocated.
     """
-    edges, cert = _realize_columns(degrees, materialize)
-    if edges is None:
+    cols, cert = _realize_columns(degrees, materialize)
+    if cols is None:
         return None, cert
+    edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
+    cols.write(edges, 0)
     return MultiGraph(len(cert.target_degrees), edges), cert
 
 
 def _realize_columns(
     degrees: np.ndarray | list[int], materialize: bool = True
-) -> tuple[EdgeArrays | None, CliqueCoverCertificate]:
-    """``realize`` with the edges as columns sorted by key ``u * m + v``
-    (m the sequence length), which a ``MultiGraph`` takes with no sort."""
+) -> tuple[PartColumns | None, CliqueCoverCertificate]:
+    """``realize`` with the edges as ``PartColumns`` (None when not
+    materialized), which write them in the key order u * m + v (m the
+    sequence length) that a ``MultiGraph`` takes with no sort."""
     target = np.asarray(degrees, dtype=np.int64)
     if target.ndim != 1 or len(target) == 0:
         raise InputError("degree sequence must be a non-empty 1-d array")
@@ -370,22 +419,9 @@ def _realize_columns(
     residuals = effective - np.repeat(sizes - 1, sizes)
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
-    fill, cert.pending_edges = _fill_edges(cliques, residuals.tolist(), m)
-    # Clique edges have multiplicity 1 and come sorted.  Fill units on a
-    # clique pair add to it; loops and cross edges are inserted at their
-    # sorted positions, so the graph is built without a sort.
-    u, v = clique_pairs(starts, sizes)[:2]
-    key = u * m + v
-    fill_key = fill.u * m + fill.v
-    pos = np.searchsorted(key, fill_key)
-    on_pair = np.zeros(len(pos), dtype=bool)
-    if len(key):
-        on_pair = key[np.minimum(pos, len(key) - 1)] == fill_key
-    del key
-    mult = np.ones(len(u), dtype=np.int64)
-    mult[pos[on_pair]] += fill.mult[on_pair]
-    off = ~on_pair
-    return EdgeArrays(*(np.insert(c, pos[off], f[off]) for c, f in zip((u, v, mult), fill))), cert
+    units, cert.pending_edges = _fill_edges(cliques, residuals.tolist(), m)
+    cross = np.array(cert.pending_edges, dtype=np.int64).reshape(-1, 2).T
+    return PartColumns(sizes, units, cross), cert
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -38,7 +39,10 @@ from plg.embed_beta1 import (
     ExpanderCertificate,
     WalkProduct,
     _beta1_at_alpha,
+    _seat_floor,
+    _seat_pairs,
     check_walk_caps,
+    walk_block,
 )
 
 from conftest import brute_mis, random_simple_graph
@@ -331,6 +335,27 @@ def test_first_fit_returns_least_fit(least):
 
     assert first_fit(trial, 64) == least
     assert len(calls) <= 2 * max(1, least).bit_length() + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
+def test_first_fit_from_any_start_at_or_below_the_least(least, start, limit):
+    # A monotone trial gives the same least t from every start up to it,
+    # in a number of trials that grows with the distance from the start.
+    calls = []
+
+    def trial(t):
+        calls.append(t)
+        return t if t >= least else None
+
+    start = min(start, least, limit)
+    if least > limit:
+        with pytest.raises(InternalError):
+            first_fit(trial, limit, start)
+    else:
+        assert first_fit(trial, limit, start) == least
+        assert len(calls) <= 2 * max(1, least - start).bit_length() + 1
+        assert first_fit(trial, limit) == least
 
 
 def test_first_fit_raises_past_limit():
@@ -641,3 +666,53 @@ def test_params_dict_roundtrip():
 
     params = choose_params_beta1(40)
     assert Beta1Params.from_dict({**params.to_dict(), "extra": 1}) == params
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(17, 40), st.integers(0, 2**16 - 1), st.integers(1, 2), st.integers(0, 10**6))
+@example(64, 7, 2, 2)
+def test_beta1_search_from_its_floor(n, seed, k, graph_seed):
+    # Below the floor no slot reaches the largest pair degree, so the search
+    # from it finds the same parameters as the search from bump 0.
+    g = random_simple_graph(random.Random(graph_seed), n, 0.1)
+    doubled = walk_block(g, 4, seed, k).doubled()
+    start = _seat_floor(doubled)
+    if start:
+        assert _seat_pairs(doubled, start - 1) is None
+    seeded = first_fit(lambda t: _seat_pairs(doubled, t), 1 << 30, start)
+    unseeded = first_fit(lambda t: _seat_pairs(doubled, t), 1 << 30)
+    assert seeded[0] == unseeded[0]
+    assert all(np.array_equal(a, b) for a, b in zip(seeded[1], unseeded[1]))
+
+
+def _bench_beta1_inputs(seed: int):
+    """The four embed-beta1 inputs of a benchmark seed: G(64, 128) drawn
+    uniformly, each with its expander seed, as bench/workloads.py draws
+    them."""
+    rng = random.Random(int.from_bytes(hashlib.sha256(f"embed-beta1:{seed}".encode()).digest()[:8], "big"))
+    pairs = [(u, v) for u in range(64) for v in range(u + 1, 64)]
+    inputs = []
+    for _ in range(4):
+        g = MultiGraph(64, sorted(rng.sample(pairs, 128)))
+        inputs.append((g, rng.randrange(1 << 16)))
+    return inputs
+
+
+def test_bench_beta1_inputs_take_few_alpha_trials(monkeypatch):
+    # Searching from the floor takes at most 10 trials on each benchmark
+    # input (17 from bump 0).
+    module = sys.modules["plg.embed_beta1"]  # the package exports the function under its name
+    trials = []
+
+    def counting(trial, limit, start=0):
+        def counted(t):
+            trials[-1] += 1
+            return trial(t)
+
+        trials.append(0)
+        return first_fit(counted, limit, start)
+
+    monkeypatch.setattr(module, "first_fit", counting)
+    for g, seed in _bench_beta1_inputs(1):
+        embed_beta1(g, 4, seed, 2)
+    assert len(trials) == 4 and max(trials) <= 10, trials

@@ -430,3 +430,110 @@ def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, block_byt
         assert bytes(_graph_bytes(g)) == text.encode("utf-8")
         assert write_graph(g) == text
         assert _format_edges(g.arrays()) == _per_place_format_edges(g.arrays())
+
+
+# -- ordered builds and exact degrees -------------------------------------------
+
+
+def _reference_build(n, u, v, mult):
+    """The graph, or the InputError message, of the constructor that swaps
+    every row to u <= v first: the first row out of range or of non-positive
+    multiplicity is refused, otherwise repeated pairs are summed."""
+    rows = [(min(a, b), max(a, b), m) for a, b, m in zip(u, v, mult)]
+    for a, b, m in rows:
+        if a < 0 or b >= n or m <= 0:
+            if a < 0 or b >= n:
+                return f"edge ({a},{b}) out of range for n={n}"
+            return f"edge ({a},{b}) has non-positive multiplicity {m}"
+    summed: dict[tuple[int, int], int] = {}
+    for a, b, m in rows:
+        summed[(a, b)] = summed.get((a, b), 0) + m
+    return sorted((a, b, m) for (a, b), m in summed.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 8), st.integers(-1, 4)), max_size=12),
+    st.booleans(),
+)
+@example(3, [(0, 1, 1), (0, 2, 2), (1, 1, 1)], False)  # in order: kept as given
+@example(3, [(1, 0, 1), (0, 2, 2)], False)  # a row with u > v
+@example(3, [(0, 1, 1), (0, 1, 2)], False)  # a repeated pair
+@example(3, [(0, 2, 1), (0, 1, 1)], False)  # keys out of order
+@example(3, [(0, 1, 1), (1, 3, 1)], False)  # an end out of range
+@example(3, [(0, 1, 1), (1, 2, 0)], False)  # a multiplicity of 0
+def test_ordered_build_matches_swapping_build(n, rows, ordered):
+    # Rows already in order skip the swap; every input gives the graph or
+    # the InputError the swapping build gives.
+    if ordered:
+        rows = sorted({(min(a, b), max(a, b)): m for a, b, m in rows}.items())
+        rows = [(a, b, m) for (a, b), m in rows]
+    cols = EdgeArrays(*(np.array([r[i] for r in rows], dtype=np.int64) for i in range(3)))
+    want = _reference_build(n, *cols)
+    if isinstance(want, str):
+        with pytest.raises(InputError) as err:
+            MultiGraph(n, cols)
+        assert str(err.value) == want
+    else:
+        assert list(MultiGraph(n, cols).edges()) == want
+
+
+def test_ordered_build_keeps_the_given_columns():
+    u, v, m = (np.array(c, dtype=np.int64) for c in ([0, 0, 1], [1, 2, 1], [1, 3, 2]))
+    g = MultiGraph(3, EdgeArrays(u, v, m))
+    assert all(mine is given for mine, given in zip(g.arrays(), (u, v, m)))
+    assert not any(c.flags.writeable for c in (u, v, m))
+    # Out-of-order rows are copied: the given columns stay as they were.
+    a, b = np.array([1, 0], dtype=np.int64), np.array([0, 2], dtype=np.int64)
+    g = MultiGraph(3, EdgeArrays(a, b, np.ones(2, dtype=np.int64)))
+    assert list(g.edges()) == [(0, 1, 1), (0, 2, 1)] and a.flags.writeable and a[0] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple),
+                st.one_of(st.integers(1, 3), st.integers(1, 2**63 - 1)),
+                max_size=8,
+            ),
+        )
+    )
+)
+@example((2, {(0, 1): 2**53 + 1}))
+@example((1, {(0, 0): 2**62 - 1}))
+@example((2, {(0, 0): 2**62}))
+@example((3, {(0, 1): 2**62, (0, 2): 2**62}))
+def test_degrees_are_exact(case):
+    # Degrees are summed as integers: exact up to 2^63 - 1, refused past it.
+    n, edges = case
+    exact = [0] * n
+    for (a, b), m in edges.items():
+        exact[a] += m
+        exact[b] += m
+    g = MultiGraph(n, edges)
+    if max(exact) >= 2**63:
+        with pytest.raises(InputError, match="2\\^63"):
+            g.degrees()
+    else:
+        assert g.degrees().dtype == np.int64 and g.degrees().tolist() == exact
+
+
+@pytest.mark.parametrize(
+    "text, degrees",
+    [
+        ("p plg 2 1\ne 0 1 9007199254740993\n", [2**53 + 1, 2**53 + 1]),
+        ("p plg 2 1\ne 0 0 4611686018427387904\n", None),
+    ],
+    ids=["2^53+1", "loop-2^62"],
+)
+def test_degrees_of_read_files(text, degrees):
+    g = read_graph(text)
+    if degrees is None:
+        with pytest.raises(InputError, match="vertex 0 has a degree of 2\\^63 or more"):
+            g.degrees()
+    else:
+        assert g.degrees().tolist() == degrees

@@ -376,14 +376,16 @@ def _heap_realize(d):
 
 def _recorded_parts(monkeypatch) -> list[tuple[np.ndarray, EdgeArrays]]:
     """Record the (degree sequence, edge columns) of every part that
-    ``_assembly`` realizes."""
+    ``_assembly`` realizes, the columns as the part writes them at offset 0."""
     seen = []
     realize_columns = _assembly._realize_columns
 
     def recording(d, *args, **kwargs):
-        edges, cert = realize_columns(d, *args, **kwargs)
+        cols, cert = realize_columns(d, *args, **kwargs)
+        edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
+        cols.write(edges, 0)
         seen.append((np.array(d), edges))
-        return edges, cert
+        return cols, cert
 
     monkeypatch.setattr(_assembly, "_realize_columns", recording)
     return seen
@@ -512,6 +514,38 @@ def test_final_builds_receive_sorted_keys(monkeypatch, embed):
     for d, edges in parts:
         assert isinstance(edges, EdgeArrays) and len(edges.u) > 100
         assert _keys_strictly_increase(len(d), edges)
+
+
+class _NumpyWithoutJoins:
+    """numpy, but ``insert`` and ``concatenate`` raise."""
+
+    def __getattr__(self, name):
+        if name in ("insert", "concatenate"):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"np.{name} called")
+
+            return refuse
+        return getattr(np, name)
+
+
+def test_embed_sub1_final_build_without_joins(monkeypatch):
+    # Parts are written into the final columns in place: with no np.insert
+    # or np.concatenate in the realizer and assembly, the final build still
+    # gets every edge, in strictly increasing key order.
+    from plg import realizer
+
+    def run():
+        return embed_sub1(random_simple_graph(random.Random(1), 20, 0.2), 0.8)
+
+    want, _ = run()
+    assembled = _recorded_builds(monkeypatch, _assembly)
+    for module in (realizer, _assembly):
+        monkeypatch.setattr(module, "np", _NumpyWithoutJoins())
+    graph, _ = run()
+    assert graph == want
+    n, edges = assembled[-1]
+    assert isinstance(edges, EdgeArrays) and len(edges.u) > 1000
+    assert _keys_strictly_increase(n, edges)
 
 
 @pytest.mark.parametrize("d", [[1, 1], [2, 2, 2], [1, 2, 3, 3, 3, 5, 5, 5], list(range(1, 30)), [7] * 9])

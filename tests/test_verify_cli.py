@@ -1064,3 +1064,27 @@ def test_cli_verify_fails_malformed_report(tmp_path, capsys, forge, failed):
     assert captured.err == ""
     rec = json.loads(captured.out)
     assert not rec["ok"] and failing(rec["checks"]) == [failed]
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("p plg 2 1\ne 0 0 4611686018427387904\n", "vertex 0 has a degree of 2^63 or more"),
+        ("p plg 2 1\ne 0 1 9007199254740993\n", "degree bucket 1: expected 6, found 0"),
+    ],
+    ids=["loop-2^62", "2^53+1"],
+)
+def test_cli_verify_fails_conformance_on_huge_degrees(tmp_path, capsys, text, detail):
+    # Degrees are exact integers: one of 2^63 fails conformance with its own
+    # detail, not a negative degree cast from a float (the suite's warnings
+    # are errors, so the cast's RuntimeWarning would fail here too).
+    write_c5(tmp_path / "c5.plg")
+    main(["embed-sub1", "--beta", "0.5", "--in", str(tmp_path / "c5.plg"),
+          "--out", str(tmp_path / "e.plg"), "--report", str(tmp_path / "e.json")])
+    (tmp_path / "e.plg").write_text(text)
+    capsys.readouterr()
+    code = main(["verify", "--plg", str(tmp_path / "e.plg"),
+                 "--report", str(tmp_path / "e.json"), "--in", str(tmp_path / "c5.plg")])
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert next(c["detail"] for c in checks if c["check"] == "conformance") == detail
