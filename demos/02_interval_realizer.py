@@ -25,14 +25,18 @@ section("A tiny sequence by hand")
 g, cert = realize([1, 1, 2, 2, 2])
 print("degree targets:   [1, 1, 2, 2, 2]")
 print("realized degrees:", sorted(int(d) for d in g.degrees()))
-print("cliques:", [list(c) for c in cert.cliques])
+print("clique sizes:", cert.sizes.tolist(), " first vertex:", cert.offset)
+print("cliques (derived from the sizes):", [list(c) for c in cert.cliques])
 print("certificate bound:", cert.size, " exact MIS:", exact_mis(g).size)
+print("report entry:", cert.to_dict())
 
 section("Odd degree totals leave one recorded parity deficit")
 g, cert = realize([1, 2, 2, 2, 2])
 print("targets [1,2,2,2,2] (sum 9):")
 print("realized:", sorted(int(d) for d in g.degrees()))
 print("deficit vertex:", cert.parity_deficit_vertex, "(one unit short)")
+cert.offset = 100  # as assembly places the part at vertex 100
+print("placed at 100, its report entry:", cert.to_dict())
 
 section("Full power-law range, alpha=3, beta=1")
 p = PowerLawParams(3.0, 1.0)
@@ -50,6 +54,6 @@ p = PowerLawParams(4.0, 0.3)
 d = interval_degree_sequence(p, 1, p.delta)
 _, cert = realize(d, materialize=False)
 print(f"alpha=4, beta=0.3: n = {len(d):,}, delta = {p.delta:,}")
-print(f"cliques = {cert.size}, parity deficit = {cert.parity_deficit}")
+print(f"cliques = {cert.size}, parity deficit vertex = {cert.parity_deficit_vertex}")
 print("realized histogram equals the target counts (the edge set itself")
 print("would hold ~1e11 distinct clique edges, so it is never materialized)")

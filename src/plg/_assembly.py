@@ -195,22 +195,22 @@ def assemble(
             continue
         srt = np.argsort(fill, kind="stable")
         cols, cert = _realize_columns(fill[srt])
+        cert.offset = offset
         if i == recv:
             # recv_position[j] = final vertex id of the part's j-th pre-sort entry
             recv_position = np.empty(len(srt), dtype=np.int64)
             recv_position[srt] = np.arange(len(srt)) + offset
-        blocks.append((offset, cols))
-        cert = cert.shifted(offset)
+        blocks.append(cols)
         certs[name] = cert
         is_upper[name] = float(cert.size)
-        if cert.parity_deficit:
-            local = cert.parity_deficit_vertex - offset
-            intended = int(cert.target_degrees[local])
+        local = cert.parity_deficit_vertex
+        if local is not None:
+            intended = int(fill[srt[local]])
             if i == recv:
                 # A receiver's realize target was pre-lowered; the routed edge
                 # restores it, so the deficit is against the original class.
                 intended += int(recv_units[srt[local]])
-            deficits.append((cert.parity_deficit_vertex, intended))
+            deficits.append((offset + local, intended))
         labels.update(dict.fromkeys(range(offset, offset + len(fill)), f"residual-{name}"))
         offset += len(fill)
 
@@ -226,11 +226,11 @@ def assemble(
     head_rows[:, k:r] = raised, raised + 1, (t1 - d1)[raised // 2]
     head_rows[:2, r:] = seconds, recv_position[receivers]
     head = MultiGraph(offset, EdgeArrays(*head_rows)).arrays()
-    stops = np.cumsum([len(head.u)] + [cols.rows for _, cols in blocks])
+    stops = np.cumsum([len(head.u)] + [cols.rows for cols in blocks])
     out = np.empty((3, stops[-1]), dtype=np.int64)
     out[:, : stops[0]] = head
-    for (lo, cols), start, stop in zip(blocks, stops, stops[1:]):
-        cols.write(EdgeArrays(*out[:, start:stop]), lo)
+    for cols, start, stop in zip(blocks, stops, stops[1:]):
+        cols.write(EdgeArrays(*out[:, start:stop]))
     graph = MultiGraph(offset, EdgeArrays(*out), labels)
 
     witness = map_witness(walks, witness_source).tolist()

@@ -74,7 +74,8 @@ def _cmd_realize(args) -> int:
         raise InputError("interval contains no vertices after flooring")
     graph, cert = realize(d)
     Path(args.out).write_bytes(_graph_bytes(graph))
-    record = {"schema": SCHEMA, **cert.to_json_dict()}
+    record = {"schema": SCHEMA, **cert.to_dict()}
+    del record["cliques"]
     text = _jsonio.dumps(record)
     if args.cert:
         Path(args.cert).write_text(text)

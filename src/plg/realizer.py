@@ -39,14 +39,18 @@ ids interleave is re-sorted.
 
 If the degree total is odd, one target is lowered by 1 before filling (the
 highest-index vertex whose residual allows it), recorded as the parity
-deficit.  The clique list is a certificate: its length upper-bounds the
-maximum independent set of the output.
+deficit.  The cover is a certificate: its clique count upper-bounds the
+maximum independent set of the output.  ``CliqueCoverCertificate`` holds
+what defines it, the clique sizes in order, the first vertex (``offset``,
+set by assembly when it places a part) and the deficit vertex; starts and
+ranges derive from them.  Its ``to_dict`` is the report's certificate
+entry, which ``plg verify`` rebuilds from the entry's cliques.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,43 +69,36 @@ SEQUENCE_CAP = 2 * DEFAULT_EDGE_CAP + 1
 
 @dataclass
 class CliqueCoverCertificate:
-    """Ordered clique cover of 0..m-1 by consecutive index ranges."""
+    """Ordered clique cover of the vertices offset, offset + 1, ...: clique j
+    holds the ``sizes[j]`` vertices after those of cliques 0 .. j-1.
+    ``parity_deficit_vertex`` is the vertex whose target an odd degree total
+    lowered by one, counted from ``offset`` (None when the total is even)."""
 
-    cliques: list[range]
-    start_indices: list[int]
-    parity_deficit: int
-    parity_deficit_vertex: int | None
-    target_degrees: np.ndarray
-    realized_degrees: np.ndarray
-    pending_edges: list[tuple[int, int]] = field(default_factory=list)
+    sizes: np.ndarray
+    offset: int = 0
+    parity_deficit_vertex: int | None = None
 
     @property
     def size(self) -> int:
-        return len(self.cliques)
+        return len(self.sizes)
 
-    def shifted(self, offset: int) -> "CliqueCoverCertificate":
-        """Same cover with all vertex ids moved by ``offset`` (for assembly)."""
-        return CliqueCoverCertificate(
-            cliques=[range(c.start + offset, c.stop + offset) for c in self.cliques],
-            start_indices=[p + offset for p in self.start_indices],
-            parity_deficit=self.parity_deficit,
-            parity_deficit_vertex=(
-                None
-                if self.parity_deficit_vertex is None
-                else self.parity_deficit_vertex + offset
-            ),
-            target_degrees=self.target_degrees,
-            realized_degrees=self.realized_degrees,
-            pending_edges=[(u + offset, v + offset) for u, v in self.pending_edges],
-        )
+    @property
+    def starts(self) -> np.ndarray:
+        return self.offset + np.cumsum(self.sizes) - self.sizes
 
-    def to_json_dict(self) -> dict:
+    @property
+    def cliques(self) -> list[range]:
+        return [range(s, s + k) for s, k in zip(self.starts.tolist(), self.sizes.tolist())]
+
+    def to_dict(self) -> dict:
+        starts, v = self.starts, self.parity_deficit_vertex
         return {
-            "clique_sizes": [len(c) for c in self.cliques],
-            "p_values": list(self.start_indices),
-            "parity_deficit": self.parity_deficit,
-            "parity_deficit_vertex": self.parity_deficit_vertex,
+            "clique_sizes": self.sizes.tolist(),
+            "p_values": starts.tolist(),
+            "parity_deficit": int(v is not None),
+            "parity_deficit_vertex": None if v is None else self.offset + v,
             "is_upper_bound": self.size,
+            "cliques": np.stack([starts, starts + self.sizes], axis=1).tolist(),
         }
 
 
@@ -121,27 +118,26 @@ def interval_degree_sequence(p: PowerLawParams, a: int, b: int) -> np.ndarray:
     return np.repeat(np.arange(a, b + 1, dtype=np.int64), counts)
 
 
-def _clique_walk(d: np.ndarray) -> tuple[list[range], list[int]]:
+def _clique_walk(d: np.ndarray) -> np.ndarray:
+    """Clique sizes of the walk over the sorted sequence d: a clique of
+    d[p] + 1 members at each start p, the tail taking what remains."""
     m = len(d)
-    cliques: list[range] = []
-    starts: list[int] = []
+    sizes = []
     p = 0
     while p < m:
-        size = min(int(d[p]) + 1, m - p)
-        starts.append(p)
-        cliques.append(range(p, p + size))
-        p += size
-    return cliques, starts
+        sizes.append(min(int(d[p]) + 1, m - p))
+        p += sizes[-1]
+    return np.array(sizes, dtype=np.int64)
 
 
-def _pick_deficit_vertex(d: np.ndarray, cliques: list[range]) -> int:
+def _pick_deficit_vertex(d: np.ndarray, sizes: np.ndarray) -> int:
     # Residuals are non-decreasing inside a clique, so the last member of the
     # last clique with any slack is the highest-index vertex we can lower.
-    for c in reversed(cliques):
-        last = c.stop - 1
-        if int(d[last]) - (len(c) - 1) >= 1:
-            return last
-    raise AssertionError("odd degree total implies a positive residual somewhere")
+    last = np.cumsum(sizes) - 1
+    slack = np.flatnonzero(d[last] - (sizes - 1) >= 1)
+    if len(slack) == 0:
+        raise AssertionError("odd degree total implies a positive residual somewhere")
+    return int(last[slack[-1]])
 
 
 def _member_rows(x, later, before, after, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,49 +154,29 @@ def _member_rows(x, later, before, after, u: np.ndarray, v: np.ndarray) -> np.nd
     return first
 
 
-def clique_pairs(starts, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Member pairs (u < v) of the cliques range(start, start + size), as
-    (u, v, clique index) int64 arrays; cliques of fewer than two members
-    contribute none.
-
-    Order contract: pairs come clique by clique in the given order, and
-    lexicographically by (u, v) inside a clique.  For cliques given as
-    ascending disjoint ranges, as a clique walk makes them, the keys
-    u * base + v are therefore strictly increasing.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    sizes = np.maximum(np.asarray(sizes, dtype=np.int64), 0)
-    # Member x of a clique pairs with each of the ``later`` members after it.
-    clique = np.repeat(np.arange(len(sizes)), sizes)
-    rank = np.arange(len(clique)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    later = sizes[clique] - 1 - rank
-    u, v = np.empty((2, int(later.sum())), dtype=np.int64)
-    _member_rows(starts[clique] + rank, later, 0, 0, u, v)
-    return u, v, np.repeat(clique, later)
-
-
 class PartColumns(NamedTuple):
-    """A realization's edges before they are laid out: its clique sizes (the
-    cliques tile 0..m-1 in order), its fill units inside cliques, summed,
-    as (u, v, mult) columns of pairs u < v and loops u = v, and its cross
-    edges as a (2, k) array of pairs p < q."""
+    """A realization's edges before they are laid out: its cover, its fill
+    units inside cliques, summed, as (u, v, mult) columns of pairs u < v and
+    loops u = v, and its cross edges as a (2, k) array of pairs p < q.  The
+    units and cross edges count vertices from the cover's first member."""
 
-    sizes: np.ndarray
+    cert: CliqueCoverCertificate
     units: EdgeArrays
     cross: np.ndarray
 
     @property
     def rows(self) -> int:
         """Distinct edges: every clique pair, loop and cross edge."""
-        pairs = int((self.sizes * (self.sizes - 1) // 2).sum())
+        sizes = self.cert.sizes
+        pairs = int((sizes * (sizes - 1) // 2).sum())
         return pairs + int(np.count_nonzero(self.units.u == self.units.v)) + self.cross.shape[1]
 
-    def write(self, out: EdgeArrays, offset: int) -> None:
-        """Write the edges, vertex ids moved by ``offset``, into the columns
-        ``out`` of ``rows`` entries, in key order: member x's loop, its pairs
-        with the later members of its clique, then its cross edge.  Fill
-        units on a clique pair add to the pair's multiplicity 1."""
-        sizes = self.sizes
+    def write(self, out: EdgeArrays) -> None:
+        """Write the edges, vertex ids moved by the cover's offset, into the
+        columns ``out`` of ``rows`` entries, in key order: member x's loop,
+        its pairs with the later members of its clique, then its cross edge.
+        Fill units on a clique pair add to the pair's multiplicity 1."""
+        sizes, offset = self.cert.sizes, self.cert.offset
         x = np.arange(int(sizes.sum()))
         later = np.repeat(np.cumsum(sizes), sizes) - 1 - x
         fu, fv, fw = self.units
@@ -334,25 +310,27 @@ def _fill_clique(
     return ids[-1] if top % 2 else None
 
 
-def _fill_edges(cliques: list[range], residuals: list[int], m: int) -> tuple[EdgeArrays, list[tuple[int, int]]]:
+def _fill_edges(sizes: np.ndarray, residuals: list[int]) -> tuple[EdgeArrays, np.ndarray]:
     """All cliques' fill units inside them, repeats summed, and the cross
-    edges that join consecutive pending vertices."""
+    edges that join consecutive pending vertices, as a (2, k) array."""
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
     pendings: list[int] = []
-    for c in cliques:
-        pending = _fill_clique(c, residuals[c.start : c.stop], us, vs, ws)
+    start = 0
+    for stop in np.cumsum(sizes).tolist():
+        pending = _fill_clique(range(start, stop), residuals[start:stop], us, vs, ws)
         if pending is not None:
             pendings.append(pending)
+        start = stop
     if len(pendings) % 2 != 0:
         raise AssertionError("pending half-edges must pair up after parity fix")
     # Events repeat pairs: summing them here, and dropping the lists on
     # return, keeps the layout to the clique edges plus distinct units.
-    fill = MultiGraph(m, EdgeArrays(
+    fill = MultiGraph(len(residuals), EdgeArrays(
         np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws, dtype=np.int64)
     ))
-    return fill.arrays(), list(zip(pendings[::2], pendings[1::2]))
+    return fill.arrays(), np.array(pendings, dtype=np.int64).reshape(-1, 2).T
 
 
 def realize(
@@ -360,9 +338,9 @@ def realize(
 ) -> tuple[MultiGraph | None, CliqueCoverCertificate]:
     """Build a multigraph with the given sorted degree sequence and its cover.
 
-    With ``materialize=False`` only the cover, parity accounting and realized
-    degrees are computed (identical to the materialized ones); the graph is
-    returned as None.  Use it when the edge set would be too large to store:
+    With ``materialize=False`` only the cover and its parity deficit are
+    computed (identical to the materialized ones); the graph is returned as
+    None.  Use it when the edge set would be too large to store:
     materializing more than ``DEFAULT_EDGE_CAP`` clique edges raises
     ResourceLimitError before anything is allocated.
     """
@@ -370,8 +348,8 @@ def realize(
     if cols is None:
         return None, cert
     edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
-    cols.write(edges, 0)
-    return MultiGraph(len(cert.target_degrees), edges), cert
+    cols.write(edges)
+    return MultiGraph(int(cert.sizes.sum()), edges), cert
 
 
 def _realize_columns(
@@ -388,40 +366,26 @@ def _realize_columns(
     if (np.diff(target) < 0).any():
         raise InputError("degree sequence must be sorted non-decreasing")
 
-    m = len(target)
-    cliques, starts = _clique_walk(target)
-    sizes = np.array([len(c) for c in cliques], dtype=np.int64)
+    sizes = _clique_walk(target)
     if materialize:
         clique_edges = int((sizes * (sizes - 1) // 2).sum())
         if clique_edges > DEFAULT_EDGE_CAP:
             raise ResourceLimitError(
                 f"realization would have {clique_edges} clique edges (cap {DEFAULT_EDGE_CAP})"
             )
-
-    effective = target.copy()
-    deficit_vertex: int | None = None
+    cert = CliqueCoverCertificate(sizes)
     if int(target.sum()) % 2 == 1:
-        deficit_vertex = _pick_deficit_vertex(target, cliques)
-        effective[deficit_vertex] -= 1
-
-    cert = CliqueCoverCertificate(
-        cliques=cliques,
-        start_indices=starts,
-        parity_deficit=0 if deficit_vertex is None else 1,
-        parity_deficit_vertex=deficit_vertex,
-        target_degrees=target,
-        realized_degrees=effective,
-    )
-
+        cert.parity_deficit_vertex = _pick_deficit_vertex(target, sizes)
     if not materialize:
         return None, cert
 
-    residuals = effective - np.repeat(sizes - 1, sizes)
+    residuals = target - np.repeat(sizes - 1, sizes)
+    if cert.parity_deficit_vertex is not None:
+        residuals[cert.parity_deficit_vertex] -= 1
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
-    units, cert.pending_edges = _fill_edges(cliques, residuals.tolist(), m)
-    cross = np.array(cert.pending_edges, dtype=np.int64).reshape(-1, 2).T
-    return PartColumns(sizes, units, cross), cert
+    units, cross = _fill_edges(sizes, residuals.tolist())
+    return PartColumns(cert, units, cross), cert
 
 
 @dataclass(frozen=True)

@@ -124,14 +124,8 @@ class EmbeddingReport:
             "conformance": self.conformance.to_dict(),
             "parity_deficits": [list(d) for d in self.parity_deficits],
             "certificates": {
-                name: _cert_to_dict(cert)
-                for name, cert in sorted(self.certificates.items())
+                name: cert.to_dict() for name, cert in sorted(self.certificates.items())
             },
             "extras": self.extras,
         }
 
-
-def _cert_to_dict(cert: CliqueCoverCertificate) -> dict:
-    d = cert.to_json_dict()
-    d["cliques"] = [[c.start, c.stop] for c in cert.cliques]
-    return d

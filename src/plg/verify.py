@@ -19,6 +19,7 @@ from .embed_sub1 import Sub1Params, double_graph, sub1_bounds
 from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
+from .realizer import CliqueCoverCertificate
 from .report import SCHEMA, EmbeddingReport, degree_conformance
 
 _REL_TOL = 1e-9
@@ -70,10 +71,13 @@ def _check_conformance(plg: MultiGraph, rep: dict) -> str:
         return "more than 2 deficits declared"
     if not all(len(d) == 2 and isinstance(d[1], int) for d in deficits):
         return "deficits must be [vertex, degree] pairs"
-    bad = degree_conformance(plg, p, deficits).mismatched_buckets
+    result = degree_conformance(plg, p, deficits)
+    bad = result.mismatched_buckets
     if bad:
         worst = min(bad)
         return f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}"
+    if rep["conformance"] != result.to_dict():
+        return "conformance block differs from the recomputed one"
     return ""
 
 
@@ -87,57 +91,85 @@ def _check_parts(plg: MultiGraph, rep: dict) -> str:
         pos = hi
     if pos != plg.vertex_count:
         return f"parts cover {pos} vertices, graph has {plg.vertex_count}"
+    for name, part in rep["parts"].items():
+        lo, hi = part["range"]
+        if part["size"] != hi - lo:
+            return f"{name}: size {part['size']} is not its range's width {hi - lo}"
     return ""
 
 
 @_check("certificates")
 def _check_certificates(plg: MultiGraph, rep: dict) -> str:
+    """Each certificate's cliques tile its part in order and are complete in
+    the graph, the certificate is the dict of the ``CliqueCoverCertificate``
+    its cliques define, and its deficit vertex, if any, lies in the part and
+    is declared in ``parity_deficits``.  ``is_upper_bounds`` then holds each
+    part's clique count: the block's m pair cliques, and 0 for an empty
+    part."""
     for name, cert in rep["certificates"].items():
         lo, hi = rep["parts"][name]["range"]
         cliques = cert["cliques"]
+        start, stop = np.array(cliques, dtype=np.int64).reshape(len(cliques), 2).T
         # Cliques are checked in order, so only those before the first
         # misaligned one are tested for missing edges.
-        aligned = len(cliques)
-        pos = lo
+        misaligned = np.flatnonzero((start != np.append(lo, stop[:-1])) | (stop > hi))
+        aligned = misaligned[0] if len(misaligned) else len(cliques)
+        start, stop = start[:aligned], stop[:aligned]
         # The aligned cliques' members are listed below; a forged report
         # must not size them past the graph, so their span and pair count
         # are checked first.
-        pairs = 0
-        for j, (start, stop) in enumerate(cliques):
-            if start != pos or stop > hi:
-                aligned = j
-                break
-            if start < 0 or stop > plg.vertex_count:
-                return f"{name}: clique [{start},{stop}) lies outside the graph's {plg.vertex_count} vertices"
-            pairs += (stop - start) * (stop - start - 1) // 2
-            pos = stop
+        outside = np.flatnonzero((start < 0) | (stop > plg.vertex_count))
+        if len(outside):
+            j = outside[0]
+            return f"{name}: clique [{start[j]},{stop[j]}) lies outside the graph's {plg.vertex_count} vertices"
+        sizes = stop - start
+        exact = sizes.astype(object)  # a forged size can pass sqrt(2^63)
+        pairs = int((exact * (exact - 1) // 2).sum())
         if pairs > plg.distinct_edge_count():
             return f"{name}: cliques need {pairs} distinct edges, the graph has {plg.distinct_edge_count()}"
-        spans = np.array(cliques[:aligned], dtype=np.int64).reshape(-1, 2)
         # Member u of a clique [s, t) has an edge to each of u+1 .. t-1
         # exactly when it has t - 1 - u of them, so rows are counted, not
         # pairs listed.  Members come clique by clique in ascending order,
         # so the first short row holds the first missing pair.
-        sizes = np.maximum(spans[:, 1] - spans[:, 0], 0)
-        stop = np.repeat(spans[:, 1], sizes)
-        u = np.arange(len(stop)) + np.repeat(spans[:, 0] - (np.cumsum(sizes) - sizes), sizes)
-        short = np.flatnonzero(plg.later_neighbour_counts(u, stop) < stop - 1 - u)
+        rows = np.maximum(sizes, 0)
+        row_stop = np.repeat(stop, rows)
+        u = np.arange(len(row_stop)) + np.repeat(start - (np.cumsum(rows) - rows), rows)
+        short = np.flatnonzero(plg.later_neighbour_counts(u, row_stop) < row_stop - 1 - u)
         if len(short):
             x = u[short[0]]
-            later = np.arange(x + 1, stop[short[0]])
+            later = np.arange(x + 1, row_stop[short[0]])
             return f"{name}: missing clique edge ({x},{later[plg.multiplicities(x, later) < 1][0]})"
         if aligned < len(cliques):
             start, stop = cliques[aligned]
             return f"{name}: clique [{start},{stop}) misaligned with part [{lo},{hi})"
-        covered = pos - lo
+        covered = (stop[-1] if len(stop) else lo) - lo
         if covered != hi - lo:
             return f"{name}: cliques cover {covered} of {hi - lo} vertices"
         if len(cliques) != cert["is_upper_bound"]:
             return f"{name}: is_upper_bound does not equal the clique count"
+        v = cert["parity_deficit_vertex"]
+        built = CliqueCoverCertificate(sizes, lo, None if v is None else v - lo).to_dict()
+        differs = [key for key in sorted(built.keys() | cert.keys()) if built.get(key) != cert.get(key)]
+        if differs:
+            return f"{name}: {differs[0]} does not match the cover its cliques define"
+        if v is not None and not (lo <= v < hi and v in [d[0] for d in rep["parity_deficits"]]):
+            return f"{name}: parity deficit vertex {v} is not a declared deficit in [{lo},{hi})"
+    block, certs, counts = _BLOCKS[rep["kind"]], rep["certificates"], {}
+    for name, part in rep["parts"].items():
+        lo, hi = part["range"]
+        if name not in certs and name != block and hi != lo:
+            return f"{name}: part of {hi - lo} vertices has no certificate"
+        counts[name] = len(certs[name]["cliques"]) if name in certs else (hi - lo) // 2 if name == block else 0
+    bounds = rep["is_upper_bounds"]
+    for name in sorted(bounds.keys() | counts.keys()):
+        if bounds.get(name) != counts.get(name):
+            return f"is_upper_bounds: {name} is {bounds.get(name)}, its clique count {counts.get(name)}"
     return ""
 
 
-# What each embedder doubles into its embedded block.
+# Each kind's embedded block, the part its m pair cliques cover, and what
+# each block doubles.
+_BLOCKS = {"sub1": "Gprime", "beta1": "D"}
 _BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
 
 
@@ -250,6 +282,8 @@ def verify_embedding(
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
+    if rep.get("kind") not in tuple(_BLOCKS):
+        return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown kind"}])
     # The witness and the embedded block share one rebuild of the source;
     # a refused rebuild fails both checks with the same detail.
     try:

@@ -91,5 +91,13 @@ def assert_valid_cover(g: MultiGraph, cert) -> None:
     assert pos == g.vertex_count
 
 
-def degrees_match(g: MultiGraph, cert) -> bool:
-    return np.array_equal(np.sort(g.degrees()), np.sort(cert.realized_degrees))
+def realized_degrees(d, cert) -> np.ndarray:
+    """The targets d, with the certificate's parity deficit vertex one lower."""
+    out = np.array(d, dtype=np.int64)
+    if cert.parity_deficit_vertex is not None:
+        out[cert.parity_deficit_vertex] -= 1
+    return out
+
+
+def degrees_match(g: MultiGraph, d, cert) -> bool:
+    return np.array_equal(np.sort(g.degrees()), np.sort(realized_degrees(d, cert)))

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import os
 import random
 import time
@@ -23,9 +24,9 @@ from plg import (
 from plg import _assembly
 from plg.cli import main
 from plg.graph import EdgeArrays
-from plg.realizer import _fill_clique, clique_pairs
+from plg.realizer import _fill_clique, _realize_columns
 
-from conftest import assert_valid_cover, brute_mis, degrees_match, random_simple_graph
+from conftest import assert_valid_cover, brute_mis, degrees_match, random_simple_graph, realized_degrees
 
 degree_seqs = st.lists(st.integers(1, 9), min_size=1, max_size=14).map(sorted)
 
@@ -62,7 +63,7 @@ def test_realize_triangle():
 def test_realize_mixed_example():
     g, cert = realize([1, 1, 2, 2, 2])
     assert [list(c) for c in cert.cliques] == [[0, 1], [2, 3, 4]]
-    assert cert.parity_deficit == 0
+    assert cert.parity_deficit_vertex is None
     assert brute_mis(g) == 2
 
 
@@ -70,9 +71,9 @@ def test_parity_regression_uniform_tail():
     # Odd total whose tail clique is uniform: the deficit must move to a
     # vertex with slack instead of going negative inside the tail.
     g, cert = realize([1, 2, 2, 2, 2])
-    assert cert.parity_deficit == 1
+    assert cert.parity_deficit_vertex is not None
     assert sorted(g.degrees()) == [1, 1, 2, 2, 2]
-    assert degrees_match(g, cert)
+    assert degrees_match(g, [1, 2, 2, 2, 2], cert)
 
 
 def test_degree_exactness_random():
@@ -80,13 +81,13 @@ def test_degree_exactness_random():
     for _ in range(120):
         d = sorted(rng.randint(1, 9) for _ in range(rng.randint(1, 16)))
         g, cert = realize(d)
-        assert degrees_match(g, cert)
+        assert degrees_match(g, d, cert)
         target = np.array(d)
         realized = np.sort(g.degrees())
         diff = target - realized
         assert int(diff.sum()) == (1 if sum(d) % 2 else 0)
         assert (diff >= 0).all() and (diff <= 1).all()
-        assert int((diff == 1).sum()) == cert.parity_deficit
+        assert int((diff == 1).sum()) == (cert.parity_deficit_vertex is not None)
         assert_valid_cover(g, cert)
 
 
@@ -95,7 +96,7 @@ def test_p_recurrence():
     for _ in range(60):
         d = sorted(rng.randint(1, 7) for _ in range(rng.randint(1, 20)))
         _, cert = realize(d, materialize=False)
-        starts = cert.start_indices
+        starts = cert.starts.tolist()
         assert starts[0] == 0
         for i in range(len(starts) - 1):
             # full cliques follow p(i+1) = p(i) + d[p(i)] + 1
@@ -112,8 +113,8 @@ def test_modes_agree(d):
     assert none_graph is None
     assert [list(c) for c in cert_full.cliques] == [list(c) for c in cert_fast.cliques]
     assert cert_full.parity_deficit_vertex == cert_fast.parity_deficit_vertex
-    assert np.array_equal(cert_full.realized_degrees, cert_fast.realized_degrees)
-    assert np.array_equal(np.sort(g.degrees()), np.sort(cert_fast.realized_degrees))
+    assert np.array_equal(cert_full.sizes, cert_fast.sizes)
+    assert degrees_match(g, d, cert_fast)
 
 
 def test_certificate_soundness_small():
@@ -167,10 +168,16 @@ def test_realize_input_validation():
 
 def test_certificate_json_shape():
     _, cert = realize([1, 1, 2, 2, 2])
-    d = cert.to_json_dict()
+    d = cert.to_dict()
     assert d["clique_sizes"] == [2, 3]
     assert d["p_values"] == [0, 2]
     assert d["is_upper_bound"] == 2
+    assert d["cliques"] == [[0, 2], [2, 5]]
+    cert.offset = 10
+    assert cert.to_dict()["cliques"] == [[10, 12], [12, 15]]
+    _, odd = realize([1, 2, 2, 2, 2])
+    odd.offset = 10
+    assert (odd.to_dict()["parity_deficit"], odd.to_dict()["parity_deficit_vertex"]) == (1, 10 + odd.parity_deficit_vertex)
 
 
 def test_realize_cap_raises_before_allocating():
@@ -352,8 +359,7 @@ def _heap_realize(d):
     """realize() with the heap fill: the fill units summed per pair in a
     dict, then the cross edges joining consecutive pending vertices."""
     _, cert = realize(d, materialize=False)
-    sizes = np.array([len(c) for c in cert.cliques], dtype=np.int64)
-    residuals = (cert.realized_degrees - np.repeat(sizes - 1, sizes)).tolist()
+    residuals = (realized_degrees(d, cert) - np.repeat(cert.sizes - 1, cert.sizes)).tolist()
     fill: dict[tuple[int, int], int] = {}
     pendings = []
     for c in cert.cliques:
@@ -364,7 +370,7 @@ def _heap_realize(d):
     for q1, q2 in cross:
         key = (min(q1, q2), max(q1, q2))
         fill[key] = fill.get(key, 0) + 1
-    u, v, _ = clique_pairs(cert.start_indices, sizes)
+    u, v = np.array([pair for c in cert.cliques for pair in itertools.combinations(c, 2)], dtype=np.int64).reshape(-1, 2).T
     k = len(fill)
     edges = EdgeArrays(
         np.concatenate([u, np.fromiter((e[0] for e in fill), np.int64, k)]),
@@ -383,7 +389,7 @@ def _recorded_parts(monkeypatch) -> list[tuple[np.ndarray, EdgeArrays]]:
     def recording(d, *args, **kwargs):
         cols, cert = realize_columns(d, *args, **kwargs)
         edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
-        cols.write(edges, 0)
+        cols.write(edges)
         seen.append((np.array(d), edges))
         return cols, cert
 
@@ -416,56 +422,10 @@ def test_realize_matches_heap_reference(monkeypatch, embed):
         ref, cross = _heap_realize(d)
         for got, want in zip(g.arrays(), ref.arrays()):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert cert.pending_edges == cross
+        assert [tuple(e) for e in _realize_columns(d)[0].cross.T.tolist()] == cross
 
 
-# -- clique-order pairs and sort-free final builds ------------------------------
-
-
-def _grouped_clique_pairs(starts, sizes):
-    """clique_pairs before it emitted clique order, verbatim: pairs grouped
-    by clique size, from one np.triu_indices per size."""
-    starts = np.asarray(starts, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    us, vs, ids = [], [], []
-    for s in np.unique(sizes[sizes >= 2]).tolist():
-        i, j = np.triu_indices(s, 1)
-        which = np.flatnonzero(sizes == s)
-        first = starts[which][:, None]
-        us.append((first + i).ravel())
-        vs.append((first + j).ravel())
-        ids.append(np.repeat(which, len(i)))
-    if not us:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ids)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.integers(-2, 12), max_size=25),
-    st.integers(0, 40),
-    st.one_of(st.none(), st.lists(st.integers(0, 60), min_size=25, max_size=25)),
-)
-@example([1, 2, 3, 2, 1, 4], 0, None)
-def test_clique_pairs_match_grouped_oracle(sizes, first, scattered):
-    # Cliques as a walk makes them (ascending, disjoint), or at arbitrary starts.
-    if scattered is None:
-        starts = first + np.concatenate([[0], np.cumsum(np.maximum(sizes, 0))[:-1]]).astype(np.int64)
-    else:
-        starts = np.array(scattered[: len(sizes)], dtype=np.int64)
-    got = clique_pairs(starts, sizes)
-    want = _grouped_clique_pairs(starts, sizes)
-    assert all(c.dtype == np.int64 for c in got)
-    triples = list(zip(*(c.tolist() for c in got)))
-    assert sorted(triples) == sorted(zip(*(c.tolist() for c in want)))
-    # Clique by clique in the given order, lexicographic (u, v) inside one.
-    assert triples == sorted(triples, key=lambda t: (t[2], t[0], t[1]))
-    assert len(set(triples)) == len(triples)
-    if scattered is None and triples:
-        u, v, _ = got
-        key = u * (int(v.max()) + 1) + v
-        assert (key[1:] > key[:-1]).all()
+# -- sort-free final builds ----------------------------------------------------
 
 
 def _recorded_builds(monkeypatch, module) -> list:
@@ -556,4 +516,4 @@ def test_realize_final_build_sorted_small(monkeypatch, d):
     g, cert = realize(np.array(d))
     n, edges = realized[-1]
     assert _keys_strictly_increase(n, edges)
-    assert degrees_match(g, cert)
+    assert degrees_match(g, d, cert)

@@ -16,6 +16,8 @@ from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
 from plg.verify import _check_certificates, _check_conformance
 
+from test_golden import _BETA1_INPUT, _SUB1_INPUT
+
 
 def failing(checks):
     return [c["check"] for c in checks if not c["ok"]]
@@ -383,7 +385,21 @@ def reference_check_certificates(plg, rep):
 
 
 def _one_part(n, cliques):
-    return {"parts": {"P": {"range": [0, n]}}, "certificates": {"P": {"cliques": cliques, "is_upper_bound": len(cliques)}}}
+    """A report of one part [0, n) whose certificate is the cover its cliques define."""
+    cert = {
+        "cliques": cliques,
+        "clique_sizes": [stop - start for start, stop in cliques],
+        "p_values": [start for start, _ in cliques],
+        "parity_deficit": 0,
+        "parity_deficit_vertex": None,
+        "is_upper_bound": len(cliques),
+    }
+    return {
+        "kind": "sub1",
+        "parts": {"P": {"range": [0, n]}},
+        "certificates": {"P": cert},
+        "is_upper_bounds": {"P": len(cliques)},
+    }
 
 
 _K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -577,7 +593,7 @@ def test_certificate_check_fails_more_pairs_than_edges():
     # One clique over all ten vertices needs 45 distinct edges: K10 passes,
     # K10 less one edge fails on the count before any pair is built.
     k10 = [(u, v) for u in range(10) for v in range(u + 1, 10)]
-    rep = {"parts": {"P": {"range": [0, 10]}}, "certificates": {"P": {"cliques": [[0, 10]], "is_upper_bound": 1}}}
+    rep = _one_part(10, [[0, 10]])
     assert _check_certificates(MultiGraph(10, k10), rep)["ok"]
     got = _check_certificates(MultiGraph(10, k10[1:]), rep)
     assert not got["ok"]
@@ -904,7 +920,7 @@ def _append(*path_and_value):
             id="del-seed",
         ),
         pytest.param(
-            "sub1", _delete("parity_deficits"), ["conformance"], "report lacks key 'parity_deficits'",
+            "sub1", _delete("parity_deficits"), ["conformance", "certificates"], "report lacks key 'parity_deficits'",
             id="del-parity_deficits",
         ),
         pytest.param(
@@ -943,7 +959,7 @@ def _append(*path_and_value):
             id="range-str",
         ),
         pytest.param(
-            "sub1", _set("parity_deficits", [5]), ["conformance"], "'int' object is not iterable",
+            "sub1", _set("parity_deficits", [5]), ["conformance", "certificates"], "'int' object is not iterable",
             id="deficits-int",
         ),
         pytest.param("sub1", _set("certificates", "G1", "cliques", 0, [1]), ["certificates"], None, id="clique-short"),
@@ -1088,3 +1104,167 @@ def test_cli_verify_fails_conformance_on_huge_degrees(tmp_path, capsys, text, de
     assert code == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert next(c["detail"] for c in checks if c["check"] == "conformance") == detail
+
+
+# -- every claim of a report is checked -------------------------------------------
+
+
+def _bump(*path):
+    """A forge that adds 1 to the number at ``path``."""
+
+    def forge(doc):
+        for p in path[:-1]:
+            doc = doc[p]
+        doc[path[-1]] += 1
+
+    return forge
+
+
+def _add_empty_part(doc):
+    # An empty part at the end of the vertex range, claiming one clique.
+    n = max(part["range"][1] for part in doc["parts"].values())
+    doc["parts"]["G3"] = {"range": [n, n], "size": 0}
+    doc["is_upper_bounds"]["G3"] = 1.0
+
+
+@pytest.fixture(scope="module")
+def c5_embeddings(tmp_path_factory):
+    """(input, output graph, report) paths of embed-sub1 at beta 0.5 and of
+    embed-beta1 at d = 4, seed 3, k = 2, on C5."""
+    root = tmp_path_factory.mktemp("c5")
+    write_c5(root / "c5.plg")
+    argv = {
+        "sub1": ["embed-sub1", "--beta", "0.5"],
+        "beta1": ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"],
+    }
+    paths = {}
+    for kind, embed in argv.items():
+        out, rep = root / f"{kind}.plg", root / f"{kind}.json"
+        assert main([*embed, "--in", str(root / "c5.plg"), "--out", str(out), "--report", str(rep)]) == 0
+        paths[kind] = (root / "c5.plg", out, rep)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "kind, forge, failed",
+    [
+        pytest.param("sub1", _bump("certificates", "G1", "clique_sizes", 0), ["certificates"], id="clique_sizes"),
+        pytest.param("sub1", _bump("certificates", "G2", "p_values", 1), ["certificates"], id="p_values"),
+        pytest.param("sub1", _bump("certificates", "G1", "is_upper_bound"), ["certificates"], id="is_upper_bound"),
+        pytest.param("sub1", _bump("certificates", "G1", "parity_deficit"), ["certificates"], id="parity_deficit"),
+        pytest.param(
+            "sub1", _set("certificates", "G1", "parity_deficit_vertex", None), ["certificates"], id="deficit-vertex-null"
+        ),
+        pytest.param(
+            "sub1", _bump("certificates", "G1", "parity_deficit_vertex"), ["certificates"], id="deficit-vertex-moved"
+        ),
+        pytest.param(
+            # G2's deficit vertex is declared, but lies outside G1.
+            "sub1", _set("certificates", "G1", "parity_deficit_vertex", 44), ["certificates"], id="deficit-vertex-of-G2"
+        ),
+        pytest.param(
+            "sub1", _bump("parity_deficits", 1, 0), ["conformance", "certificates"], id="deficit-undeclared"
+        ),
+        pytest.param("sub1", _bump("is_upper_bounds", "G1"), ["certificates"], id="is_upper_bounds-part"),
+        pytest.param("beta1", _bump("is_upper_bounds", "D"), ["certificates"], id="is_upper_bounds-block"),
+        pytest.param("sub1", _add_empty_part, ["certificates"], id="is_upper_bounds-empty-part"),
+        pytest.param("sub1", _bump("parts", "G1", "size"), ["parts"], id="part-size"),
+        pytest.param("sub1", _set("conformance", "ok", False), ["conformance"], id="conformance-ok"),
+        pytest.param("sub1", _bump("conformance", "deficits", 0, 1), ["conformance"], id="conformance-deficits"),
+        pytest.param("beta1", _set("kind", "beta1x"), ["schema"], id="kind"),
+    ],
+)
+def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, forge, failed):
+    src, out, rep = c5_embeddings[kind]
+    doc = json.loads(rep.read_text())
+    forge(doc)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
+    assert failing(json.loads(capsys.readouterr().out)["checks"]) == failed
+
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar, empty list and empty dict in ``node``."""
+    if isinstance(node, (dict, list)) and node:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path, node
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if value is None:
+        return 0
+    return [0] if isinstance(value, list) else {"0": 0}
+
+
+_NOT_RE_DERIVED = "a parameter that verify does not re-derive"
+_INFORMATIONAL = "an informational extra that no claim of the report rests on"
+# Report leaves that verify still trusts, as path prefixes, with the reason.
+_TRUSTED = {
+    "sub1": {
+        "params/a_x": _NOT_RE_DERIVED,
+        "params/bumps": _NOT_RE_DERIVED,
+        "params/g3_cut": _NOT_RE_DERIVED,
+        "params/n_embedded": _NOT_RE_DERIVED,
+        "params/y_split": _NOT_RE_DERIVED,
+        "extras/g1_split_index": _INFORMATIONAL,
+        "extras/g1_split_inside_g1": _INFORMATIONAL,
+        "extras/i_y1_form": _INFORMATIONAL,
+        "extras/log_base": _INFORMATIONAL,
+    },
+    "beta1": {
+        "params/bumps": _NOT_RE_DERIVED,
+        "params/delta": _NOT_RE_DERIVED,
+        "params/n_d": _NOT_RE_DERIVED,
+        "extras/delta_k_design": _INFORMATIONAL,
+        "extras/feasibility": _INFORMATIONAL,
+        "extras/gap_ratio": _INFORMATIONAL,
+        "extras/k_window": _INFORMATIONAL,
+        "extras/layered": _INFORMATIONAL,
+        "extras/log_base": _INFORMATIONAL,
+        "extras/n_d": _INFORMATIONAL,
+        "extras/product_max_degree": _INFORMATIONAL,
+        "extras/is_g_optimal": "is_g is not certified against the input, so neither is its optimality flag",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["sub1", "beta1"])
+def test_verify_fails_every_forged_leaf(kind):
+    # The golden beta = 0.5 and k = 2 reports: a change to any one leaf
+    # outside the trusted list fails a check, and the trusted ones pass.
+    from plg import _jsonio, embed_beta1
+
+    if kind == "sub1":
+        src = read_graph(_SUB1_INPUT)
+        g, rep = embed_sub1(src, 0.5)
+    else:
+        src = read_graph(_BETA1_INPUT)
+        g, rep = embed_beta1(src, 4, 3, 2)
+    base = json.loads(_jsonio.dumps(rep.to_dict()))
+    assert verify_embedding(g, base, src).ok
+    passed, trusted, used = [], [], set()
+    for path, value in _leaves(base):
+        name = "/".join(map(str, path))
+        prefix = next((p for p in _TRUSTED[kind] if name == p or name.startswith(p + "/")), None)
+        if prefix is not None:
+            trusted.append(name)
+            used.add(prefix)
+        doc = copy.deepcopy(base)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _perturbed(value)
+        if verify_embedding(g, doc, src).ok:
+            passed.append(name)
+    assert passed == trusted
+    assert used == set(_TRUSTED[kind])  # no entry outlives its leaf
