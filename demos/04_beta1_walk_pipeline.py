@@ -18,7 +18,7 @@ from plg import (
     verify_embedding,
     walk_product,
 )
-from plg.embed_beta1 import _beta1_at_alpha, layered_is_bound
+from plg.embed_beta1 import Beta1Params, layered_is_bound
 
 
 def section(title):
@@ -65,7 +65,7 @@ print("verify:", verify_embedding(g, rep, c5).ok)
 
 section("Layered estimator for IS([x*delta, delta])")
 for alpha in (4.0, 6.0, 8.0):
-    lb = layered_is_bound(_beta1_at_alpha(math.exp(alpha), alpha, 0))
+    lb = layered_is_bound(Beta1Params(math.exp(alpha), 0))
     print(
         f"alpha={alpha:.0f}: layered = {lb.exact:>5} "
         f"(naive single-interval {lb.naive:>5}, c*e^a/a at c=5 is {5 * math.exp(alpha) / alpha:8.1f})"

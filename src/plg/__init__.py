@@ -41,7 +41,6 @@ from .errors import (
 from .graph import MultiGraph, degree_sequence, is_independent, read_graph, write_graph
 from .model import (
     BoundPair,
-    DegreeInterval,
     PowerLawParams,
     cover_ceiling_sum,
     degree_count,
@@ -68,7 +67,6 @@ __all__ = [
     "BoundPair",
     "CliqueCoverCertificate",
     "Conformance",
-    "DegreeInterval",
     "EmbeddingReport",
     "ExpanderCertificate",
     "InputError",

@@ -139,11 +139,10 @@ def assemble(
     witness_source)``, checked independent in the output.
 
     Returns (graph, fields), where fields are the ``EmbeddingReport`` keyword
-    arguments assembly settles: part ranges and sizes, IS upper bounds (m
-    pair cliques for the block), certificates, parity deficits as (vertex,
-    target) pairs, conformance and the witness.  Raises InputError when the
-    surplus part cannot take every surplus half-edge with its targets kept
-    at 1 or more.
+    arguments assembly settles: part ranges, certificates, parity deficits
+    as (vertex, target) pairs, conformance and the witness.  Raises
+    InputError when the surplus part cannot take every surplus half-edge
+    with its targets kept at 1 or more.
     """
     n_embed = doubled.vertex_count
     deg = doubled.degrees()
@@ -182,7 +181,6 @@ def assemble(
     # Realize each part on its own index space; it is written into place below.
     offset = n_embed
     part_ranges = {block: (0, n_embed)}
-    is_upper = {block: float(n_embed // 2)}  # the m pair cliques
     certs: dict[str, CliqueCoverCertificate] = {}
     deficits: list[tuple[int, int]] = []
     labels = dict.fromkeys(range(n_embed), "embedded")
@@ -190,7 +188,6 @@ def assemble(
     blocks = []
     for i, (name, fill) in enumerate(zip(names, fills)):
         part_ranges[name] = (offset, offset + len(fill))
-        is_upper[name] = 0.0
         if len(fill) == 0:
             continue
         srt = np.argsort(fill, kind="stable")
@@ -202,7 +199,6 @@ def assemble(
             recv_position[srt] = np.arange(len(srt)) + offset
         blocks.append(cols)
         certs[name] = cert
-        is_upper[name] = float(cert.size)
         local = cert.parity_deficit_vertex
         if local is not None:
             intended = int(fill[srt[local]])
@@ -238,8 +234,6 @@ def assemble(
         raise InternalError("mapped witness is not independent in the output")
     fields = {
         "part_ranges": part_ranges,
-        "part_sizes": {name: hi - lo for name, (lo, hi) in part_ranges.items()},
-        "is_upper_bounds": is_upper,
         "certificates": certs,
         "parity_deficits": deficits,
         "conformance": degree_conformance(graph, p, deficits),

@@ -11,15 +11,20 @@ import numpy as np
 
 class Record:
     """Dataclass mixin for records that round-trip through reports:
-    ``to_dict`` is ``asdict``, and ``from_dict`` its inverse, which ignores
-    keys that are not fields."""
+    ``to_dict`` is ``asdict``, and ``from_dict`` its inverse, which reads
+    only the ``init`` fields, those that define the record: a frozen record
+    derives the others in ``__post_init__`` with ``_set_derived``."""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.init})
+
+    def _set_derived(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 def _fmt_float(v: float) -> str:

@@ -9,7 +9,7 @@ the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from ._assembly import assemble, double_with_pairs, first_fit, slot_targets
 from ._jsonio import Record
 from .errors import InputError, InternalError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
-from .model import PowerLawParams, guarded_ceil, guarded_floor, interval_size_exact
+from .model import PowerLawParams, guarded_ceil, interval_size_exact
 from .realizer import interval_degree_sequence
-from .report import EmbeddingReport
+from .report import BLOCKS, EmbeddingReport
 from .solver import greedy_maximal_is, mis_size
 
 _MAX_BUMPS = 64
@@ -359,40 +359,35 @@ def choose_k(n: int, d: int) -> KWindow:
 
 @dataclass(frozen=True)
 class Beta1Params(Record):
-    """Embedding parameters for beta = 1: alpha = ln(n_d), x = ln(n_d)/e^alpha."""
+    """Embedding parameters for beta = 1, defined by (n_d, bumps): alpha =
+    ln(n_d) + bumps*ln(1+1/n_d) and x = ln(n_d)/e^alpha fix the rest.
+    Raises ``InputError`` unless alpha is positive and e^alpha finite."""
 
     n_d: float
-    alpha: float
-    x: float
-    delta: int
-    a_x: int
-    h: float  # sqrt(e^alpha / alpha)
-    L: int  # round(alpha), at least 1
+    alpha: float = field(init=False)
+    x: float = field(init=False)
+    delta: int = field(init=False)
+    a_x: int = field(init=False)
+    h: float = field(init=False)  # sqrt(e^alpha / alpha)
+    L: int = field(init=False)  # round(alpha), at least 1
     bumps: int
 
-
-def _beta1_at_alpha(n_d: float, alpha: float, bumps: int) -> Beta1Params:
-    delta = guarded_floor(math.exp(alpha))
-    x = math.log(n_d) / math.exp(alpha)
-    a_x = max(1, guarded_ceil(x * delta))
-    return Beta1Params(
-        n_d=n_d,
-        alpha=alpha,
-        x=x,
-        delta=delta,
-        a_x=a_x,
-        h=math.sqrt(math.exp(alpha) / alpha),
-        L=max(1, round(alpha)),
-        bumps=bumps,
-    )
+    def __post_init__(self):
+        alpha = math.log(self.n_d) + self.bumps * math.log1p(1.0 / self.n_d)
+        delta = PowerLawParams(alpha, 1.0).delta
+        x = math.log(self.n_d) / math.exp(alpha)
+        self._set_derived(
+            alpha=alpha, x=x, delta=delta, a_x=max(1, guarded_ceil(x * delta)),
+            h=math.sqrt(math.exp(alpha) / alpha), L=max(1, round(alpha)),
+        )
 
 
 def _beta1_at_bump(n_d: int | float, t: int) -> Beta1Params | None:
-    """The parameters at the t-th bump, alpha = ln(n_d) + t*ln(1+1/n_d), if
-    condition (II) holds there: the first usable slot reaches log(n_d).  The
-    real product x*delta equals log(n_d) only when e^alpha is an integer, so
-    the integer slot floor carries the condition."""
-    params = _beta1_at_alpha(n_d, math.log(n_d) + t * math.log1p(1.0 / n_d), t)
+    """``Beta1Params(n_d, t)`` if condition (II) holds there: the first
+    usable slot reaches log(n_d).  The real product x*delta equals log(n_d)
+    only when e^alpha is an integer, so the integer slot floor carries the
+    condition."""
+    params = Beta1Params(n_d, t)
     return params if params.a_x + 1e-9 >= math.log(n_d) else None
 
 
@@ -461,12 +456,10 @@ def layered_is_bound(params: Beta1Params) -> LayeredBound:
     Layer boundaries are ceil(x*delta*h^j) clipped to delta, the last forced
     to delta; with h = sqrt(e^alpha/alpha) only the first two layers are
     non-empty (x*delta*h^2 = delta).  The asymptotic comparison value is
-    (e^a/L)*(1 - a/e^a)/(1 - (a/e^a)^(1/L)).  An L other than
-    max(1, round(alpha)) raises ``InputError`` before any layer is built.
+    (e^a/L)*(1 - a/e^a)/(1 - (a/e^a)^(1/L)).  ``Beta1Params`` derives L =
+    max(1, round(alpha)), so the layer count stays below alpha + 1.
     """
     p = PowerLawParams(params.alpha, 1.0)
-    if params.L != max(1, round(params.alpha)):
-        raise InputError(f"L must be max(1, round(alpha)) = {max(1, round(params.alpha))}, got {params.L}")
     d = params.delta
     xd = params.x * d
     bounds = [guarded_ceil(xd * params.h**j) for j in range(params.L)]
@@ -633,7 +626,7 @@ def embed_beta1(
     # non-adjacent in D; their first pair members stay independent in the PLG.
     witness_source = greedy_maximal_is(g)
     graph, assembled = assemble(
-        p, doubled, "D", pair_targets, [("G1", leftover), ("G2", g2_targets)], wp.walks, witness_source
+        p, doubled, BLOCKS["beta1"], pair_targets, [("G1", leftover), ("G2", g2_targets)], wp.walks, witness_source
     )
     dp_count = count_walks_within(h, witness_source, k)
     if dp_count != len(assembled["is_lower_witness"]):

@@ -11,7 +11,7 @@ bounds, and every independent set of the input maps to one of the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
 from .realizer import DEFAULT_EDGE_CAP, interval_degree_sequence
-from .report import EmbeddingReport
+from .report import BLOCKS, EmbeddingReport
 from .solver import greedy_maximal_is
 
 _MAX_BUMPS = 64
@@ -51,53 +51,50 @@ def double_graph(g: MultiGraph) -> MultiGraph:
 
 @dataclass(frozen=True)
 class Sub1Params(Record):
-    """Embedding parameters for the beta < 1 construction."""
+    """Embedding parameters for the beta < 1 construction, defined by
+    (n_embedded, beta, bumps): x = (1/2)^(1/(1-beta)) and alpha =
+    beta*ln(n/x) + bumps*beta*ln(1+1/n), which fix the rest.  Raises
+    ``InputError`` unless beta is in (0, 1) and n is even and >= 2."""
 
     n_embedded: int  # doubled vertex count to embed
     beta: float
-    x: float
-    alpha: float
-    delta: int
-    a_x: int  # first degree slot of the top interval
-    y_split: float  # delta^(-1/2)
-    g3_cut: int  # ceil(e^(alpha/(beta+1)))
+    x: float = field(init=False)
+    alpha: float = field(init=False)
+    delta: int = field(init=False)
+    a_x: int = field(init=False)  # first degree slot of the top interval
+    y_split: float = field(init=False)  # delta^(-1/2)
+    g3_cut: int = field(init=False)  # ceil(e^(alpha/(beta+1)))
     bumps: int
+
+    def __post_init__(self):
+        n, beta = self.n_embedded, self.beta
+        if not 0 < beta < 1:
+            raise InputError("beta must be in (0, 1)")
+        if n < 2 or n % 2:
+            raise InputError("n must be even and >= 2 (a doubled vertex count)")
+        x = 0.5 ** (1.0 / (1.0 - beta))
+        alpha = beta * math.log(n / x) + self.bumps * (beta * math.log1p(1.0 / n))
+        delta = PowerLawParams(alpha, beta).delta
+        self._set_derived(
+            x=x, alpha=alpha, delta=delta, a_x=max(1, guarded_ceil(x * delta)),
+            y_split=delta**-0.5, g3_cut=guarded_ceil(math.exp(alpha / (beta + 1))),
+        )
 
 
 def choose_params_sub1(n: int, beta: float) -> Sub1Params:
-    """Pick x = (1/2)^(1/(1-beta)) and the minimal alpha = beta*ln(n/x) +
-    t*beta*ln(1+1/n), t = 0..64, whose floored distribution satisfies
-    n <= x*delta and n <= |[x*delta, delta]|.
+    """The least bump t = 0..64 where ``Sub1Params(n, beta, t)`` satisfies
+    n <= x*delta and n <= |[x*delta, delta]| for its floored distribution.
 
     Each step multiplies e^(alpha/beta) by (1+1/n); needing more than 64
     indicates a bug.
     """
-    if not 0 < beta < 1:
-        raise InputError("beta must be in (0, 1)")
-    if n < 2 or n % 2:
-        raise InputError("n must be even and >= 2 (a doubled vertex count)")
-    x = 0.5 ** (1.0 / (1.0 - beta))
-    alpha0 = beta * math.log(n / x)
-    step = beta * math.log1p(1.0 / n)
 
     def trial(t: int) -> Sub1Params | None:
-        alpha = alpha0 + t * step
-        p = PowerLawParams(alpha, beta)
-        d = p.delta
-        a_x = max(1, guarded_ceil(x * d))
-        if x * d + 1e-9 < n or interval_size_exact(p, a_x, d) < n:
+        params = Sub1Params(n, beta, t)
+        p = PowerLawParams(params.alpha, beta)
+        if params.x * params.delta + 1e-9 < n or interval_size_exact(p, params.a_x, params.delta) < n:
             return None
-        return Sub1Params(
-            n_embedded=n,
-            beta=beta,
-            x=x,
-            alpha=alpha,
-            delta=d,
-            a_x=a_x,
-            y_split=d**-0.5,
-            g3_cut=guarded_ceil(math.exp(alpha / (beta + 1))),
-            bumps=t,
-        )
+        return params
 
     return first_fit(trial, _MAX_BUMPS)
 
@@ -179,7 +176,7 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]
     graph, assembled = assemble(
         p,
         gd,
-        "Gprime",
+        BLOCKS["sub1"],
         pair_targets,
         [("G2", g2_targets), ("G1", g1_targets)],
         np.arange(g.vertex_count)[:, None],

@@ -82,21 +82,6 @@ class PowerLawParams:
 
 
 @dataclass(frozen=True)
-class DegreeInterval:
-    """Integer degree interval [low, high] inside a power-law distribution."""
-
-    low: int
-    high: int
-    params: PowerLawParams
-
-    def __post_init__(self):
-        if not (1 <= self.low <= self.high <= self.params.delta):
-            raise InputError(
-                f"need 1 <= {self.low} <= {self.high} <= delta={self.params.delta}"
-            )
-
-
-@dataclass(frozen=True)
 class BoundPair:
     """Closed-form bracket plus the exact value it estimates.
 

@@ -11,6 +11,8 @@ from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate
 
 SCHEMA = "plg-report/1"
+# Each kind's embedded block: the part its m pair cliques cover.
+BLOCKS = {"sub1": "Gprime", "beta1": "D"}
 
 
 @dataclass
@@ -92,19 +94,32 @@ def degree_conformance(
 
 @dataclass
 class EmbeddingReport:
-    """Everything an embedding run certifies, in recomputable form."""
+    """Everything an embedding run certifies, in recomputable form.  Part
+    sizes and IS upper bounds are derived from the part ranges and the
+    certificates."""
 
     kind: str  # "sub1" or "beta1"
     params: dict
     part_ranges: dict[str, tuple[int, int]]  # name -> [start, stop) vertex ids
-    part_sizes: dict[str, int]
-    is_upper_bounds: dict[str, float]
     bounds_closed: dict[str, float]
     is_lower_witness: list[int]
     conformance: Conformance
     parity_deficits: list[tuple[int, int]]
     certificates: dict[str, CliqueCoverCertificate] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+
+    @property
+    def part_sizes(self) -> dict[str, int]:
+        return {name: hi - lo for name, (lo, hi) in self.part_ranges.items()}
+
+    @property
+    def is_upper_bounds(self) -> dict[str, float]:
+        """Each part's clique count: the block's m pair cliques, each
+        certificate's size, and 0 for an empty part."""
+        counts = {name: cert.size for name, cert in self.certificates.items()}
+        lo, hi = self.part_ranges[BLOCKS[self.kind]]
+        counts[BLOCKS[self.kind]] = (hi - lo) // 2
+        return {name: float(counts.get(name, 0)) for name in self.part_ranges}
 
     def to_dict(self) -> dict:
         return {

@@ -2,13 +2,15 @@
 
 Every check recomputes from first principles: histogram against the
 distribution definition, clique covers against the assembled edges, witness
-independence and its mapping from the recorded source, the closed-form bounds
-from the recorded parameters, and the embedded block.
+independence and its mapping from the recorded source, the parameters from
+their defining fields and the closed-form bounds from those, and the
+embedded block.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate
-from .report import SCHEMA, EmbeddingReport, degree_conformance
+from .report import BLOCKS, SCHEMA, EmbeddingReport, degree_conformance
 
 _REL_TOL = 1e-9
 
@@ -35,7 +37,8 @@ class VerifyResult:
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
+    # An infinite difference is never close, though the tolerance is then infinite too.
+    return math.isfinite(a - b) and abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
 def _check(name: str):
@@ -69,13 +72,16 @@ def _check_conformance(plg: MultiGraph, rep: dict) -> str:
     deficits = [tuple(t) for t in rep["parity_deficits"]]
     if len(deficits) > 2:
         return "more than 2 deficits declared"
-    if not all(len(d) == 2 and isinstance(d[1], int) for d in deficits):
+    if not all(len(d) == 2 and all(isinstance(x, int) for x in d) for d in deficits):
         return "deficits must be [vertex, degree] pairs"
     result = degree_conformance(plg, p, deficits)
     bad = result.mismatched_buckets
     if bad:
         worst = min(bad)
         return f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}"
+    for v, t in deficits:
+        if not (0 <= v < plg.vertex_count and plg.degree(v) == t - 1):
+            return f"deficit vertex {v} does not have degree {t - 1}"
     if rep["conformance"] != result.to_dict():
         return "conformance block differs from the recomputed one"
     return ""
@@ -154,7 +160,7 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
             return f"{name}: {differs[0]} does not match the cover its cliques define"
         if v is not None and not (lo <= v < hi and v in [d[0] for d in rep["parity_deficits"]]):
             return f"{name}: parity deficit vertex {v} is not a declared deficit in [{lo},{hi})"
-    block, certs, counts = _BLOCKS[rep["kind"]], rep["certificates"], {}
+    block, certs, counts = BLOCKS[rep["kind"]], rep["certificates"], {}
     for name, part in rep["parts"].items():
         lo, hi = part["range"]
         if name not in certs and name != block and hi != lo:
@@ -167,15 +173,13 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
     return ""
 
 
-# Each kind's embedded block, the part its m pair cliques cover, and what
-# each block doubles.
-_BLOCKS = {"sub1": "Gprime", "beta1": "D"}
-_BLOCK_SOURCES = {"Gprime": "input", "D": "walk product"}
+# What each kind's embedded block doubles.
+_BLOCK_SOURCES = {"sub1": "input", "beta1": "walk product"}
 
 
 @_check("embedded")
 def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
-    """The part ``block`` is the doubling ``doubled`` and the report's
+    """The kind's block is the doubling ``doubled`` and the report's
     spectrum is that of the expander ``h``, all from ``block_source``, the
     ``_embedded_source`` tuple or the exception its build raised (raised
     again here): the block is [0, 2m), the recorded lambdas and pass flag
@@ -183,7 +187,7 @@ def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
     multiplicity in ``doubled``, or at least that on a pair edge {2i, 2i+1},
     which the fill raises.  So the block's independent sets are those of
     ``doubled``."""
-    block, doubled, _, h = _built(block_source)
+    block, (doubled, _, h) = BLOCKS[rep["kind"]], _built(block_source)
     n_embed = doubled.vertex_count
     if list(rep["parts"][block]["range"]) != [0, n_embed]:
         return f"{block} is not the block [0,{n_embed})"
@@ -205,12 +209,12 @@ def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
     eu, ev = np.concatenate([du[lost], u[extra]]), np.concatenate([dv[lost], v[extra]])
     if len(eu):
         k = np.lexsort((ev, eu))[0]
-        return f"block differs from the doubled {_BLOCK_SOURCES[block]} at edge ({eu[k]},{ev[k]})"
+        return f"block differs from the doubled {_BLOCK_SOURCES[rep['kind']]} at edge ({eu[k]},{ev[k]})"
     return ""
 
 
 def _embedded_source(rep: dict, original: MultiGraph):
-    """The embedded block's name, the doubling it must equal, the walks its
+    """The doubling the embedded block must equal, the walks its
     witness maps and the expander behind them, if any.  Kind "sub1":
     ``double_graph`` of the input, which refuses an input the embedder would
     refuse as too large before doubling it, walked one vertex at a time.
@@ -218,7 +222,7 @@ def _embedded_source(rep: dict, original: MultiGraph):
     (d, seed, k), once n_base is checked against the input; a refusal
     raises ``InputError("walk product: …")``."""
     if rep["kind"] == "sub1":
-        return "Gprime", double_graph(original), np.arange(original.vertex_count)[:, None], None
+        return double_graph(original), np.arange(original.vertex_count)[:, None], None
     ex = rep["extras"]
     try:
         if ex["n_base"] != original.vertex_count:
@@ -226,7 +230,7 @@ def _embedded_source(rep: dict, original: MultiGraph):
         wp = walk_block(original, ex["d"], ex["seed"], ex["k"])
     except (InputError, ResourceLimitError) as exc:
         raise InputError(f"walk product: {exc}") from exc
-    return "D", wp.doubled(), wp.walks, wp.expander
+    return wp.doubled(), wp.walks, wp.expander
 
 
 def _built(block_source):
@@ -242,7 +246,7 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
     """The witness is independent in the output and is exactly the image of
     its source, an independent set of the input, under the walks of
     ``block_source`` (as in ``_check_embedded``)."""
-    walks = _built(block_source)[2]
+    walks = _built(block_source)[1]
     witness = rep["witness"]
     if not is_independent(plg, witness):
         return "witness not independent in output"
@@ -260,12 +264,19 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
 
 @_check("bounds")
 def _check_bounds(rep: dict) -> str:
-    params = rep["params"]
-    bounds = rep["bounds"]
-    if rep["kind"] == "sub1":
-        expect = sub1_bounds(Sub1Params.from_dict(params))
-    else:
-        expect = beta1_bounds(Beta1Params.from_dict(params), rep["extras"])[0]
+    """The params are those of the record their defining fields build, leaf
+    for leaf (floats to the relative tolerance), and the bounds are those
+    the rebuilt record gives."""
+    params, bounds = rep["params"], rep["bounds"]
+    record = (Sub1Params if rep["kind"] == "sub1" else Beta1Params).from_dict(params)
+    rebuilt = record.to_dict()
+    unknown = sorted(params.keys() - rebuilt.keys())
+    if unknown:
+        return f"params: {unknown[0]} is not a parameter"
+    for key, val in rebuilt.items():
+        if not (_close(params[key], val) if isinstance(val, float) else params[key] == val):
+            return f"params: {key} is {params[key]}, its defining fields give {val}"
+    expect = sub1_bounds(record) if rep["kind"] == "sub1" else beta1_bounds(record, rep["extras"])[0]
     for key, val in expect.items():
         if key not in bounds or not _close(bounds[key], val):
             return f"{key}: report {bounds.get(key)}, recomputed {val}"
@@ -282,7 +293,7 @@ def verify_embedding(
     rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
     if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
-    if rep.get("kind") not in tuple(_BLOCKS):
+    if rep.get("kind") not in tuple(BLOCKS):
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown kind"}])
     # The witness and the embedded block share one rebuild of the source;
     # a refused rebuild fails both checks with the same detail.

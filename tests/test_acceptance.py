@@ -33,7 +33,7 @@ from plg import (
     walk_product,
     write_graph,
 )
-from plg.embed_beta1 import _beta1_at_alpha, layered_is_bound
+from plg.embed_beta1 import Beta1Params, layered_is_bound
 
 from conftest import brute_mis, enumerate_independent_sets, random_simple_graph, realized_degrees
 
@@ -217,7 +217,7 @@ def test_criterion_5_walk_products():
 
 def test_criterion_6_layered_estimator():
     for alpha in (4.0, 5.0, 6.0, 7.0, 8.0):
-        bp = _beta1_at_alpha(math.exp(alpha), alpha, 0)
+        bp = Beta1Params(math.exp(alpha), 0)
         lb = layered_is_bound(bp)
         assert lb.exact <= 5 * math.exp(alpha) / alpha, alpha
         assert lb.exact < lb.naive, alpha

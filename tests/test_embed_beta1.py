@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plg import (
+    Beta1Params,
     InputError,
     InternalError,
     MultiGraph,
@@ -38,7 +39,6 @@ from plg.embed_beta1 import (
     WALK_VERTEX_CAP,
     ExpanderCertificate,
     WalkProduct,
-    _beta1_at_alpha,
     _seat_floor,
     _seat_pairs,
     check_walk_caps,
@@ -422,7 +422,8 @@ def test_choose_params_small():
 
 
 def test_layered_bound_alpha4():
-    bp = _beta1_at_alpha(math.exp(4.0), 4.0, 0)
+    bp = Beta1Params(math.exp(4.0), 0)
+    assert bp.alpha == 4.0
     assert bp.h == pytest.approx(math.sqrt(math.exp(4) / 4))
     assert bp.L == 4
     lb = layered_is_bound(bp)
@@ -434,7 +435,7 @@ def test_layered_bound_alpha4():
 
 
 def test_layered_degenerates_at_l1():
-    bp = _beta1_at_alpha(math.exp(1.0), 1.0, 0)
+    bp = Beta1Params(math.exp(1.0), 0)
     assert bp.L == 1
     lb = layered_is_bound(bp)
     assert lb.exact == lb.naive
@@ -442,7 +443,8 @@ def test_layered_degenerates_at_l1():
 
 def test_layered_sweep_dominance():
     for alpha in (4.0, 5.0, 6.0, 7.0, 8.0):
-        bp = _beta1_at_alpha(math.exp(alpha), alpha, 0)
+        bp = Beta1Params(math.exp(alpha), 0)
+        assert bp.alpha == alpha
         lb = layered_is_bound(bp)
         assert lb.exact <= 5 * math.exp(alpha) / alpha
         assert lb.exact < lb.naive
@@ -655,15 +657,13 @@ def test_assign_pair_slots_matches_loop_on_search_slots():
     rng = random.Random(11)
     for n_d in (16, 64, 256):
         for t in (0, 1, 5, 30):
-            params = _beta1_at_alpha(float(n_d), math.log(n_d) + t * math.log1p(1.0 / n_d), t)
+            params = Beta1Params(float(n_d), t)
             slots = interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta)
             needs = sorted(rng.randint(1, 4 * int(math.log(n_d)) + 3) for _ in range(n_d))
             _assert_slots_match_loop(slots.tolist(), needs)
 
 
 def test_params_dict_roundtrip():
-    from plg.embed_beta1 import Beta1Params
-
     params = choose_params_beta1(40)
     assert Beta1Params.from_dict({**params.to_dict(), "extra": 1}) == params
 

@@ -93,34 +93,30 @@ def test_choose_params_rejects_bad_input():
 
 
 def test_residual_bound_g3_example():
-    params = choose_params_sub1(4, 0.5)
-    # evaluate at alpha=4 regardless of the chosen n: build params by hand
+    # n = 4 at beta = 1/2: x = 1/4, alpha = ln(4n)/2 = ln 4, delta = 16
     from plg import Sub1Params
 
-    sp = Sub1Params(
-        n_embedded=4, beta=0.5, x=0.25, alpha=4.0, delta=2980, a_x=746,
-        y_split=2980**-0.5, g3_cut=15, bumps=0,
-    )
+    sp = Sub1Params(4, 0.5, 0)
+    assert sp == choose_params_sub1(4, 0.5)
+    assert sp.alpha == pytest.approx(math.log(4))
+    assert (sp.x, sp.delta, sp.a_x, sp.y_split, sp.g3_cut) == (0.25, 16, 4, 0.25, 3)
     rb = residual_is_bound_sub1(sp)
-    assert rb.g3_bound == pytest.approx(math.exp(4 / 1.5) / 0.5)
-    assert rb.g3_bound == pytest.approx(28.78, abs=0.01)
+    assert rb.g3_bound == pytest.approx(math.exp(math.log(4) / 1.5) / 0.5)
+    assert rb.g3_bound == pytest.approx(5.04, abs=0.01)
 
 
 def test_g1_bound_scales_with_sqrt_delta_beta_half():
-    # sweep alpha in [2, 8]: g1_bound / sqrt(delta) stays bounded for beta=1/2
+    # sweep alpha = ln(4n)/2 over [2, 8] (n = e^(2 alpha)/4, even):
+    # g1_bound / sqrt(delta) stays bounded for beta=1/2
     from plg import Sub1Params
 
     worst = 0.0
     for alpha in [2 + 0.5 * i for i in range(13)]:
-        delta = math.floor(math.exp(alpha / 0.5))
-        sp = Sub1Params(
-            n_embedded=2, beta=0.5, x=0.25, alpha=alpha, delta=delta,
-            a_x=math.ceil(0.25 * delta), y_split=delta**-0.5,
-            g3_cut=math.ceil(math.exp(alpha / 1.5)), bumps=0,
-        )
+        sp = Sub1Params(2 * round(math.exp(2 * alpha) / 8), 0.5, 0)
+        assert sp.alpha == pytest.approx(alpha, abs=0.02)
         rb = residual_is_bound_sub1(sp)
-        worst = max(worst, rb.g1_bound / math.sqrt(delta))
-    assert worst < 6.0  # frozen sweep max is ~5.0 (4*sqrtD from i_y1 + ~1 from i_y2)
+        worst = max(worst, rb.g1_bound / math.sqrt(sp.delta))
+    assert worst < 6.0  # frozen sweep max is ~4.9 (4*sqrtD from i_y1 + ~1 from i_y2)
 
 
 def test_embed_k2_every_is_maps(c5):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from plg import (
     BoundPair,
-    DegreeInterval,
     PowerLawParams,
     UnsupportedCaseError,
     degree_count,
@@ -197,17 +196,6 @@ def test_beta_below_one_size_lower_bound_misses_floor_loss():
     assert bp.exact < bp.lower - 2
 
 
-def test_degree_interval_validation():
-    p = PowerLawParams(2.0, 1.0)
-    DegreeInterval(1, 7, p)
-    with pytest.raises(ValueError):
-        DegreeInterval(0, 3, p)
-    with pytest.raises(ValueError):
-        DegreeInterval(3, 2, p)
-    with pytest.raises(ValueError):
-        DegreeInterval(1, 8, p)
-
-
 def test_bound_pair_residuals():
     bp = BoundPair(lower=1.0, upper=5.0, exact=3)
     assert bp.residuals() == (2.0, 2.0)
@@ -319,12 +307,11 @@ def test_floor_block_sums_at_sub1_search_points(beta):
 def test_floor_block_sums_at_beta1_search_points():
     # choose_params_beta1 and embed_beta1's slot search step alpha from
     # ln(n_d), where e^alpha = n_d, by ln(1 + 1/n_d).
-    from plg.embed_beta1 import _beta1_at_alpha, layered_is_bound
+    from plg.embed_beta1 import Beta1Params, layered_is_bound
 
     for n_d in (5, 16, 64, 256, 1000, 3000):
-        alpha = math.log(n_d)
         for t in sorted({0, 1, 2, 3, 7, 40, 300} & set(range(n_d // 2 + 1))):
-            params = _beta1_at_alpha(float(n_d), alpha + t * math.log1p(1.0 / n_d), t)
+            params = Beta1Params(float(n_d), t)
             p = PowerLawParams(params.alpha, 1.0)
             for a, b in ((params.a_x, params.delta), (1, params.delta), (1, params.a_x - 1)):
                 _assert_sums_match_level_sets(p, a, b)

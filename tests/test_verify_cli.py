@@ -908,6 +908,12 @@ def _append(*path_and_value):
     return forge
 
 
+def _move_deficit(doc):
+    doc["certificates"]["G1"]["parity_deficit_vertex"] = 56
+    doc["parity_deficits"][1][0] = 56
+    doc["conformance"]["deficits"][1][0] = 56
+
+
 @pytest.mark.parametrize(
     "kind, forge, failed, detail",
     [
@@ -988,8 +994,25 @@ def _append(*path_and_value):
             id="k-overflows-float",
         ),
         pytest.param(
-            "beta1", _set("params", "L", 10**8), ["bounds"], "L must be max(1, round(alpha)) = 4, got 100000000",
+            "beta1", _set("params", "L", 10**8), ["bounds"], "params: L is 100000000, its defining fields give 4",
             id="L-forged",
+        ),
+        pytest.param(
+            "sub1", _set("bounds", "g1_bound", float("inf")), ["bounds"],
+            "g1_bound: report inf, recomputed 22.68160918664779", id="bound-inf",
+        ),
+        pytest.param(
+            "sub1", _set("params", "x", float("inf")), ["bounds"], "params: x is inf, its defining fields give 0.25",
+            id="params-inf",
+        ),
+        pytest.param(
+            "sub1", _set("params", "n", 10), ["bounds"], "params: n is not a parameter", id="params-unknown-key",
+        ),
+        pytest.param(
+            # G1's deficit moved from vertex 57 (degree 2, target 3) to 56
+            # (degree 3) everywhere it is declared: the histogram still fits.
+            "sub1", _move_deficit, ["conformance"], "deficit vertex 56 does not have degree 2",
+            id="deficit-vertex-off-its-degree",
         ),
     ],
 )
@@ -1206,25 +1229,16 @@ def _perturbed(value):
     return [0] if isinstance(value, list) else {"0": 0}
 
 
-_NOT_RE_DERIVED = "a parameter that verify does not re-derive"
 _INFORMATIONAL = "an informational extra that no claim of the report rests on"
 # Report leaves that verify still trusts, as path prefixes, with the reason.
 _TRUSTED = {
     "sub1": {
-        "params/a_x": _NOT_RE_DERIVED,
-        "params/bumps": _NOT_RE_DERIVED,
-        "params/g3_cut": _NOT_RE_DERIVED,
-        "params/n_embedded": _NOT_RE_DERIVED,
-        "params/y_split": _NOT_RE_DERIVED,
         "extras/g1_split_index": _INFORMATIONAL,
         "extras/g1_split_inside_g1": _INFORMATIONAL,
         "extras/i_y1_form": _INFORMATIONAL,
         "extras/log_base": _INFORMATIONAL,
     },
     "beta1": {
-        "params/bumps": _NOT_RE_DERIVED,
-        "params/delta": _NOT_RE_DERIVED,
-        "params/n_d": _NOT_RE_DERIVED,
         "extras/delta_k_design": _INFORMATIONAL,
         "extras/feasibility": _INFORMATIONAL,
         "extras/gap_ratio": _INFORMATIONAL,
