@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import _jsonio
 from .errors import InputError, ResourceLimitError
-from .graph import _graph_bytes, read_graph
+from .graph import _graph_blocks, read_graph
 from .model import (
     PowerLawParams,
     degree_counts,
@@ -32,6 +32,13 @@ _COUNTS_LIMIT = 100_000
 def _read_graph_file(path: str):
     """The graph in the file at ``path``, read as bytes."""
     return read_graph(Path(path).read_bytes())
+
+
+def _write_graph_file(path: str, g) -> None:
+    """Write the canonical text of ``g`` to the file at ``path``, a block
+    at a time."""
+    with open(path, "wb") as f:
+        f.writelines(_graph_blocks(g))
 
 
 def _cmd_dist(args) -> int:
@@ -73,7 +80,7 @@ def _cmd_realize(args) -> int:
     if len(d) == 0:
         raise InputError("interval contains no vertices after flooring")
     graph, cert = realize(d)
-    Path(args.out).write_bytes(_graph_bytes(graph))
+    _write_graph_file(args.out, graph)
     record = {"schema": SCHEMA, **cert.to_dict()}
     del record["cliques"]
     text = _jsonio.dumps(record)
@@ -89,7 +96,7 @@ def _cmd_embed_sub1(args) -> int:
 
     g = _read_graph_file(args.infile)
     graph, report = embed_sub1(g, args.beta)
-    Path(args.out).write_bytes(_graph_bytes(graph))
+    _write_graph_file(args.out, graph)
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
     return 0
 
@@ -99,7 +106,7 @@ def _cmd_embed_beta1(args) -> int:
 
     g = _read_graph_file(args.infile)
     graph, report = embed_beta1(g, args.d, args.seed, args.k)
-    Path(args.out).write_bytes(_graph_bytes(graph))
+    _write_graph_file(args.out, graph)
     Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
     return 0
 
@@ -109,7 +116,7 @@ def _cmd_expander(args) -> int:
 
     cert = random_regular_expander(args.n, args.d, args.seed)
     if args.out:
-        Path(args.out).write_bytes(_graph_bytes(cert.graph))
+        _write_graph_file(args.out, cert.graph)
     sys.stdout.write(_jsonio.dumps({"schema": SCHEMA, **cert.to_dict()}))
     return 0
 
@@ -120,7 +127,7 @@ def _cmd_walkprod(args) -> int:
     wp = walk_block(_read_graph_file(args.infile), args.d, args.seed, args.k)
     u, v, _ = wp.product.arrays()
     if args.out:
-        Path(args.out).write_bytes(_graph_bytes(wp.product))
+        _write_graph_file(args.out, wp.product)
     sys.stdout.write(
         _jsonio.dumps(
             {

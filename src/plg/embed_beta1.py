@@ -361,7 +361,8 @@ def choose_k(n: int, d: int) -> KWindow:
 class Beta1Params(Record):
     """Embedding parameters for beta = 1, defined by (n_d, bumps): alpha =
     ln(n_d) + bumps*ln(1+1/n_d) and x = ln(n_d)/e^alpha fix the rest.
-    Raises ``InputError`` unless alpha is positive and e^alpha finite."""
+    Raises ``InputError`` unless bumps is an int, alpha is positive and
+    e^alpha finite."""
 
     n_d: float
     alpha: float = field(init=False)
@@ -373,6 +374,8 @@ class Beta1Params(Record):
     bumps: int
 
     def __post_init__(self):
+        if type(self.bumps) is not int:
+            raise InputError("bumps must be an integer")
         alpha = math.log(self.n_d) + self.bumps * math.log1p(1.0 / self.n_d)
         delta = PowerLawParams(alpha, 1.0).delta
         x = math.log(self.n_d) / math.exp(alpha)

@@ -54,7 +54,8 @@ class Sub1Params(Record):
     """Embedding parameters for the beta < 1 construction, defined by
     (n_embedded, beta, bumps): x = (1/2)^(1/(1-beta)) and alpha =
     beta*ln(n/x) + bumps*beta*ln(1+1/n), which fix the rest.  Raises
-    ``InputError`` unless beta is in (0, 1) and n is even and >= 2."""
+    ``InputError`` unless n and bumps are ints, beta is in (0, 1) and n is
+    even and >= 2."""
 
     n_embedded: int  # doubled vertex count to embed
     beta: float
@@ -68,6 +69,8 @@ class Sub1Params(Record):
 
     def __post_init__(self):
         n, beta = self.n_embedded, self.beta
+        if type(n) is not int or type(self.bumps) is not int:
+            raise InputError("n_embedded and bumps must be integers")
         if not 0 < beta < 1:
             raise InputError("beta must be in (0, 1)")
         if n < 2 or n % 2:

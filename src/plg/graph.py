@@ -13,12 +13,12 @@ as numpy passes over these arrays.  Columns that arrive with u <= v and
 strictly increasing keys are kept as they are, with no copy and no sort;
 others are sorted and their repeated pairs summed.
 
-The writer formats a line per edge with no per-digit work, into one byte
-buffer sized from the fields' digit counts: lines are laid out a block of
-rows at a time in a uint8 matrix, each field is filled four digits at a
-time by gathering 4-byte words of a fixed table of ASCII digit rows, and
-each block is copied in with the zero bytes left where a value is shorter
-than its field dropped.
+The writer formats a line per edge with no per-digit work and yields the
+text a block at a time: lines are laid out a block of rows at a time in a
+uint8 matrix, each field is filled four digits at a time by gathering
+4-byte words of a fixed table of ASCII digit rows, and each block is
+yielded with the zero bytes left where a value is shorter than its field
+dropped.  Files are written block by block; no whole-text buffer is built.
 
 Canonical text is what the writer emits.  The reader parses the edge lines
 a block at a time, reading every field at once as the value of a run of
@@ -291,21 +291,23 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 #                                           distinct edge, sorted)
 # Labels:   l <v> <tag>                    (optional, sorted by v)
 #
-# Canonical text is exactly what ``write_graph`` and ``_graph_bytes`` emit,
-# through the digit-table writer ``_text_buffer`` (base-10^4 chunks gathered
-# from ``_UNITS_WORDS`` and ``_HIGH_WORDS``, compacted block by block); the
-# writer is the format's only definition.  ``read_graph`` checks a text's
-# claim to be canonical block by block: ``_digit_runs`` reads the fields of
-# a block of edge lines (``_READ_BLOCK_BYTES``, cut at a line break) and
-# ``_text_buffer`` must render them back to the block's bytes; the graph
-# built from all blocks must keep their rows as they are and give the
-# text's header and label lines.  Any text that the writer does not
-# reproduce (extra whitespace, CRLF, signs, leading zeros, unsorted lines,
-# any error) goes to the line parser, the only producer of ParseError.
+# Canonical text is exactly what ``_graph_blocks`` yields and
+# ``write_graph`` joins: the header, the edge lines of the digit-table
+# writer ``_edge_blocks`` (base-10^4 chunks gathered from ``_UNITS_WORDS``
+# and ``_HIGH_WORDS``, one bytes object per block of about
+# ``_WRITE_BLOCK_BYTES``), then the labels; the writer is the format's only
+# definition.  ``read_graph`` checks a text's claim to be canonical block by
+# block: ``_digit_runs`` reads the fields of a block of edge lines
+# (``_READ_BLOCK_BYTES``, cut at a line break) and ``_edge_blocks`` must
+# render them back to the block's bytes; the graph built from all blocks
+# must keep their rows as they are and give the text's header and label
+# lines.  Any text that the writer does not reproduce (extra whitespace,
+# CRLF, signs, leading zeros, unsorted lines, any error) goes to the line
+# parser, the only producer of ParseError.
 
 _HEADER = re.compile(rb"p plg ([0-9]+) [0-9]+\n")
 _CHUNK = 10_000  # the writer's digit chunk, four places
-_WRITE_BLOCK_BYTES = 1 << 20  # the writer's line matrix, per block of rows
+_WRITE_BLOCK_BYTES = 1 << 18  # the writer's line matrix, per block of rows
 _READ_BLOCK_BYTES = 1 << 18  # the reader's edge text, per block of lines
 _MIN_EDGE_LINE = len(b"e 0 0 1\n")
 
@@ -364,26 +366,20 @@ def _write_field(mat: np.ndarray, stop: int, col: np.ndarray, width: int) -> Non
     _word_column(mat, stop - 4)[:] = np.take(table, val)
 
 
-def _text_buffer(cols: EdgeArrays, head: bytes = b"", tail: bytes = b"") -> np.ndarray:
-    """``head``, one line 'e <u> <v> <mult>' per edge, then ``tail``, as one
-    uint8 array.
+def _edge_blocks(cols: EdgeArrays) -> Iterator[bytes]:
+    """One line 'e <u> <v> <mult>' per edge, yielded as ASCII bytes a block
+    of rows at a time.
 
-    The array is allocated once, at the text's exact length: each line is
-    five bytes plus its fields' digit counts.  Lines are laid out a block of
-    rows at a time in a uint8 matrix, each field as wide as its column's
-    largest value, with zero bytes where a shorter value has no digit.
-    Fields are filled four digits at a time by gathering words of the
-    digit tables (base-10^4 chunks), and each block is copied in with its
-    zero bytes dropped.
+    Lines are laid out in a uint8 matrix of about ``_WRITE_BLOCK_BYTES``,
+    each field as wide as its column's largest value, with zero bytes where
+    a shorter value has no digit.  Fields are filled four digits at a time
+    by gathering words of the digit tables (base-10^4 chunks), and each
+    block is yielded with its zero bytes dropped.
     """
     rows = len(cols.u)
-    widths = [len(str(int(c.max()))) if rows else 1 for c in cols]
-    size = len(head) + len(tail) + 5 * rows
-    for c, w in zip(cols, widths):
-        size += rows + sum(int(np.count_nonzero(c >= 10**p)) for p in range(1, w))
-    out = np.empty(size, dtype=np.uint8)
-    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    pos = len(head)
+    if not rows:
+        return
+    widths = [len(str(int(c.max()))) for c in cols]
     # Zero bytes before the 'e' leave room for the first field's top word.
     template = [0] * max(0, 2 - _top_width(widths[0])) + [ord("e")]
     marks = [len(template) - 1]
@@ -404,18 +400,7 @@ def _text_buffer(cols: EdgeArrays, head: bytes = b"", tail: bytes = b"") -> np.n
             stop -= 1 + w
         for i in marks:
             part[:, i] = template[i]
-        text = part.tobytes().translate(None, b"\0")
-        out[pos : pos + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        pos += len(text)
-    if pos + len(tail) != size:
-        raise AssertionError("edge text length differs from its digit count")
-    out[pos:] = np.frombuffer(tail, dtype=np.uint8)
-    return out
-
-
-def _format_edges(cols: EdgeArrays) -> str:
-    """One line 'e <u> <v> <mult>' per edge."""
-    return str(_text_buffer(cols).data, "ascii")
+        yield part.tobytes().translate(None, b"\0")
 
 
 def _header(g: MultiGraph) -> bytes:
@@ -426,14 +411,16 @@ def _label_text(g: MultiGraph) -> bytes:
     return "".join(f"l {w} {g.labels[w]}\n" for w in sorted(g.labels)).encode("utf-8")
 
 
-def _graph_bytes(g: MultiGraph) -> np.ndarray:
-    """The canonical text of ``g`` as a uint8 array of UTF-8 bytes (ASCII
-    but for labels), built in one buffer."""
-    return _text_buffer(g.arrays(), _header(g), _label_text(g))
+def _graph_blocks(g: MultiGraph) -> Iterator[bytes]:
+    """The canonical text of ``g`` as UTF-8 bytes (ASCII but for labels):
+    the header, the edge lines a block at a time, then the label lines."""
+    yield _header(g)
+    yield from _edge_blocks(g.arrays())
+    yield _label_text(g)
 
 
 def write_graph(g: MultiGraph) -> str:
-    return str(_graph_bytes(g), "utf-8")
+    return b"".join(_graph_blocks(g)).decode("utf-8")
 
 
 def _digit_runs(a: np.ndarray) -> np.ndarray:
@@ -503,7 +490,7 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
             if len(vals) % 3 or (vals < 0).any():  # a field of 2^63 or more
                 return None
             part = vals.reshape(-1, 3).T
-            if not np.array_equal(_text_buffer(EdgeArrays(*part)), block):
+            if b"".join(_edge_blocks(EdgeArrays(*part))) != data[lo:hi]:
                 return None
             cols[:, rows : rows + part.shape[1]] = part
             rows += part.shape[1]

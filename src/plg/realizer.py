@@ -310,19 +310,22 @@ def _fill_clique(
     return ids[-1] if top % 2 else None
 
 
-def _fill_edges(sizes: np.ndarray, residuals: list[int]) -> tuple[EdgeArrays, np.ndarray]:
+def _fill_edges(sizes: np.ndarray, residuals: np.ndarray) -> tuple[EdgeArrays, np.ndarray]:
     """All cliques' fill units inside them, repeats summed, and the cross
-    edges that join consecutive pending vertices, as a (2, k) array."""
+    edges that join consecutive pending vertices, as a (2, k) array.  A
+    clique with no positive residual emits nothing and is skipped."""
     us: list[int] = []
     vs: list[int] = []
     ws: list[int] = []
     pendings: list[int] = []
-    start = 0
-    for stop in np.cumsum(sizes).tolist():
-        pending = _fill_clique(range(start, stop), residuals[start:stop], us, vs, ws)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    busy = np.maximum.reduceat(residuals, starts) > 0
+    res = residuals.tolist()
+    for start, stop in zip(starts[busy].tolist(), stops[busy].tolist()):
+        pending = _fill_clique(range(start, stop), res[start:stop], us, vs, ws)
         if pending is not None:
             pendings.append(pending)
-        start = stop
     if len(pendings) % 2 != 0:
         raise AssertionError("pending half-edges must pair up after parity fix")
     # Events repeat pairs: summing them here, and dropping the lists on
@@ -384,7 +387,7 @@ def _realize_columns(
         residuals[cert.parity_deficit_vertex] -= 1
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
-    units, cross = _fill_edges(sizes, residuals.tolist())
+    units, cross = _fill_edges(sizes, residuals)
     return PartColumns(cert, units, cross), cert
 
 

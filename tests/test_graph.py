@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from plg import InputError, MultiGraph, ParseError, degree_sequence, is_independent, read_graph, write_graph
 from plg import graph as graph_module
-from plg.graph import EdgeArrays, _format_edges, _graph_bytes, _read_canonical, _read_lines
+from plg.cli import _write_graph_file
+from plg.graph import EdgeArrays, _edge_blocks, _graph_blocks, _read_canonical, _read_lines
 
 from conftest import random_multigraph
 
@@ -350,6 +351,11 @@ def test_later_neighbour_counts_match_brute_force():
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
+def _format_edges(cols: EdgeArrays) -> str:
+    """The digit-table writer's edge lines, its blocks joined."""
+    return b"".join(_edge_blocks(cols)).decode("ascii")
+
+
 def _per_place_format_edges(cols: EdgeArrays) -> str:
     """The writer before the digit table, verbatim: one line per edge, digit
     places written by numpy one place at a time."""
@@ -409,10 +415,11 @@ def test_writer_fields_at_chunk_edges():
     )
 
 
-@pytest.mark.parametrize("block_bytes", [1, 40, 1 << 10, 1 << 20])
-def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, block_bytes):
-    # Lines are formatted a block of rows at a time into one buffer; every
-    # block size, down to one row per block, gives the same text.
+@pytest.mark.parametrize("block_bytes", [1, 40, 1 << 10, 1 << 18, 1 << 20])
+def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, tmp_path, block_bytes):
+    # Lines are formatted and yielded a block of rows at a time; every block
+    # size, down to one row per block, gives the same text, joined or
+    # written to a file.
     monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
     rng = random.Random(block_bytes)
     for n, edge_count, top in [(1, 0, 1), (1, 3, 3), (40, 150, 10**5), (10**6, 300, 2**62)]:
@@ -427,8 +434,10 @@ def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, block_byt
             + _per_place_format_edges(g.arrays())
             + "".join(f"l {w} {labels[w]}\n" for w in sorted(labels))
         )
-        assert bytes(_graph_bytes(g)) == text.encode("utf-8")
+        assert b"".join(_graph_blocks(g)) == text.encode("utf-8")
         assert write_graph(g) == text
+        _write_graph_file(tmp_path / "g.plg", g)
+        assert (tmp_path / "g.plg").read_bytes() == text.encode("utf-8")
         assert _format_edges(g.arrays()) == _per_place_format_edges(g.arrays())
 
 

@@ -12,8 +12,10 @@ import pytest
 
 from plg import MultiGraph, alon_interval, embed_sub1, read_graph, verify_embedding, write_graph
 from plg.cli import main
+from plg.embed_beta1 import embed_beta1, random_regular_expander, walk_block
 from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
+from plg.realizer import interval_degree_sequence, realize
 from plg.verify import _check_certificates, _check_conformance
 
 from test_golden import _BETA1_INPUT, _SUB1_INPUT
@@ -360,6 +362,40 @@ def test_cli_determinism(tmp_path, capsys):
     second = run("b")
     capsys.readouterr()
     assert first == second
+
+
+# Every command that writes a graph file: (argv, input text, the graph it builds).
+_GRAPH_WRITERS = {
+    "realize": (
+        ["realize", "--alpha", "3", "--beta", "1", "--from", "1", "--to", "20"], None,
+        lambda g: realize(interval_degree_sequence(PowerLawParams(3.0, 1.0), 1, 20))[0],
+    ),
+    "embed-sub1": (["embed-sub1", "--beta", "0.8"], _SUB1_INPUT, lambda g: embed_sub1(g, 0.8)[0]),
+    "embed-beta1": (
+        ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"], _BETA1_INPUT, lambda g: embed_beta1(g, 4, 3, 2)[0],
+    ),
+    "expander": (
+        ["expander", "--n", "20", "--d", "4", "--seed", "7"], None, lambda g: random_regular_expander(20, 4, 7).graph,
+    ),
+    "walkprod": (
+        ["walkprod", "--d", "4", "--k", "2", "--seed", "1"], _BETA1_INPUT, lambda g: walk_block(g, 4, 1, 2).product,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GRAPH_WRITERS))
+def test_cli_writes_the_canonical_text_of_its_graph(tmp_path, capsys, command):
+    argv, text, build = _GRAPH_WRITERS[command]
+    argv = argv + ["--out", str(tmp_path / "g.plg")]
+    if text is not None:
+        (tmp_path / "in.plg").write_text(text)
+        argv += ["--in", str(tmp_path / "in.plg")]
+    if command.startswith("embed"):
+        argv += ["--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    graph = build(read_graph(text) if text is not None else None)
+    assert (tmp_path / "g.plg").read_bytes() == write_graph(graph).encode("utf-8")
 
 
 def reference_check_certificates(plg, rep):
@@ -1007,6 +1043,18 @@ def _move_deficit(doc):
         ),
         pytest.param(
             "sub1", _set("params", "n", 10), ["bounds"], "params: n is not a parameter", id="params-unknown-key",
+        ),
+        pytest.param(
+            # α moves by far less than the float tolerance.
+            "sub1", _set("params", "bumps", 1e-300), ["bounds"], "n_embedded and bumps must be integers",
+            id="bumps-float",
+        ),
+        pytest.param(
+            "sub1", _set("params", "n_embedded", 10.0), ["bounds"], "n_embedded and bumps must be integers",
+            id="n-embedded-float",
+        ),
+        pytest.param(
+            "beta1", _set("params", "bumps", 28 + 1e-9), ["bounds"], "bumps must be an integer", id="beta1-bumps-float",
         ),
         pytest.param(
             # G1's deficit moved from vertex 57 (degree 2, target 3) to 56
