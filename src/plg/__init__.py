@@ -59,7 +59,7 @@ from .realizer import (
     realize,
 )
 from .report import Conformance, EmbeddingReport, degree_conformance
-from .solver import SolveResult, exact_mis, greedy_maximal_is, mis_size
+from .solver import SolveResult, exact_mis, greedy_maximal_is
 from .verify import VerifyResult, verify_embedding
 
 __all__ = [
@@ -107,7 +107,6 @@ __all__ = [
     "interval_volume_exact",
     "is_independent",
     "layered_is_bound",
-    "mis_size",
     "random_regular_expander",
     "read_graph",
     "realize",

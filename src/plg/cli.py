@@ -145,14 +145,9 @@ def _cmd_walkprod(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .embed_beta1 import WALK_VERTEX_CAP
     from .solver import exact_mis
 
     g = _read_graph_file(args.infile)
-    # exact_mis allocates a bitset per vertex: refuse what embed-beta1's
-    # walk cap would refuse as an input.
-    if g.vertex_count > WALK_VERTEX_CAP:
-        raise ResourceLimitError(f"graph has {g.vertex_count} vertices (cap {WALK_VERTEX_CAP})")
     res = exact_mis(g, budget=args.budget)
     sys.stdout.write(
         _jsonio.dumps(

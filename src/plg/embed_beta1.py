@@ -20,10 +20,10 @@ from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact
 from .realizer import interval_degree_sequence
 from .report import BLOCKS, EmbeddingReport
-from .solver import greedy_maximal_is, mis_size
+from .solver import exact_mis, greedy_maximal_is
 
 _MAX_BUMPS = 64
-# Search nodes ``mis_size`` may spend on alpha of the input.
+# Search nodes ``exact_mis`` may spend on alpha of the input.
 _SOLVER_BUDGET = 2_000_000
 WALK_VERTEX_CAP = 200_000
 # Walk pairs bound the pair matrix M = W·A·Wᵀ behind a walk product's edges:
@@ -635,7 +635,8 @@ def embed_beta1(
     if dp_count != len(assembled["is_lower_witness"]):
         raise InternalError("walk DP count disagrees with enumeration")
 
-    is_g, is_g_optimal = mis_size(g, budget=_SOLVER_BUDGET)
+    solved = exact_mis(g, budget=_SOLVER_BUDGET)
+    is_g = solved.size
     extras = {
         "log_base": "natural",
         **h.report_extras(),
@@ -648,7 +649,7 @@ def embed_beta1(
         "delta_k_design": walk_degree_bound(d, k),
         "product_max_degree": int(dgraph.degrees().max()) if n_d else 0,
         "is_g": is_g,
-        "is_g_optimal": is_g_optimal,
+        "is_g_optimal": solved.optimal,
     }
     bounds, layered = beta1_bounds(params, extras)
     lo, hi = bounds["alon_lo"], bounds["alon_hi"]

@@ -35,6 +35,47 @@ def brute_mis(g: MultiGraph) -> int:
     return best
 
 
+def reference_mis(g: MultiGraph) -> int:
+    """Independence number by plain branch and bound over bitsets, with no
+    reductions: the oracle for graphs too large for ``brute_mis``.  The bound
+    is a first-fit clique cover; branching takes a vertex of maximum degree."""
+    n = g.vertex_count
+    adj = [0] * n
+    eligible = (1 << n) - 1
+    for u, v in g.edge_dict():
+        if u == v:
+            eligible &= ~(1 << u)
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    best = 0
+
+    def cover(mask: int) -> int:
+        cliques = 0
+        while mask:
+            cliques += 1
+            cand = mask
+            while cand:
+                lsb = cand & -cand
+                mask ^= lsb
+                cand = (cand ^ lsb) & adj[lsb.bit_length() - 1]
+        return cliques
+
+    def dfs(mask: int, size: int) -> None:
+        nonlocal best
+        if size + cover(mask) <= best:
+            return
+        if not mask:
+            best = size
+            return
+        v = max((w for w in range(n) if mask >> w & 1), key=lambda w: (adj[w] & mask).bit_count())
+        dfs(mask & ~(adj[v] | 1 << v), size + 1)
+        dfs(mask & ~(1 << v), size)
+
+    dfs(eligible, 0)
+    return best
+
+
 def enumerate_independent_sets(g: MultiGraph) -> list[list[int]]:
     """All independent sets of a small simple graph, exhaustively."""
     adj = g.adjacency_sets()

@@ -22,12 +22,12 @@ from plg import (
     count_walks_within,
     degree_one_heuristic,
     embed_beta1,
+    exact_mis,
     gap_ratio,
     interval_degree_sequence,
     interval_size_exact,
     is_independent,
     layered_is_bound,
-    mis_size,
     random_regular_expander,
     realize,
     verify_embedding,
@@ -45,7 +45,7 @@ from plg.embed_beta1 import (
     walk_block,
 )
 
-from conftest import brute_mis, random_simple_graph
+from conftest import brute_mis, random_simple_graph, reference_mis
 
 
 def power_iteration_lambda(g, d, iters=6000):
@@ -489,9 +489,12 @@ def test_alon_lower_end_below_product_independence_number():
     rng = random.Random(4)
     g = MultiGraph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
     _, rep = embed_beta1(g, 4, seed=3, k_override=3)
-    d_size, optimal = mis_size(walk_product(g, random_regular_expander(40, 4, seed=3), 3).product)
-    assert optimal and rep.extras["is_g"] == 8
-    assert rep.bounds_closed["alon_lo"] <= d_size <= rep.bounds_closed["alon_hi"]
+    dgraph = walk_product(g, random_regular_expander(40, 4, seed=3), 3).product
+    res = exact_mis(dgraph)
+    assert is_independent(dgraph, res.witness) and len(res.witness) == res.size
+    assert res.optimal and res.size == reference_mis(dgraph) == 12
+    assert rep.extras["is_g"] == 8
+    assert rep.bounds_closed["alon_lo"] <= res.size <= rep.bounds_closed["alon_hi"]
 
 
 def test_alon_interval_contains_bruteforce(c5):

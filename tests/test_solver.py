@@ -4,10 +4,10 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plg import MultiGraph, exact_mis, greedy_maximal_is, is_independent, mis_size
+from plg import MultiGraph, exact_mis, greedy_maximal_is, is_independent
 from plg import solver
 
-from conftest import brute_mis, random_simple_graph
+from conftest import brute_mis, random_simple_graph, reference_mis
 
 
 def test_c5(c5):
@@ -163,17 +163,17 @@ def test_exact_mis_matches_first_fit_bound(n, p, seed, loops, budget):
 
 
 def test_exact_mis_budget_exhausted_matches_first_fit_bound():
-    g = random_simple_graph(random.Random(4), 30, 0.2)
-    got = exact_mis(g, budget=40)
+    g = _component_union(4, [(60, 0.08)], 0, 0)
+    got = exact_mis(g, budget=3)
     with mock.patch.object(solver, "_greedy_clique_cover_bound", _greedy_clique_cover_bound_reference):
-        want = exact_mis(g, budget=40)
+        want = exact_mis(g, budget=3)
     assert not got.optimal
     assert (got.size, got.witness, got.nodes_explored) == (want.size, want.witness, want.nodes_explored)
 
 
 def _component_union(seed: int, parts: list[tuple[int, float]], isolated: int, loops: int) -> MultiGraph:
     """Disjoint random components, then isolated vertices, then self-loops
-    on random vertices: the cases the size solver's reductions split off."""
+    on random vertices: the cases the solver's reductions split off."""
     rng = random.Random(seed)
     edges: dict[tuple[int, int], int] = {}
     offset = 0
@@ -188,41 +188,70 @@ def _component_union(seed: int, parts: list[tuple[int, float]], isolated: int, l
     return MultiGraph(n_total, edges)
 
 
+def _brute_mis_per_component(g: MultiGraph) -> int:
+    """``brute_mis`` summed over the connected components of g."""
+    adj = g.adjacency_sets()
+    seen: set[int] = set()
+    total = 0
+    for root in range(g.vertex_count):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in adj[v] - seen:
+                seen.add(u)
+                stack.append(u)
+        index = {v: i for i, v in enumerate(comp)}
+        edges = {(index[u], index[v]): m for (u, v), m in g.edge_dict().items() if u in index}
+        total += brute_mis(MultiGraph(len(comp), edges))
+    return total
+
+
+def _assert_witness(g: MultiGraph, res) -> None:
+    assert is_independent(g, res.witness)
+    assert res.witness == sorted(set(res.witness)) and len(res.witness) == res.size
+
+
 _PARTS = st.lists(st.tuples(st.integers(1, 14), st.floats(0, 1)), max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32), _PARTS, st.integers(0, 3), st.integers(0, 3))
-def test_mis_size_matches_exact_mis(seed, parts, isolated, loops):
+def test_exact_mis_matches_brute_force_per_component(seed, parts, isolated, loops):
     g = _component_union(seed, parts, isolated, loops)
-    want = exact_mis(g)
-    assert mis_size(g) == (want.size, want.optimal)
-    if g.vertex_count <= 16:
-        assert want.size == brute_mis(g)
+    res = exact_mis(g)
+    _assert_witness(g, res)
+    assert res.optimal and res.size == _brute_mis_per_component(g)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.integers(20, 44), st.floats(0.05, 0.3), st.integers(1, 40))
-def test_mis_size_out_of_budget_is_a_real_set(seed, n, p, budget):
+def test_exact_mis_out_of_budget_is_a_real_set(seed, n, p, budget):
     # Sparse graphs need branching; a small budget stops the search, and the
-    # size reported must still be reached by some independent set: at least
-    # the greedy one, at most the independence number.
+    # witness must still be an independent set: at least as large as the
+    # greedy one, at most the independence number.
     g = _component_union(seed, [(n, p)], 0, 1)
-    size, optimal = mis_size(g, budget=budget)
-    full_size, full_optimal = mis_size(g)
-    assert full_optimal and full_size == exact_mis(g).size
-    assert len(greedy_maximal_is(g)) <= size <= full_size
-    assert not optimal or size == full_size
+    res = exact_mis(g, budget=budget)
+    full = exact_mis(g)
+    _assert_witness(g, res)
+    _assert_witness(g, full)
+    assert full.optimal and full.size == reference_mis(g)
+    assert len(greedy_maximal_is(g)) <= res.size <= full.size
+    assert not res.optimal or res.size == full.size
 
 
-def test_mis_size_reports_exhausted_budget():
+def test_exact_mis_reports_exhausted_budget():
     g = _component_union(4, [(60, 0.08)], 0, 0)
-    size, optimal = mis_size(g, budget=3)
-    assert not optimal
-    assert len(greedy_maximal_is(g)) <= size <= mis_size(g)[0]
+    res = exact_mis(g, budget=3)
+    assert not res.optimal
+    _assert_witness(g, res)
+    assert len(greedy_maximal_is(g)) <= res.size <= reference_mis(g)
 
 
-def test_mis_size_on_sparse_cycle_with_chords():
+def test_exact_mis_on_sparse_cycle_with_chords():
     # A cycle plus as many random chords: the embed-beta1 inputs whose exact
     # solve once dominated the pipeline.
     rng = random.Random(3)
@@ -232,4 +261,21 @@ def test_mis_size_on_sparse_cycle_with_chords():
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     g = MultiGraph(n, sorted(edges))
-    assert mis_size(g) == (exact_mis(g).size, True)
+    res = exact_mis(g)
+    _assert_witness(g, res)
+    assert res.optimal and res.size == reference_mis(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.booleans(), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4))
+def test_exact_mis_unfolds_paths_and_cycles_with_chords(n, cycle, chords):
+    # A path or cycle is all degree-2 vertices, so its folds nest; a few
+    # chords make some vertices branch and others fold around them.
+    edges = {(i, i + 1) for i in range(n - 1)}
+    if cycle and n > 2:
+        edges.add((0, n - 1))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v and max(u, v) < n}
+    g = MultiGraph(n, sorted(edges))
+    res = exact_mis(g)
+    _assert_witness(g, res)
+    assert res.optimal and res.size == reference_mis(g)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from plg import MultiGraph, alon_interval, embed_sub1, read_graph, verify_embedding, write_graph
+from plg import MultiGraph, alon_interval, embed_sub1, is_independent, read_graph, verify_embedding, write_graph
 from plg.cli import main
 from plg.embed_beta1 import embed_beta1, random_regular_expander, walk_block
 from plg.errors import InternalError
@@ -123,6 +123,18 @@ def test_cli_solve_c5(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["size"] == 2
     assert rec["optimal"] is True
+
+
+def test_cli_solve_long_path_within_small_budget(tmp_path, capsys):
+    # Degree-1 reductions solve a path without branching; a plain branch and
+    # bound needs about n^2/6 nodes on it.
+    n = 2000
+    g = MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
+    (tmp_path / "path.plg").write_text(write_graph(g))
+    assert main(["solve", "--budget", "10", "--in", str(tmp_path / "path.plg")]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["size"] == 1000 and rec["optimal"] is True
+    assert len(rec["witness"]) == 1000 and is_independent(g, rec["witness"])
 
 
 def test_cli_realize_roundtrip(tmp_path, capsys):
@@ -605,6 +617,15 @@ def _run_cli_limited(tmp_path, argv, timeout=120):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_cli_solve_refuses_graph_over_solver_cap(tmp_path):
+    # 40,000 vertices pass the reader but not the solver's bitset cap: the
+    # search must not start.
+    (tmp_path / "wide.plg").write_text("p plg 40000 0\n")
+    proc = _run_cli_limited(tmp_path, ["solve", "--in", "wide.plg"], timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and "cap" in proc.stderr
 
 
 def test_cli_verify_fails_oversized_clique_before_pairs(tmp_path):
