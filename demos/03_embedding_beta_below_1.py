@@ -25,12 +25,12 @@ print("IS preserved:", exact_mis(c5).size, "->", exact_mis(gd).size)
 
 section("Embedding C5 at beta = 0.5")
 g, rep = embed_sub1(c5, 0.5)
-print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep.params.items()})
-print("part sizes:", rep.part_sizes)
-print("conformance:", rep.conformance.ok, " parity deficits:", rep.parity_deficits)
-print("IS upper bounds:", rep.is_upper_bounds)
-print("closed forms:", {k: round(v, 2) for k, v in rep.bounds_closed.items()})
-print("witness (copies of a maximal IS of C5):", rep.is_lower_witness)
+print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep["params"].items()})
+print("part sizes:", {name: part["size"] for name, part in rep["parts"].items()})
+print("conformance:", rep["conformance"]["ok"], " parity deficits:", rep["parity_deficits"])
+print("IS upper bounds:", rep["is_upper_bounds"])
+print("closed forms:", {k: round(v, 2) for k, v in rep["bounds"].items()})
+print("witness (copies of a maximal IS of C5):", rep["witness"])
 
 section("Every independent set of the input maps into the output")
 adj = c5.adjacency_sets()
@@ -46,11 +46,11 @@ print(f"checked all {count} independent sets of C5: all map to independent sets"
 section("Residual bound sanity at different betas")
 for beta in (0.3, 0.5, 0.8):
     g, rep = embed_sub1(c5, beta)
-    sd = math.sqrt(rep.params["delta"])
+    sd = math.sqrt(rep["params"]["delta"])
     print(
-        f"beta={beta}: |cert(G1)| = {rep.is_upper_bounds['G1']:.0f} "
-        f"(4*sqrt(delta) = {4 * sd:.1f}), |cert(G2)| = {rep.is_upper_bounds['G2']:.0f} "
-        f"(g3 bound = {rep.bounds_closed['g3_bound']:.2f})"
+        f"beta={beta}: |cert(G1)| = {rep['is_upper_bounds']['G1']:.0f} "
+        f"(4*sqrt(delta) = {4 * sd:.1f}), |cert(G2)| = {rep['is_upper_bounds']['G2']:.0f} "
+        f"(g3 bound = {rep['bounds']['g3_bound']:.2f})"
     )
 print("(beta=0.8 overshoots 4*sqrt(delta): the sqrt-order residual claim")
 print(" only holds for beta <= 1/2; the g3 bound holds throughout)")

@@ -54,12 +54,12 @@ print("(at desk scale the window collapses to k = 1; the pipeline defaults to k 
 section("Embedding the C5 walk product into an (alpha, 1)-PLG")
 c5 = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep.params.items()})
-print("parts:", rep.part_sizes, " conformance:", rep.conformance.ok)
+print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep["params"].items()})
+print("parts:", {name: part["size"] for name, part in rep["parts"].items()}, " conformance:", rep["conformance"]["ok"])
 print(
     "spectral bracket for alpha(D):",
-    (rep.bounds_closed["alon_lo"], rep.bounds_closed["alon_hi"]),
-    " witness size:", len(rep.is_lower_witness),
+    (rep["bounds"]["alon_lo"], rep["bounds"]["alon_hi"]),
+    " witness size:", len(rep["witness"]),
 )
 print("verify:", verify_embedding(g, rep, c5).ok)
 

@@ -58,7 +58,7 @@ from .realizer import (
     interval_degree_sequence,
     realize,
 )
-from .report import Conformance, EmbeddingReport, degree_conformance
+from .report import degree_conformance
 from .solver import SolveResult, exact_mis, greedy_maximal_is
 from .verify import VerifyResult, verify_embedding
 
@@ -66,8 +66,6 @@ __all__ = [
     "Beta1Params",
     "BoundPair",
     "CliqueCoverCertificate",
-    "Conformance",
-    "EmbeddingReport",
     "ExpanderCertificate",
     "InputError",
     "InternalError",

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import InputError, InternalError
 from .graph import EdgeArrays, MultiGraph, is_independent
 from .model import PowerLawParams
-from .realizer import CliqueCoverCertificate, _realize_columns
-from .report import degree_conformance
+from .realizer import _realize_columns
+from .report import degree_conformance, upper_bounds
 
 
 def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
@@ -138,9 +138,10 @@ def assemble(
     lowered by 1 to receive it.  The witness is ``map_witness(walks,
     witness_source)``, checked independent in the output.
 
-    Returns (graph, fields), where fields are the ``EmbeddingReport`` keyword
-    arguments assembly settles: part ranges, certificates, parity deficits
-    as (vertex, target) pairs, conformance and the witness.  Raises
+    Returns (graph, entries), where entries are the report entries assembly
+    settles, under their JSON keys: ``parts``, ``is_upper_bounds``,
+    ``certificates``, ``parity_deficits``, ``conformance`` and ``witness``
+    (see ``plg.report``).  Raises
     InputError when the surplus part cannot take every surplus half-edge
     with its targets kept at 1 or more.
     """
@@ -181,8 +182,8 @@ def assemble(
     # Realize each part on its own index space; it is written into place below.
     offset = n_embed
     part_ranges = {block: (0, n_embed)}
-    certs: dict[str, CliqueCoverCertificate] = {}
-    deficits: list[tuple[int, int]] = []
+    certs: dict[str, dict] = {}
+    deficits: list[list[int]] = []  # [vertex, target] pairs
     labels = dict.fromkeys(range(n_embed), "embedded")
     recv_position = np.zeros(0, dtype=np.int64)
     blocks = []
@@ -198,7 +199,7 @@ def assemble(
             recv_position = np.empty(len(srt), dtype=np.int64)
             recv_position[srt] = np.arange(len(srt)) + offset
         blocks.append(cols)
-        certs[name] = cert
+        certs[name] = cert.to_dict()
         local = cert.parity_deficit_vertex
         if local is not None:
             intended = int(fill[srt[local]])
@@ -206,7 +207,7 @@ def assemble(
                 # A receiver's realize target was pre-lowered; the routed edge
                 # restores it, so the deficit is against the original class.
                 intended += int(recv_units[srt[local]])
-            deficits.append((offset + local, intended))
+            deficits.append([offset + local, intended])
         labels.update(dict.fromkeys(range(offset, offset + len(fill)), f"residual-{name}"))
         offset += len(fill)
 
@@ -232,11 +233,13 @@ def assemble(
     witness = map_witness(walks, witness_source).tolist()
     if not is_independent(graph, witness):
         raise InternalError("mapped witness is not independent in the output")
-    fields = {
-        "part_ranges": part_ranges,
+    counts = upper_bounds(block, part_ranges, {name: cert["is_upper_bound"] for name, cert in certs.items()})
+    entries = {
+        "parts": {name: {"range": [lo, hi], "size": hi - lo} for name, (lo, hi) in part_ranges.items()},
+        "is_upper_bounds": {name: float(c) for name, c in counts.items()},
         "certificates": certs,
         "parity_deficits": deficits,
         "conformance": degree_conformance(graph, p, deficits),
-        "is_lower_witness": witness,
+        "witness": witness,
     }
-    return graph, fields
+    return graph, entries

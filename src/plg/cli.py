@@ -97,7 +97,7 @@ def _cmd_embed_sub1(args) -> int:
     g = _read_graph_file(args.infile)
     graph, report = embed_sub1(g, args.beta)
     _write_graph_file(args.out, graph)
-    Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
+    Path(args.report).write_text(_jsonio.dumps(report))
     return 0
 
 
@@ -107,7 +107,7 @@ def _cmd_embed_beta1(args) -> int:
     g = _read_graph_file(args.infile)
     graph, report = embed_beta1(g, args.d, args.seed, args.k)
     _write_graph_file(args.out, graph)
-    Path(args.report).write_text(_jsonio.dumps(report.to_dict()))
+    Path(args.report).write_text(_jsonio.dumps(report))
     return 0
 
 

@@ -19,7 +19,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact
 from .realizer import interval_degree_sequence
-from .report import BLOCKS, EmbeddingReport
+from .report import BLOCKS, SCHEMA
 from .solver import exact_mis, greedy_maximal_is
 
 _MAX_BUMPS = 64
@@ -596,8 +596,9 @@ def degree_one_heuristic(g: MultiGraph) -> list[int]:
 
 def embed_beta1(
     g: MultiGraph, d: int, seed: int, k_override: int | None = None
-) -> tuple[MultiGraph, EmbeddingReport]:
-    """Embed the walk product of g into a full (alpha, 1)-PLG.
+) -> tuple[MultiGraph, dict]:
+    """Embed the walk product of g into a full (alpha, 1)-PLG, and return
+    it with its report (see ``plg.report``).
 
     Pipeline: ``walk_block`` (expander on g's vertex set, k-walk product D,
     pair doubling of D), slot assignment in [x*delta, delta], leftover slots
@@ -632,7 +633,7 @@ def embed_beta1(
         p, doubled, BLOCKS["beta1"], pair_targets, [("G1", leftover), ("G2", g2_targets)], wp.walks, witness_source
     )
     dp_count = count_walks_within(h, witness_source, k)
-    if dp_count != len(assembled["is_lower_witness"]):
+    if dp_count != len(assembled["witness"]):
         raise InternalError("walk DP count disagrees with enumeration")
 
     solved = exact_mis(g, budget=_SOLVER_BUDGET)
@@ -669,7 +670,6 @@ def embed_beta1(
         witness_walk_count=dp_count,
         layered=layered.to_dict(),
     )
-    report = EmbeddingReport(
-        kind="beta1", params=params.to_dict(), bounds_closed=bounds, **assembled, extras=extras
-    )
-    return graph, report
+    return graph, {
+        "schema": SCHEMA, "kind": "beta1", "params": params.to_dict(), "bounds": bounds, **assembled, "extras": extras
+    }

@@ -21,7 +21,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
 from .realizer import DEFAULT_EDGE_CAP, interval_degree_sequence
-from .report import BLOCKS, EmbeddingReport
+from .report import BLOCKS, SCHEMA
 from .solver import greedy_maximal_is
 
 _MAX_BUMPS = 64
@@ -145,8 +145,9 @@ def sub1_bounds(params: Sub1Params) -> dict[str, float]:
     return {"g1_bound": rb.g1_bound, "g3_bound": rb.g3_bound, "i_y1": rb.i_y1, "i_y2": rb.i_y2}
 
 
-def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]:
-    """Embed the simple graph g into a full (alpha, beta)-PLG, beta < 1.
+def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
+    """Embed the simple graph g into a full (alpha, beta)-PLG, beta < 1,
+    and return it with its report (see ``plg.report``).
 
     Raises ``ResourceLimitError`` when the output would pass
     ``DEFAULT_VERTEX_CAP`` vertices or ``DEFAULT_EDGE_CAP`` edge units."""
@@ -187,12 +188,13 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]
     )
 
     split_index = guarded_ceil(math.sqrt(params.delta))
-    report = EmbeddingReport(
-        kind="sub1",
-        params=params.to_dict(),
-        bounds_closed=sub1_bounds(params),
+    return graph, {
+        "schema": SCHEMA,
+        "kind": "sub1",
+        "params": params.to_dict(),
+        "bounds": sub1_bounds(params),
         **assembled,
-        extras={
+        "extras": {
             "log_base": "natural",
             "witness_source_vertices": sorted(witness_source),
             "g1_split_index": split_index,
@@ -203,5 +205,4 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, EmbeddingReport]
             "g1_split_inside_g1": split_index < params.g3_cut,
             "i_y1_form": "displayed-closed-form",
         },
-    )
-    return graph, report
+    }

@@ -1,47 +1,46 @@
-"""Embedding reports: parameters, part decomposition, bounds, and conformance."""
+"""The embedding report: one JSON document, a plain dict that an embedder
+builds once, ``plg embed-*`` writes and ``plg verify`` reads.
+
+Its keys: ``schema``, ``kind`` ("sub1" or "beta1"), ``params``, ``parts``
+({name: {"range": [lo, hi], "size": hi - lo}}), ``is_upper_bounds``,
+``bounds``, ``witness``, ``conformance``, ``parity_deficits`` ([vertex,
+target] pairs), ``certificates`` (each ``CliqueCoverCertificate.to_dict``)
+and ``extras``.  The rules the embedders and the verifier share live here:
+each part's IS upper bound and the degree conformance entry.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import MultiGraph
 from .model import PowerLawParams
-from .realizer import CliqueCoverCertificate
 
 SCHEMA = "plg-report/1"
 # Each kind's embedded block: the part its m pair cliques cover.
 BLOCKS = {"sub1": "Gprime", "beta1": "D"}
 
 
-@dataclass
-class Conformance:
-    """Result of comparing a graph's degree histogram to the target counts."""
-
-    ok: bool
-    deficits: list[tuple[int, int]]  # (vertex, target degree) pairs, each off by 1
-    mismatched_buckets: dict[int, tuple[int, int]]  # degree -> (expected, actual)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "deficits": [list(d) for d in self.deficits],
-            "mismatched_buckets": {
-                str(k): list(v) for k, v in sorted(self.mismatched_buckets.items())
-            },
-        }
+def upper_bounds(block: str, ranges: dict, clique_counts: dict[str, int]) -> dict[str, int]:
+    """Each part's IS upper bound, a clique count, from its [lo, hi) range:
+    its certificate's clique count where it has one, m = size / 2 pair
+    cliques for ``block`` without one, and 0 for any other part."""
+    return {
+        name: clique_counts[name] if name in clique_counts else (hi - lo) // 2 if name == block else 0
+        for name, (lo, hi) in ranges.items()
+    }
 
 
-def degree_conformance(
-    g: MultiGraph, p: PowerLawParams, deficits: list[tuple[int, int]]
-) -> Conformance:
-    """Check the histogram equals y_i for every i, up to the declared deficits.
+def degree_conformance(g: MultiGraph, p: PowerLawParams, deficits: list[list[int]]) -> dict:
+    """The report's conformance entry: does the histogram equal y_i for
+    every i, up to the declared deficits?
 
     Each deficit (vertex, target) explains one vertex sitting at target-1;
     conformance passes iff the histogram differences are exactly those
-    predicted by the deficit list.  A target outside the histogram's range
-    leaves its buckets mismatched rather than failing.
+    predicted by the deficit list.  The entry holds ``ok``, the
+    ``deficits`` as [vertex, target] lists and the ``mismatched_buckets``
+    as {str(degree): [expected, actual]}, ascending.  A target outside the
+    histogram's range leaves its buckets mismatched rather than failing.
 
     Buckets 0..delta+1 are tabulated, and degrees and deficit buckets above
     them are counted sparsely.  Two bounds keep every array within the
@@ -86,61 +85,10 @@ def degree_conformance(
         for d, c in zip(*np.unique(deg[high], return_counts=True)):
             outside.setdefault(int(d), [0, 0])[1] = int(c)
         actual = np.bincount(deg[~high], minlength=size)
-    mism = {int(i): (int(expected[i]), int(actual[i])) for i in np.flatnonzero(expected != actual)}
-    mism.update({b: (e, a) for b, (e, a) in outside.items() if e != a and (listed is None or b <= listed)})
-    mism = dict(sorted(mism.items()))
-    return Conformance(ok=not mism, deficits=deficits, mismatched_buckets=mism)
-
-
-@dataclass
-class EmbeddingReport:
-    """Everything an embedding run certifies, in recomputable form.  Part
-    sizes and IS upper bounds are derived from the part ranges and the
-    certificates."""
-
-    kind: str  # "sub1" or "beta1"
-    params: dict
-    part_ranges: dict[str, tuple[int, int]]  # name -> [start, stop) vertex ids
-    bounds_closed: dict[str, float]
-    is_lower_witness: list[int]
-    conformance: Conformance
-    parity_deficits: list[tuple[int, int]]
-    certificates: dict[str, CliqueCoverCertificate] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def part_sizes(self) -> dict[str, int]:
-        return {name: hi - lo for name, (lo, hi) in self.part_ranges.items()}
-
-    @property
-    def is_upper_bounds(self) -> dict[str, float]:
-        """Each part's clique count: the block's m pair cliques, each
-        certificate's size, and 0 for an empty part."""
-        counts = {name: cert.size for name, cert in self.certificates.items()}
-        lo, hi = self.part_ranges[BLOCKS[self.kind]]
-        counts[BLOCKS[self.kind]] = (hi - lo) // 2
-        return {name: float(counts.get(name, 0)) for name in self.part_ranges}
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "params": self.params,
-            "parts": {
-                name: {
-                    "range": list(self.part_ranges[name]),
-                    "size": self.part_sizes[name],
-                }
-                for name in sorted(self.part_ranges)
-            },
-            "is_upper_bounds": dict(sorted(self.is_upper_bounds.items())),
-            "bounds": dict(sorted(self.bounds_closed.items())),
-            "witness": list(self.is_lower_witness),
-            "conformance": self.conformance.to_dict(),
-            "parity_deficits": [list(d) for d in self.parity_deficits],
-            "certificates": {
-                name: cert.to_dict() for name, cert in sorted(self.certificates.items())
-            },
-            "extras": self.extras,
-        }
-
+    mism = {int(i): [int(expected[i]), int(actual[i])] for i in np.flatnonzero(expected != actual)}
+    mism.update({b: ea for b, ea in outside.items() if ea[0] != ea[1] and (listed is None or b <= listed)})
+    return {
+        "ok": not mism,
+        "deficits": [list(d) for d in deficits],
+        "mismatched_buckets": {str(b): mism[b] for b in sorted(mism)},
+    }

@@ -16,7 +16,6 @@ hands back the set it found, with each fold undone.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -34,7 +33,6 @@ class SolveResult:
     witness: list[int]
     optimal: bool
     nodes_explored: int
-    time_ms: int
 
 
 def _greedy_clique_cover_bound(mask: int, adj: list[int]) -> int:
@@ -97,7 +95,6 @@ def exact_mis(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """
     if g.vertex_count > SOLVER_VERTEX_CAP:
         raise ResourceLimitError(f"graph has {g.vertex_count} vertices (cap {SOLVER_VERTEX_CAP})")
-    t0 = time.perf_counter()
     adj, eligible = _adjacency_bitsets(g)
     # (vertex, adjacency before a fold changed it), undone on backtrack.
     trail: list[tuple[int, int]] = []
@@ -222,13 +219,7 @@ def exact_mis(g: MultiGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
             lsb = found & -found
             witness.append(lsb.bit_length() - 1)
             found ^= lsb
-    return SolveResult(
-        size=len(witness),
-        witness=witness,
-        optimal=not exhausted,
-        nodes_explored=nodes,
-        time_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return SolveResult(size=len(witness), witness=witness, optimal=not exhausted, nodes_explored=nodes)
 
 
 def _adjacency_bitsets(g: MultiGraph) -> tuple[list[int], int]:

@@ -22,7 +22,7 @@ from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate
-from .report import BLOCKS, SCHEMA, EmbeddingReport, degree_conformance
+from .report import BLOCKS, SCHEMA, degree_conformance, upper_bounds
 
 _REL_TOL = 1e-9
 
@@ -69,20 +69,20 @@ def _check(name: str):
 def _check_conformance(plg: MultiGraph, rep: dict) -> str:
     params = rep["params"]
     p = PowerLawParams(params["alpha"], params.get("beta", 1.0))
-    deficits = [tuple(t) for t in rep["parity_deficits"]]
+    deficits = [list(t) for t in rep["parity_deficits"]]
     if len(deficits) > 2:
         return "more than 2 deficits declared"
     if not all(len(d) == 2 and all(isinstance(x, int) for x in d) for d in deficits):
         return "deficits must be [vertex, degree] pairs"
     result = degree_conformance(plg, p, deficits)
-    bad = result.mismatched_buckets
+    bad = result["mismatched_buckets"]
     if bad:
-        worst = min(bad)
+        worst = min(bad, key=int)
         return f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}"
     for v, t in deficits:
         if not (0 <= v < plg.vertex_count and plg.degree(v) == t - 1):
             return f"deficit vertex {v} does not have degree {t - 1}"
-    if rep["conformance"] != result.to_dict():
+    if rep["conformance"] != result:
         return "conformance block differs from the recomputed one"
     return ""
 
@@ -110,8 +110,7 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
     the graph, the certificate is the dict of the ``CliqueCoverCertificate``
     its cliques define, and its deficit vertex, if any, lies in the part and
     is declared in ``parity_deficits``.  ``is_upper_bounds`` then holds each
-    part's clique count: the block's m pair cliques, and 0 for an empty
-    part."""
+    part's clique count, by ``report.upper_bounds``."""
     for name, cert in rep["certificates"].items():
         lo, hi = rep["parts"][name]["range"]
         cliques = cert["cliques"]
@@ -160,12 +159,12 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
             return f"{name}: {differs[0]} does not match the cover its cliques define"
         if v is not None and not (lo <= v < hi and v in [d[0] for d in rep["parity_deficits"]]):
             return f"{name}: parity deficit vertex {v} is not a declared deficit in [{lo},{hi})"
-    block, certs, counts = BLOCKS[rep["kind"]], rep["certificates"], {}
+    block, certs, ranges = BLOCKS[rep["kind"]], rep["certificates"], {}
     for name, part in rep["parts"].items():
-        lo, hi = part["range"]
+        lo, hi = ranges[name] = part["range"]
         if name not in certs and name != block and hi != lo:
             return f"{name}: part of {hi - lo} vertices has no certificate"
-        counts[name] = len(certs[name]["cliques"]) if name in certs else (hi - lo) // 2 if name == block else 0
+    counts = upper_bounds(block, ranges, {name: len(cert["cliques"]) for name, cert in certs.items()})
     bounds = rep["is_upper_bounds"]
     for name in sorted(bounds.keys() | counts.keys()):
         if bounds.get(name) != counts.get(name):
@@ -283,30 +282,27 @@ def _check_bounds(rep: dict) -> str:
     return ""
 
 
-def verify_embedding(
-    plg: MultiGraph, report: EmbeddingReport | dict, original: MultiGraph
-) -> VerifyResult:
+def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> VerifyResult:
     """Re-check an embedding run: conformance, certificates, witness, bounds,
     and the embedded block: for kind "sub1" against the input's doubling, for
     kind "beta1" against the doubled walk product and its expander.  A report
     that lacks a key or holds a value a check cannot use fails that check."""
-    rep = report.to_dict() if isinstance(report, EmbeddingReport) else report
-    if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
+    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
-    if rep.get("kind") not in tuple(BLOCKS):
+    if report.get("kind") not in tuple(BLOCKS):
         return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown kind"}])
     # The witness and the embedded block share one rebuild of the source;
     # a refused rebuild fails both checks with the same detail.
     try:
-        block_source = _embedded_source(rep, original)
+        block_source = _embedded_source(report, original)
     except Exception as exc:
         block_source = exc
     checks = [
-        _check_conformance(plg, rep),
-        _check_parts(plg, rep),
-        _check_certificates(plg, rep),
-        _check_witness(plg, rep, original, block_source),
-        _check_bounds(rep),
-        _check_embedded(plg, rep, block_source),
+        _check_conformance(plg, report),
+        _check_parts(plg, report),
+        _check_certificates(plg, report),
+        _check_witness(plg, report, original, block_source),
+        _check_bounds(report),
+        _check_embedded(plg, report, block_source),
     ]
     return VerifyResult(all(c["ok"] for c in checks), checks)

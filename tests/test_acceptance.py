@@ -156,11 +156,11 @@ def test_criterion_4_embedding_maps_and_conformance():
     count = 0
     for g0, beta in _criterion4_instances():
         g, rep = embed_sub1(g0, beta)
-        assert rep.conformance.ok, (g0.vertex_count, beta)
-        assert len(rep.parity_deficits) <= 2
+        assert rep["conformance"]["ok"], (g0.vertex_count, beta)
+        assert len(rep["parity_deficits"]) <= 2
         for members in enumerate_independent_sets(g0):
             assert is_independent(g, [2 * i for i in members])
-        assert rep.is_upper_bounds["G2"] <= rep.bounds_closed["g3_bound"] + 2
+        assert rep["is_upper_bounds"]["G2"] <= rep["bounds"]["g3_bound"] + 2
         count += 1
     elapsed = time.time() - t0
     _report(4, elapsed < 60.0, f"(a),(b),(c-G3): {count} embeddings, {elapsed:.1f}s < 60s")
@@ -189,9 +189,9 @@ def test_criterion_4_g1_certificate_bound(beta):
         m = rng.randint(2, 12)
         g0 = random_simple_graph(rng, m, rng.uniform(0.2, 0.7))
         _, rep = embed_sub1(g0, beta)
-        sd = math.sqrt(rep.params["delta"])
-        worst = max(worst, rep.is_upper_bounds["G1"] / sd)
-        assert rep.is_upper_bounds["G1"] <= 4 * sd, (m, beta, worst)
+        sd = math.sqrt(rep["params"]["delta"])
+        worst = max(worst, rep["is_upper_bounds"]["G1"] / sd)
+        assert rep["is_upper_bounds"]["G1"] <= 4 * sd, (m, beta, worst)
     _report(4, True, f"(c-G1) beta={beta}: max |cert(G1)|/sqrt(delta) = {worst:.2f} <= 4")
 
 
@@ -259,8 +259,8 @@ def test_criterion_8_determinism_and_roundtrip(tmp_path):
             out.append(hashlib.sha256(text.encode()).hexdigest())
         from plg import _jsonio
 
-        out.append(hashlib.sha256(_jsonio.dumps(r1.to_dict()).encode()).hexdigest())
-        out.append(hashlib.sha256(_jsonio.dumps(r2.to_dict()).encode()).hexdigest())
+        out.append(hashlib.sha256(_jsonio.dumps(r1).encode()).hexdigest())
+        out.append(hashlib.sha256(_jsonio.dumps(r2).encode()).hexdigest())
         return out
 
     first = pipeline_hashes()

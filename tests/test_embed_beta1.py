@@ -493,8 +493,8 @@ def test_alon_lower_end_below_product_independence_number():
     res = exact_mis(dgraph)
     assert is_independent(dgraph, res.witness) and len(res.witness) == res.size
     assert res.optimal and res.size == reference_mis(dgraph) == 12
-    assert rep.extras["is_g"] == 8
-    assert rep.bounds_closed["alon_lo"] <= res.size <= rep.bounds_closed["alon_hi"]
+    assert rep["extras"]["is_g"] == 8
+    assert rep["bounds"]["alon_lo"] <= res.size <= rep["bounds"]["alon_hi"]
 
 
 def test_alon_interval_contains_bruteforce(c5):
@@ -565,38 +565,38 @@ def test_heuristic_on_realized_plg():
 
 def test_embed_beta1_c5(c5):
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    assert rep.conformance.ok
-    assert len(rep.parity_deficits) <= 2
-    assert rep.extras["n_d"] == 20
+    assert rep["conformance"]["ok"]
+    assert len(rep["parity_deficits"]) <= 2
+    assert rep["extras"]["n_d"] == 20
     # exact independence number of the product sits in the spectral bracket
-    lo, hi = rep.bounds_closed["alon_lo"], rep.bounds_closed["alon_hi"]
+    lo, hi = rep["bounds"]["alon_lo"], rep["bounds"]["alon_hi"]
     assert lo - 1e-9 <= 2 <= hi + 1e-9
-    assert is_independent(g, rep.is_lower_witness)
+    assert is_independent(g, rep["witness"])
     assert verify_embedding(g, rep, c5).ok
     # embedded walk vertices carry no self-loops
-    for v in range(2 * rep.extras["n_d"]):
+    for v in range(2 * rep["extras"]["n_d"]):
         assert not g.has_loop(v)
 
 
 def test_embed_beta1_isolated():
     e5 = MultiGraph(5)
     g, rep = embed_beta1(e5, d=4, seed=3, k_override=2)
-    assert len(rep.is_lower_witness) == 20  # product is edgeless
-    assert rep.conformance.ok
+    assert len(rep["witness"]) == 20  # product is edgeless
+    assert rep["conformance"]["ok"]
 
 
 def test_embed_beta1_complete():
     k5 = MultiGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     g, rep = embed_beta1(k5, d=4, seed=3, k_override=2)
-    assert rep.is_lower_witness == []  # no walk stays inside a single vertex
-    assert rep.conformance.ok
+    assert rep["witness"] == []  # no walk stays inside a single vertex
+    assert rep["conformance"]["ok"]
 
 
 def test_embed_beta1_deterministic(c5):
     g1, r1 = embed_beta1(c5, d=4, seed=5, k_override=2)
     g2, r2 = embed_beta1(c5, d=4, seed=5, k_override=2)
     assert g1 == g2
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
 
 
 def test_embed_beta1_k3_dense_product():
@@ -604,8 +604,8 @@ def test_embed_beta1_k3_dense_product():
     # needs far more than 64 unit bumps, exercising the step search
     g0 = MultiGraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
     g, rep = embed_beta1(g0, d=4, seed=2, k_override=3)
-    assert rep.extras["n_d"] == 9 * 16
-    assert rep.conformance.ok
+    assert rep["extras"]["n_d"] == 9 * 16
+    assert rep["conformance"]["ok"]
     assert verify_embedding(g, rep, g0).ok
 
 

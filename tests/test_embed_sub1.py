@@ -122,24 +122,24 @@ def test_g1_bound_scales_with_sqrt_delta_beta_half():
 def test_embed_k2_every_is_maps(c5):
     k2 = MultiGraph(2, [(0, 1)])
     g, rep = embed_sub1(k2, 0.5)
-    assert len(rep.is_lower_witness) == 1
+    assert len(rep["witness"]) == 1
     for members in enumerate_independent_sets(k2):
         assert is_independent(g, [2 * i for i in members])
 
 
 def test_embed_empty3_witness():
     g, rep = embed_sub1(MultiGraph(3), 0.5)
-    assert len(rep.is_lower_witness) == 3
-    assert is_independent(g, rep.is_lower_witness)
+    assert len(rep["witness"]) == 3
+    assert is_independent(g, rep["witness"])
 
 
 def test_embed_c5_conformance_and_bounds(c5):
     g, rep = embed_sub1(c5, 0.5)
-    assert rep.conformance.ok
-    assert len(rep.parity_deficits) <= 2
-    sd = math.sqrt(rep.params["delta"])
-    assert rep.is_upper_bounds["G1"] <= 4 * sd
-    assert rep.is_upper_bounds["G2"] <= rep.bounds_closed["g3_bound"] + 2
+    assert rep["conformance"]["ok"]
+    assert len(rep["parity_deficits"]) <= 2
+    sd = math.sqrt(rep["params"]["delta"])
+    assert rep["is_upper_bounds"]["G1"] <= 4 * sd
+    assert rep["is_upper_bounds"]["G2"] <= rep["bounds"]["g3_bound"] + 2
 
 
 def test_embed_pair_degrees_equal(c5):
@@ -158,8 +158,8 @@ def test_embed_decomposition_small():
     total = brute_mis(g)
     bound = (
         brute_mis(k2)
-        + rep.is_upper_bounds["G1"]
-        + rep.is_upper_bounds["G2"]
+        + rep["is_upper_bounds"]["G1"]
+        + rep["is_upper_bounds"]["G2"]
     )
     assert total <= bound
 
@@ -167,9 +167,9 @@ def test_embed_decomposition_small():
 def test_embed_part_sizes_sum_to_n_exact(c5):
     for beta in (0.3, 0.5, 0.8):
         g, rep = embed_sub1(c5, beta)
-        p = PowerLawParams(rep.params["alpha"], beta)
+        p = PowerLawParams(rep["params"]["alpha"], beta)
         assert g.vertex_count == interval_size_exact(p, 1, p.delta)
-        assert sum(rep.part_sizes.values()) == g.vertex_count
+        assert sum(part["size"] for part in rep["parts"].values()) == g.vertex_count
 
 
 def test_embed_no_loops_or_foreign_fill_on_embedded(c5):

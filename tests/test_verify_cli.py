@@ -8,9 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plg import MultiGraph, alon_interval, embed_sub1, is_independent, read_graph, verify_embedding, write_graph
+from plg import (
+    CliqueCoverCertificate,
+    MultiGraph,
+    _jsonio,
+    alon_interval,
+    embed_sub1,
+    is_independent,
+    read_graph,
+    verify_embedding,
+    write_graph,
+)
 from plg.cli import main
 from plg.embed_beta1 import embed_beta1, random_regular_expander, walk_block
 from plg.errors import InternalError
@@ -48,7 +59,7 @@ def test_verify_detects_deleted_edge(c5):
 
 def test_verify_detects_bad_witness(c5):
     g, rep = embed_sub1(c5, 0.5)
-    doc = rep.to_dict()
+    doc = copy.deepcopy(rep)
     doc["witness"] = [0, 2]  # adjacent pair copies of adjacent C5 vertices
     res = verify_embedding(g, doc, c5)
     assert not res.ok
@@ -57,7 +68,7 @@ def test_verify_detects_bad_witness(c5):
 
 def test_verify_detects_tampered_bound(c5):
     g, rep = embed_sub1(c5, 0.5)
-    doc = rep.to_dict()
+    doc = copy.deepcopy(rep)
     doc["bounds"]["g3_bound"] += 0.5
     res = verify_embedding(g, doc, c5)
     assert not res.ok
@@ -66,11 +77,28 @@ def test_verify_detects_tampered_bound(c5):
 
 def test_verify_detects_broken_certificate(c5):
     g, rep = embed_sub1(c5, 0.5)
-    doc = copy.deepcopy(rep.to_dict())
+    doc = copy.deepcopy(rep)
     doc["certificates"]["G2"]["cliques"][0][1] += 1  # clique overlaps its neighbour
     res = verify_embedding(g, doc, c5)
     assert not res.ok
     assert "certificates" in failing(res.checks)
+
+
+def test_verify_certified_block_counts_its_cliques(c5):
+    # A part's certificate sets its clique count, the block's too: the
+    # doubled C5 is covered by the K4s of input edges (0,1) and (2,3) and the
+    # pair {8, 9}, three cliques where the block's pair cliques number 5.
+    g, rep = embed_sub1(c5, 0.5)
+    doc = copy.deepcopy(rep)
+    doc["certificates"]["Gprime"] = CliqueCoverCertificate(np.array([4, 4, 2])).to_dict()
+    assert doc["certificates"]["Gprime"]["cliques"] == [[0, 4], [4, 8], [8, 10]]
+    doc["is_upper_bounds"]["Gprime"] = 3.0
+    assert verify_embedding(g, doc, c5).ok
+    doc["is_upper_bounds"]["Gprime"] = 5.0
+    res = verify_embedding(g, doc, c5)
+    assert [(c["check"], c["detail"]) for c in res.checks if not c["ok"]] == [
+        ("certificates", "is_upper_bounds: Gprime is 5.0, its clique count 3")
+    ]
 
 
 def test_verify_detects_unjoined_pair(c5):
@@ -88,7 +116,7 @@ def test_verify_beta1(c5):
 
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
     assert verify_embedding(g, rep, c5).ok
-    doc = rep.to_dict()
+    doc = copy.deepcopy(rep)
     doc["bounds"]["alon_hi"] *= 2
     assert not verify_embedding(g, doc, c5).ok
 
@@ -99,6 +127,29 @@ def test_verify_beta1(c5):
 def write_c5(path):
     g = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     path.write_text(write_graph(g))
+
+
+@pytest.mark.parametrize("kind", ["sub1", "beta1"])
+def test_returned_report_is_the_written_document(c5, tmp_path, kind):
+    # The embedder returns the document ``plg embed-*`` writes, and verify
+    # reads it as it reads that file, without changing it.  Records are
+    # compared, not dicts: the layered bound's layers are tuples in memory.
+    write_c5(tmp_path / "c5.plg")
+    if kind == "sub1":
+        argv = ["embed-sub1", "--beta", "0.5"]
+        g, rep = embed_sub1(c5, 0.5)
+    else:
+        argv = ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"]
+        g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    out, report = tmp_path / "out.plg", tmp_path / "report.json"
+    assert main(argv + ["--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(report)]) == 0
+    assert _jsonio.dumps(rep) == report.read_text()
+    before = copy.deepcopy(rep)
+    in_memory = verify_embedding(g, rep, c5)
+    from_file = verify_embedding(g, json.loads(report.read_text()), c5)
+    assert in_memory.ok
+    assert in_memory.to_dict() == from_file.to_dict()
+    assert rep == before
 
 
 def test_cli_dist(capsys):
@@ -469,7 +520,7 @@ _CERTIFICATE_CASES = [
 def test_certificate_check_matches_pairwise_reference(petersen):
     rng = random.Random(9)
     g, rep = embed_sub1(petersen, 0.5)
-    base = rep.to_dict()
+    base = copy.deepcopy(rep)
     clique_edges = [
         (u, v)
         for cert in base["certificates"].values()
@@ -530,7 +581,7 @@ def _dict_check_conformance(plg, rep):
 @pytest.mark.parametrize("beta", [0.5, 0.8])
 def test_conformance_matches_dict_check_on_forged_deficits(c5, beta):
     g, rep = embed_sub1(c5, beta)
-    doc = rep.to_dict()
+    doc = copy.deepcopy(rep)
     delta = doc["params"]["delta"]
     top = int(g.degrees().max())
     forged = [
@@ -580,7 +631,7 @@ def test_conformance_matches_dict_check_past_size_bounds():
 
 def test_conformance_fails_on_out_of_range_deficit(c5):
     g, rep = embed_sub1(c5, 0.5)
-    doc = rep.to_dict()
+    doc = copy.deepcopy(rep)
     delta = doc["params"]["delta"]
     for t in (0, -1, delta + 2, 10**15):
         doc["parity_deficits"] = [[0, t]]
@@ -839,7 +890,7 @@ def test_verify_beta1_block_from_forged_extras(c5, field, value, detail):
     from plg import embed_beta1
 
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    doc = copy.deepcopy(rep.to_dict())
+    doc = copy.deepcopy(rep)
     assert _embedded_check(g, doc, c5)["ok"]
     doc["extras"][field] = value
     got = _embedded_check(g, doc, c5)
@@ -850,7 +901,7 @@ def test_verify_beta1_block_range(c5):
     from plg import embed_beta1
 
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    doc = copy.deepcopy(rep.to_dict())
+    doc = copy.deepcopy(rep)
     n_d = doc["extras"]["n_d"]
     doc["parts"]["D"]["range"] = [0, 2 * n_d - 2]
     assert _embedded_check(g, doc, c5) == {
@@ -915,7 +966,7 @@ def test_verify_beta1_witness_walk_count(c5):
     from plg import embed_beta1
 
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    doc = copy.deepcopy(rep.to_dict())
+    doc = copy.deepcopy(rep)
     doc["extras"]["witness_walk_count"] += 1
     res = verify_embedding(g, doc, c5)
     assert failing(res.checks) == ["witness"]
@@ -931,7 +982,7 @@ def _c5_outputs(c5, kind):
     from plg import embed_beta1
 
     g, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k_override=2)
-    return g, copy.deepcopy(rep.to_dict())
+    return g, copy.deepcopy(rep)
 
 
 def _set(*path_and_value):
@@ -1333,7 +1384,7 @@ def test_verify_fails_every_forged_leaf(kind):
     else:
         src = read_graph(_BETA1_INPUT)
         g, rep = embed_beta1(src, 4, 3, 2)
-    base = json.loads(_jsonio.dumps(rep.to_dict()))
+    base = json.loads(_jsonio.dumps(rep))
     assert verify_embedding(g, base, src).ok
     passed, trusted, used = [], [], set()
     for path, value in _leaves(base):
