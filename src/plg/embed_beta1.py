@@ -112,16 +112,6 @@ class ExpanderCertificate:
             "attempts": self.attempts,
         }
 
-    def report_extras(self) -> dict:
-        """The spectral certificate under an embedding report's extras keys."""
-        return {
-            "lambda": self.lam,
-            "lambda_1": self.lambda_1,
-            "lambda_min": self.lambda_min,
-            "lambda_bound": self.bound,
-            "expander_passes": self.passes,
-        }
-
 
 def _transition_spectrum(g: MultiGraph, d: int) -> tuple[float, float]:
     """(lambda_1, lambda_min) of the walk transition matrix A/d."""
@@ -241,6 +231,20 @@ class WalkProduct:
         its block: the walks' self-loops go to the matching edges, so
         embedded vertices stay loop-free."""
         return double_with_pairs(self.product, loops="to_matching")
+
+    def report_extras(self) -> dict:
+        """The product's size and largest degree and the expander's spectral
+        certificate, under an embedding report's extras keys."""
+        h = self.expander
+        return {
+            "n_d": self.n_d,
+            "product_max_degree": int(self.product.degrees().max(initial=0)),
+            "lambda": h.lam,
+            "lambda_1": h.lambda_1,
+            "lambda_min": h.lambda_min,
+            "lambda_bound": h.bound,
+            "expander_passes": h.passes,
+        }
 
 
 def walk_product(g: MultiGraph, h: ExpanderCertificate, k: int) -> WalkProduct:
@@ -449,7 +453,7 @@ class LayeredBound(Record):
     exact: int
     asymptotic: float
     naive: int
-    layers: tuple[tuple[int, int, int], ...]  # (lo, hi, term) per layer
+    layers: list[list[int]]  # [lo, hi, term] per layer
 
 
 def layered_is_bound(params: Beta1Params) -> LayeredBound:
@@ -473,18 +477,18 @@ def layered_is_bound(params: Beta1Params) -> LayeredBound:
         lo = max(params.a_x, bounds[j])
         hi = min(d, bounds[j + 1] - 1) if j < params.L - 1 else d
         if lo > hi:
-            layers.append((lo, hi, 0))
+            layers.append([lo, hi, 0])
             continue
         pop = interval_size_exact(p, lo, hi)
         term = -(-pop // max(1, bounds[j]))
-        layers.append((lo, hi, term))
+        layers.append([lo, hi, term])
         total += term
     naive_pop = interval_size_exact(p, params.a_x, d)
     naive = -(-naive_pop // params.a_x)
     a = params.alpha
     ratio = a / math.exp(a)
     asym = math.exp(a) / params.L * (1 - ratio) / (1 - ratio ** (1.0 / params.L))
-    return LayeredBound(total, asym, naive, tuple(layers))
+    return LayeredBound(total, asym, naive, layers)
 
 
 def alon_interval(
@@ -508,23 +512,6 @@ def alon_interval(
     lo = scale * max(0.0, r + lambda_min * (1 - r)) ** (k - 1)
     hi = scale * (r + lambda_1 * (1 - r)) ** (k - 1)
     return lo, hi
-
-
-def beta1_bounds(params: Beta1Params, extras: dict) -> tuple[dict[str, float], LayeredBound]:
-    """The report's closed bounds table, from ``params`` and the extras'
-    is_g, n_base, d, lambda_1, lambda_min and k, with the layered estimate
-    behind its ``layered_*`` entries."""
-    layered = layered_is_bound(params)
-    lo, hi = alon_interval(
-        extras["is_g"], extras["n_base"], extras["d"], extras["lambda_1"], extras["lambda_min"], extras["k"]
-    )
-    return {
-        "layered_exact": float(layered.exact),
-        "layered_asymptotic": layered.asymptotic,
-        "layered_naive": float(layered.naive),
-        "alon_lo": lo,
-        "alon_hi": hi,
-    }, layered
 
 
 @dataclass(frozen=True)
@@ -570,6 +557,45 @@ def amplification_feasibility(
     }
 
 
+def beta1_leaves(params: Beta1Params, extras: dict) -> dict[str, dict]:
+    """``sub1_leaves`` for beta = 1: the entries that ``params`` and the
+    run's is_g, n_base, d, k and spectrum (lambda, lambda_1, lambda_min) in
+    ``extras`` fix.  (n, d, k) past ``check_walk_caps`` are refused, as
+    ``walk_block`` refuses them, before any power d^(k-1) is taken."""
+    is_g, n, d, k, lam = (extras[key] for key in ("is_g", "n_base", "d", "k", "lambda"))
+    check_walk_caps(n, d, k)
+    layered = layered_is_bound(params)
+    lo, hi = alon_interval(is_g, n, d, extras["lambda_1"], extras["lambda_min"], k)
+    return {
+        "params": params.to_dict(),
+        "bounds": {
+            "layered_exact": float(layered.exact),
+            "layered_asymptotic": layered.asymptotic,
+            "layered_naive": float(layered.naive),
+            "alon_lo": lo,
+            "alon_hi": hi,
+        },
+        "extras": {
+            "log_base": "natural",
+            "k_window": choose_k(n, d).to_dict() if n >= 16 else None,
+            "delta_k_design": walk_degree_bound(d, k),
+            "gap_ratio": {
+                "bracket_lo": lo,
+                "bracket_hi": hi,
+                "bracket_ratio": hi / lo if lo > 0 else None,
+                "eps2_surrogate": lam,
+                "k": k,
+            },
+            # Feasibility inequality sides are reported, never asserted: they
+            # encode asymptotic viability and only bite at large n.  The
+            # instance's own independence ratio stands in for the class
+            # constant b; eps = 0.5.
+            "feasibility": amplification_feasibility(b=is_g / n, eps2=lam, n=n, d=d, k=k, eps=0.5),
+            "layered": layered.to_dict(),
+        },
+    }
+
+
 def degree_one_heuristic(g: MultiGraph) -> list[int]:
     """Independent set of loop-free degree-1 vertices, one per matched pair.
 
@@ -612,10 +638,7 @@ def embed_beta1(
     n = g.vertex_count
     k = 2 if k_override is None else k_override
     wp = walk_block(g, d, seed, k)
-    h, doubled = wp.expander, wp.doubled()
-    window = choose_k(n, d) if n >= 16 else None
-    dgraph = wp.product
-    n_d = dgraph.vertex_count
+    doubled = wp.doubled()
 
     # The doubling needs 2*n_d slots at degrees covering the doubled walk
     # degrees (up to ~4*n_d on dense products), twice what condition (I) asks
@@ -632,44 +655,22 @@ def embed_beta1(
     graph, assembled = assemble(
         p, doubled, BLOCKS["beta1"], pair_targets, [("G1", leftover), ("G2", g2_targets)], wp.walks, witness_source
     )
-    dp_count = count_walks_within(h, witness_source, k)
+    dp_count = count_walks_within(wp.expander, witness_source, k)
     if dp_count != len(assembled["witness"]):
         raise InternalError("walk DP count disagrees with enumeration")
 
     solved = exact_mis(g, budget=_SOLVER_BUDGET)
-    is_g = solved.size
     extras = {
-        "log_base": "natural",
-        **h.report_extras(),
+        **wp.report_extras(),
         "seed": seed,
         "d": d,
         "k": k,
         "n_base": n,
-        "k_window": window.to_dict() if window else None,
-        "n_d": n_d,
-        "delta_k_design": walk_degree_bound(d, k),
-        "product_max_degree": int(dgraph.degrees().max()) if n_d else 0,
-        "is_g": is_g,
+        "is_g": solved.size,
         "is_g_optimal": solved.optimal,
+        "witness_source_vertices": sorted(witness_source),
+        "witness_walk_count": dp_count,
     }
-    bounds, layered = beta1_bounds(params, extras)
-    lo, hi = bounds["alon_lo"], bounds["alon_hi"]
-    # Feasibility inequality sides are reported, never asserted: they encode
-    # asymptotic viability and only bite at large n.  The instance's own
-    # independence ratio stands in for the class constant b; eps = 0.5.
-    extras.update(
-        gap_ratio={
-            "bracket_lo": lo,
-            "bracket_hi": hi,
-            "bracket_ratio": hi / lo if lo > 0 else None,
-            "eps2_surrogate": h.lam,
-            "k": k,
-        },
-        feasibility=amplification_feasibility(b=is_g / n, eps2=h.lam, n=n, d=d, k=k, eps=0.5),
-        witness_source_vertices=sorted(witness_source),
-        witness_walk_count=dp_count,
-        layered=layered.to_dict(),
-    )
-    return graph, {
-        "schema": SCHEMA, "kind": "beta1", "params": params.to_dict(), "bounds": bounds, **assembled, "extras": extras
-    }
+    leaves = beta1_leaves(params, extras)
+    extras.update(leaves["extras"])
+    return graph, {"schema": SCHEMA, "kind": "beta1", **leaves, **assembled, "extras": extras}

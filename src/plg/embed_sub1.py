@@ -102,47 +102,41 @@ def choose_params_sub1(n: int, beta: float) -> Sub1Params:
     return first_fit(trial, _MAX_BUMPS)
 
 
-@dataclass(frozen=True)
-class Sub1ResidualBounds:
-    """Closed-form IS bounds for the residual parts at y = delta^(-1/2)."""
-
-    i_y1: float
-    i_y2: float
-    g1_bound: float
-    g3_bound: float
-
-
-def residual_is_bound_sub1(params: Sub1Params) -> Sub1ResidualBounds:
-    """Evaluate the displayed closed forms for IS over [1, y*delta) and
-    [y*delta, x*delta] at y = delta^(-1/2), plus e^(alpha/(beta+1))/(1-beta)."""
+def residual_is_bound_sub1(params: Sub1Params) -> dict[str, float]:
+    """The report's bounds table: the displayed closed forms i_y1 and i_y2
+    for IS over [1, y*delta) and [y*delta, x*delta] at y = delta^(-1/2),
+    their sum g1_bound, and g3_bound = e^(alpha/(beta+1))/(1-beta)."""
     a, b = params.alpha, params.beta
     d = params.delta
     ea = math.exp(a)
     yd = math.sqrt(d)  # y*delta at y = delta^(-1/2)
     xd = params.x * d
-    i_y1 = (
-        ea / b * (1 - (yd + 1) ** -b)
-        + ea * (1 - (yd + 1) ** -(b + 1))
-        + yd
-    )
+    i_y1 = ea / b * (1 - (yd + 1) ** -b) + ea * (1 - (yd + 1) ** -(b + 1)) + yd
     scale = math.exp(a * (1 - 1 / b)) * math.sqrt(d)  # e^(a(1-1/b)) / y
-    i_y2 = (
-        scale
-        * (
-            (xd ** (1 - b) - yd ** (1 - b)) / (1 - b)
-            + yd**-b
-            - xd**-b
-        )
-        + 1
-    )
+    i_y2 = scale * ((xd ** (1 - b) - yd ** (1 - b)) / (1 - b) + yd**-b - xd**-b) + 1
     g3 = math.exp(a / (b + 1)) / (1 - b)
-    return Sub1ResidualBounds(i_y1=i_y1, i_y2=i_y2, g1_bound=i_y1 + i_y2, g3_bound=g3)
+    return {"g1_bound": i_y1 + i_y2, "g3_bound": g3, "i_y1": i_y1, "i_y2": i_y2}
 
 
-def sub1_bounds(params: Sub1Params) -> dict[str, float]:
-    """The report's closed bounds table: ``residual_is_bound_sub1`` by key."""
-    rb = residual_is_bound_sub1(params)
-    return {"g1_bound": rb.g1_bound, "g3_bound": rb.g3_bound, "i_y1": rb.i_y1, "i_y2": rb.i_y2}
+def sub1_leaves(params: Sub1Params) -> dict[str, dict]:
+    """Every report entry ``params`` fix: ``params``, ``bounds`` and the
+    derived ``extras``.  The embedder writes them and ``plg verify``
+    compares them with this function's output for the rebuilt record."""
+    split_index = guarded_ceil(math.sqrt(params.delta))
+    return {
+        "params": params.to_dict(),
+        "bounds": residual_is_bound_sub1(params),
+        "extras": {
+            "log_base": "natural",
+            "g1_split_index": split_index,
+            # The y-split lands above g3_cut for every beta < 1, so G1 is
+            # realized as a single piece; the split only shapes the closed
+            # forms.  The first-piece estimate uses the displayed result
+            # line, not the inline sum it abbreviates.
+            "g1_split_inside_g1": split_index < params.g3_cut,
+            "i_y1_form": "displayed-closed-form",
+        },
+    }
 
 
 def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
@@ -187,22 +181,6 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
         witness_source,
     )
 
-    split_index = guarded_ceil(math.sqrt(params.delta))
-    return graph, {
-        "schema": SCHEMA,
-        "kind": "sub1",
-        "params": params.to_dict(),
-        "bounds": sub1_bounds(params),
-        **assembled,
-        "extras": {
-            "log_base": "natural",
-            "witness_source_vertices": sorted(witness_source),
-            "g1_split_index": split_index,
-            # The y-split lands above g3_cut for every beta < 1, so G1 is
-            # realized as a single piece; the split only shapes the closed
-            # forms.  The first-piece estimate uses the displayed result
-            # line, not the inline sum it abbreviates.
-            "g1_split_inside_g1": split_index < params.g3_cut,
-            "i_y1_form": "displayed-closed-form",
-        },
-    }
+    leaves = sub1_leaves(params)
+    extras = {**leaves["extras"], "witness_source_vertices": sorted(witness_source)}
+    return graph, {"schema": SCHEMA, "kind": "sub1", **leaves, **assembled, "extras": extras}

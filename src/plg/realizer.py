@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
-from .model import PowerLawParams, _floored_counts, cover_ceiling_sum
+from .model import PowerLawParams, _floored_counts, cover_ceiling_sum, degree_count, interval_size_exact
 
 # Materialization cap on distinct edges, shared with the embedders: the
 # interval at alpha = 10, beta = 1 alone needs 156,445,379 clique edges.
@@ -111,11 +111,12 @@ def interval_degree_sequence(p: PowerLawParams, a: int, b: int) -> np.ndarray:
         raise InputError(f"need 1 <= {a} <= {b} <= delta={p.delta}")
     if b - a + 1 > SEQUENCE_CAP:
         raise ResourceLimitError(f"interval [{a}, {b}] spans {b - a + 1} degrees (cap {SEQUENCE_CAP})")
-    counts = _floored_counts(p, a, b)
-    # The max first: a sum of counts past the cap could overflow int64.
-    if len(counts) and (counts.max() > SEQUENCE_CAP or counts.sum() > SEQUENCE_CAP):
+    # y_a is the largest count, so the span times it bounds the total; past
+    # the cap, y_a and then the exact floor-block sum decide, with no array.
+    top = degree_count(p, a)
+    if (b - a + 1) * top > SEQUENCE_CAP and (top > SEQUENCE_CAP or interval_size_exact(p, a, b) > SEQUENCE_CAP):
         raise ResourceLimitError(f"interval [{a}, {b}] holds more than {SEQUENCE_CAP} vertices")
-    return np.repeat(np.arange(a, b + 1, dtype=np.int64), counts)
+    return np.repeat(np.arange(a, b + 1, dtype=np.int64), _floored_counts(p, a, b))
 
 
 def _clique_walk(d: np.ndarray) -> np.ndarray:

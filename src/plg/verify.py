@@ -2,9 +2,9 @@
 
 Every check recomputes from first principles: histogram against the
 distribution definition, clique covers against the assembled edges, witness
-independence and its mapping from the recorded source, the parameters from
-their defining fields and the closed-form bounds from those, and the
-embedded block.
+independence and its mapping from the recorded source, every parameter,
+bound and derived extra from the defining fields, by the function the
+embedder wrote them with, and the embedded block.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._assembly import map_witness
-from .embed_beta1 import Beta1Params, beta1_bounds, walk_block
-from .embed_sub1 import Sub1Params, double_graph, sub1_bounds
+from .embed_beta1 import Beta1Params, beta1_leaves, walk_block
+from .embed_sub1 import Sub1Params, double_graph, sub1_leaves
 from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
@@ -41,13 +41,33 @@ def _close(a: float, b: float) -> bool:
     return math.isfinite(a - b) and abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
+def _leaf_mismatch(got, want, path: str) -> str:
+    """The first leaf of the report's ``got`` at ``path`` that differs from
+    the recomputed ``want``, as a failure detail, or "" when none does.
+    Tables must have the same keys and lists the same length; a float
+    matches a number within the relative tolerance (``_close``), a bool only
+    the same bool, and any other leaf an equal one."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        unknown = sorted(got.keys() - want.keys())
+        if unknown:
+            return f"{path}: {unknown[0]} is not a recomputed entry"
+        return next(filter(None, (_leaf_mismatch(got[key], val, f"{path}/{key}") for key, val in want.items())), "")
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return next(filter(None, (_leaf_mismatch(g, w, f"{path}/{i}") for i, (g, w) in enumerate(zip(got, want)))), "")
+    if isinstance(want, float) and type(got) in (int, float):
+        same = _close(got, want)
+    else:
+        same = isinstance(got, bool) == isinstance(want, bool) and got == want
+    return "" if same else f"{path}: report {got}, recomputed {want}"
+
+
 def _check(name: str):
     """Make a check body, which returns "" on pass or a failure detail, a
     function that returns the check's record.  Report data the body cannot
     use fails the check instead of raising: a missing key, or a value of the
-    wrong type, range or size (``InputError`` among them), one too large for
-    a float, or one past a size cap.  ``InternalError`` and
-    ``AssertionError`` still propagate."""
+    wrong type, range or size (``InputError`` among them), one that divides
+    by zero or is too large for a float, or one past a size cap.
+    ``InternalError`` and ``AssertionError`` still propagate."""
 
     def decorate(body):
         @functools.wraps(body)
@@ -56,7 +76,7 @@ def _check(name: str):
                 detail = body(*args)
             except KeyError as exc:
                 detail = f"report lacks key {exc}"
-            except (AttributeError, IndexError, OverflowError, TypeError, ValueError, ResourceLimitError) as exc:
+            except (ArithmeticError, AttributeError, IndexError, TypeError, ValueError, ResourceLimitError) as exc:
                 detail = str(exc) or type(exc).__name__
             return {"check": name, "ok": not detail, "detail": detail}
 
@@ -178,22 +198,21 @@ _BLOCK_SOURCES = {"sub1": "input", "beta1": "walk product"}
 
 @_check("embedded")
 def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
-    """The kind's block is the doubling ``doubled`` and the report's
-    spectrum is that of the expander ``h``, all from ``block_source``, the
+    """The kind's block is the doubling ``doubled`` and the report's extras
+    hold the ``claims`` of its rebuild, all from ``block_source``, the
     ``_embedded_source`` tuple or the exception its build raised (raised
-    again here): the block is [0, 2m), the recorded lambdas and pass flag
-    match ``h`` (kind "beta1"), and every edge inside the block has its
+    again here): the block is [0, 2m), the extras match the claims leaf for
+    leaf (``_leaf_mismatch``), and every edge inside the block has its
     multiplicity in ``doubled``, or at least that on a pair edge {2i, 2i+1},
     which the fill raises.  So the block's independent sets are those of
     ``doubled``."""
-    block, (doubled, _, h) = BLOCKS[rep["kind"]], _built(block_source)
+    block, (doubled, _, claims) = BLOCKS[rep["kind"]], _built(block_source)
     n_embed = doubled.vertex_count
     if list(rep["parts"][block]["range"]) != [0, n_embed]:
         return f"{block} is not the block [0,{n_embed})"
-    if h is not None:
-        for key, val in h.report_extras().items():
-            if not _close(rep["extras"][key], val):
-                return f"{key}: report {rep['extras'][key]}, expander {val}"
+    mismatch = _leaf_mismatch({key: rep["extras"][key] for key in claims}, claims, "extras")
+    if mismatch:
+        return mismatch
     du, dv, dm = doubled.arrays()
     got = plg.multiplicities(du, dv)
     pair = (du % 2 == 0) & (dv == du + 1)
@@ -213,15 +232,15 @@ def _check_embedded(plg: MultiGraph, rep: dict, block_source) -> str:
 
 
 def _embedded_source(rep: dict, original: MultiGraph):
-    """The doubling the embedded block must equal, the walks its
-    witness maps and the expander behind them, if any.  Kind "sub1":
-    ``double_graph`` of the input, which refuses an input the embedder would
-    refuse as too large before doubling it, walked one vertex at a time.
+    """The doubling the embedded block must equal, the walks its witness
+    maps and the extras its rebuild fixes.  Kind "sub1": ``double_graph``
+    of the input, which refuses an input the embedder would refuse as too
+    large before doubling it, walked one vertex at a time, and no extras.
     Kind "beta1": the doubled ``walk_block`` of the input at the report's
-    (d, seed, k), once n_base is checked against the input; a refusal
-    raises ``InputError("walk product: …")``."""
+    (d, seed, k), once n_base is checked against the input, and its
+    ``report_extras``; a refusal raises ``InputError("walk product: …")``."""
     if rep["kind"] == "sub1":
-        return double_graph(original), np.arange(original.vertex_count)[:, None], None
+        return double_graph(original), np.arange(original.vertex_count)[:, None], {}
     ex = rep["extras"]
     try:
         if ex["n_base"] != original.vertex_count:
@@ -229,7 +248,7 @@ def _embedded_source(rep: dict, original: MultiGraph):
         wp = walk_block(original, ex["d"], ex["seed"], ex["k"])
     except (InputError, ResourceLimitError) as exc:
         raise InputError(f"walk product: {exc}") from exc
-    return wp.doubled(), wp.walks, wp.expander
+    return wp.doubled(), wp.walks, wp.report_extras()
 
 
 def _built(block_source):
@@ -263,23 +282,21 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
 
 @_check("bounds")
 def _check_bounds(rep: dict) -> str:
-    """The params are those of the record their defining fields build, leaf
-    for leaf (floats to the relative tolerance), and the bounds are those
-    the rebuilt record gives."""
-    params, bounds = rep["params"], rep["bounds"]
+    """The params, the bounds and the derived extras are those that
+    ``sub1_leaves`` or ``beta1_leaves``, which the embedder wrote them with,
+    give for the record the params' defining fields rebuild (and, kind
+    "beta1", the extras' is_g, n_base, d, k and spectrum), leaf for leaf
+    (``_leaf_mismatch``)."""
+    params, extras = rep["params"], rep["extras"]
     record = (Sub1Params if rep["kind"] == "sub1" else Beta1Params).from_dict(params)
-    rebuilt = record.to_dict()
-    unknown = sorted(params.keys() - rebuilt.keys())
-    if unknown:
-        return f"params: {unknown[0]} is not a parameter"
-    for key, val in rebuilt.items():
-        if not (_close(params[key], val) if isinstance(val, float) else params[key] == val):
-            return f"params: {key} is {params[key]}, its defining fields give {val}"
-    expect = sub1_bounds(record) if rep["kind"] == "sub1" else beta1_bounds(record, rep["extras"])[0]
-    for key, val in expect.items():
-        if key not in bounds or not _close(bounds[key], val):
-            return f"{key}: report {bounds.get(key)}, recomputed {val}"
-    return ""
+    # The params first: the bounds of a forged record can take seconds of
+    # exact sums.
+    mismatch = _leaf_mismatch(params, record.to_dict(), "params")
+    if mismatch:
+        return mismatch
+    want = sub1_leaves(record) if rep["kind"] == "sub1" else beta1_leaves(record, extras)
+    got = {"bounds": rep["bounds"], "extras": {key: extras[key] for key in want["extras"]}}
+    return next(filter(None, (_leaf_mismatch(val, want[name], name) for name, val in got.items())), "")
 
 
 def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> VerifyResult:

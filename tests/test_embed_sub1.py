@@ -101,8 +101,8 @@ def test_residual_bound_g3_example():
     assert sp.alpha == pytest.approx(math.log(4))
     assert (sp.x, sp.delta, sp.a_x, sp.y_split, sp.g3_cut) == (0.25, 16, 4, 0.25, 3)
     rb = residual_is_bound_sub1(sp)
-    assert rb.g3_bound == pytest.approx(math.exp(math.log(4) / 1.5) / 0.5)
-    assert rb.g3_bound == pytest.approx(5.04, abs=0.01)
+    assert rb["g3_bound"] == pytest.approx(math.exp(math.log(4) / 1.5) / 0.5)
+    assert rb["g3_bound"] == pytest.approx(5.04, abs=0.01)
 
 
 def test_g1_bound_scales_with_sqrt_delta_beta_half():
@@ -115,7 +115,7 @@ def test_g1_bound_scales_with_sqrt_delta_beta_half():
         sp = Sub1Params(2 * round(math.exp(2 * alpha) / 8), 0.5, 0)
         assert sp.alpha == pytest.approx(alpha, abs=0.02)
         rb = residual_is_bound_sub1(sp)
-        worst = max(worst, rb.g1_bound / math.sqrt(sp.delta))
+        worst = max(worst, rb["g1_bound"] / math.sqrt(sp.delta))
     assert worst < 6.0  # frozen sweep max is ~4.9 (4*sqrtD from i_y1 + ~1 from i_y2)
 
 

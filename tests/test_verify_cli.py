@@ -131,9 +131,9 @@ def write_c5(path):
 
 @pytest.mark.parametrize("kind", ["sub1", "beta1"])
 def test_returned_report_is_the_written_document(c5, tmp_path, kind):
-    # The embedder returns the document ``plg embed-*`` writes, and verify
-    # reads it as it reads that file, without changing it.  Records are
-    # compared, not dicts: the layered bound's layers are tuples in memory.
+    # The embedder returns the document ``plg embed-*`` writes, JSON-equal
+    # to that file, and verify reads it as it reads the file, without
+    # changing it.
     write_c5(tmp_path / "c5.plg")
     if kind == "sub1":
         argv = ["embed-sub1", "--beta", "0.5"]
@@ -144,6 +144,7 @@ def test_returned_report_is_the_written_document(c5, tmp_path, kind):
     out, report = tmp_path / "out.plg", tmp_path / "report.json"
     assert main(argv + ["--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(report)]) == 0
     assert _jsonio.dumps(rep) == report.read_text()
+    assert rep == json.loads(report.read_text())
     before = copy.deepcopy(rep)
     in_memory = verify_embedding(g, rep, c5)
     from_file = verify_embedding(g, json.loads(report.read_text()), c5)
@@ -343,6 +344,20 @@ def test_cli_bad_numeric_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "g.plg").exists()
 
 
+def _run_capped(argv, cwd, limit):
+    """``python -m plg.cli argv`` in its own process under a ``limit``-byte
+    address space, so that a regression fails with MemoryError, not by
+    taking the machine's memory."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "plg.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -354,19 +369,9 @@ def test_cli_bad_numeric_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
 )
 def test_cli_huge_header_exits_2(tmp_path, argv):
     # 2^36 declared vertices over one edge: the vertex count must be refused
-    # before any per-vertex allocation.  Run apart, under a 2 GiB address
-    # space, so that a regression fails with MemoryError, not by taking the
-    # machine's memory.
+    # before any per-vertex allocation, under a 2 GiB address space.
     (tmp_path / "huge.plg").write_text("p plg 68719476736 1\ne 0 7 1\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    limit = 2 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "plg.cli", *argv, "--in", "huge.plg"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_capped([*argv, "--in", "huge.plg"], tmp_path, 2 << 30)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
 
@@ -388,17 +393,21 @@ def test_cli_oversized_walk_inputs_exit_2(tmp_path, argv):
     cycle = sorted((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
     (tmp_path / "cycle.plg").write_text(f"p plg {n} {n}\n" + "".join(f"e {u} {v} 1\n" for u, v in cycle))
     (tmp_path / "huge.plg").write_text("p plg 68719476736 1\ne 0 7 1\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    limit = 2 << 30
-    proc = subprocess.run(
-        [sys.executable, "-m", "plg.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = _run_capped(argv, tmp_path, 2 << 30)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert not (tmp_path / "g.plg").exists()
+
+
+def test_cli_realize_over_cap_interval_exits_2_before_allocating(tmp_path):
+    # [1, 2*10^7] at alpha 17, beta 1 spans fewer degrees than the sequence
+    # cap but holds about 4*10^8 vertices.  The count is refused from the
+    # exact floor-block sum, before any per-degree array (the counts alone
+    # take 153 MiB), under a 512 MiB address space.
+    argv = ["realize", "--alpha", "17", "--beta", "1", "--from", "1", "--to", "20000000", "--out", "g.plg"]
+    proc = _run_capped(argv, tmp_path, 512 << 20)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr == "error: interval [1, 20000000] holds more than 20000001 vertices\n"
     assert not (tmp_path / "g.plg").exists()
 
 
@@ -854,8 +863,9 @@ def test_cli_verify_fails_on_odd_copy_two_swap(tmp_path, capsys, embed, old, new
 
 def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
     # lambda_1 = 0.1 and lambda_min = -0.1 with alon_lo and alon_hi
-    # rewritten to match pass the bounds check; the expander regenerated
-    # from the report's seed does not have that spectrum.
+    # rewritten to match: the expander regenerated from the report's seed
+    # does not have that spectrum, and the gap ratio's bracket, which reads
+    # it too, was left as it was.
     src, out, rep = tmp_path / "g.plg", tmp_path / "e.plg", tmp_path / "e.json"
     src.write_text(write_graph(_C40))
     argv = ["embed-beta1", "--d", "4", "--seed", "3", "--in", str(src), "--out", str(out), "--report", str(rep)]
@@ -869,9 +879,10 @@ def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
     rec = json.loads(capsys.readouterr().out)
-    assert failing(rec["checks"]) == ["embedded"]
-    detail = next(c["detail"] for c in rec["checks"] if c["check"] == "embedded")
-    assert detail.startswith("lambda_1: report 0.1, expander ")
+    assert failing(rec["checks"]) == ["bounds", "embedded"]
+    detail = {c["check"]: c["detail"] for c in rec["checks"]}
+    assert detail["bounds"].startswith("extras/gap_ratio/bracket_lo: report ")
+    assert detail["embedded"].startswith("extras/lambda_1: report 0.1, recomputed ")
 
 
 def _embedded_check(g, doc, original):
@@ -1016,6 +1027,10 @@ def _append(*path_and_value):
     return forge
 
 
+def _empty_base(doc):
+    doc["extras"]["n_base"] = doc["extras"]["is_g"] = 0
+
+
 def _move_deficit(doc):
     doc["certificates"]["G1"]["parity_deficit_vertex"] = 56
     doc["parity_deficits"][1][0] = 56
@@ -1079,11 +1094,15 @@ def _move_deficit(doc):
         pytest.param("sub1", _set("certificates", "G1", "cliques", 0, [1]), ["certificates"], None, id="clique-short"),
         pytest.param("sub1", _set("parts", []), ["parts", "certificates", "embedded"], None, id="parts-list"),
         pytest.param(
-            "beta1", _set("extras", "k", 2.5), ["witness", "embedded"], "walk product: k must be an integer, got 2.5",
+            # The bounds check's walk caps refuse a float k too.
+            "beta1", _set("extras", "k", 2.5), ["witness", "bounds", "embedded"],
+            "walk product: k must be an integer, got 2.5",
             id="k-float",
         ),
         pytest.param(
-            "beta1", _set("extras", "d", 4.0), ["witness", "embedded"], "walk product: d must be an integer, got 4.0",
+            # The bounds check's walk caps refuse a float d too.
+            "beta1", _set("extras", "d", 4.0), ["witness", "bounds", "embedded"],
+            "walk product: d must be an integer, got 4.0",
             id="d-float",
         ),
         pytest.param(
@@ -1102,19 +1121,25 @@ def _move_deficit(doc):
             id="k-overflows-float",
         ),
         pytest.param(
-            "beta1", _set("params", "L", 10**8), ["bounds"], "params: L is 100000000, its defining fields give 4",
+            # Refused by the walk caps before 4^(10^12 - 1) is taken.
+            "beta1", _set("extras", "k", 10**12), ["witness", "bounds", "embedded"],
+            "walk product: walk product would have 5*4^999999999999 vertices (cap 200000)",
+            id="k-huge",
+        ),
+        pytest.param(
+            "beta1", _set("params", "L", 10**8), ["bounds"], "params/L: report 100000000, recomputed 4",
             id="L-forged",
         ),
         pytest.param(
             "sub1", _set("bounds", "g1_bound", float("inf")), ["bounds"],
-            "g1_bound: report inf, recomputed 22.68160918664779", id="bound-inf",
+            "bounds/g1_bound: report inf, recomputed 22.68160918664779", id="bound-inf",
         ),
         pytest.param(
-            "sub1", _set("params", "x", float("inf")), ["bounds"], "params: x is inf, its defining fields give 0.25",
+            "sub1", _set("params", "x", float("inf")), ["bounds"], "params/x: report inf, recomputed 0.25",
             id="params-inf",
         ),
         pytest.param(
-            "sub1", _set("params", "n", 10), ["bounds"], "params: n is not a parameter", id="params-unknown-key",
+            "sub1", _set("params", "n", 10), ["bounds"], "params: n is not a recomputed entry", id="params-unknown-key",
         ),
         pytest.param(
             # α moves by far less than the float tolerance.
@@ -1127,6 +1152,25 @@ def _move_deficit(doc):
         ),
         pytest.param(
             "beta1", _set("params", "bumps", 28 + 1e-9), ["bounds"], "bumps must be an integer", id="beta1-bumps-float",
+        ),
+        pytest.param(
+            # The independence ratio is_g / n_base is 0 / 0.
+            "beta1", _empty_base, ["witness", "bounds", "embedded"],
+            "walk product: n_base 0 is not the input's 5 vertices",
+            id="empty-base",
+        ),
+        pytest.param(
+            # A bool leaf matches only a bool, though 1 == True in Python.
+            "beta1", _set("extras", "expander_passes", 1), ["embedded"],
+            "extras/expander_passes: report 1, recomputed True", id="expander-passes-int",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "expander_passes", 1.0), ["embedded"],
+            "extras/expander_passes: report 1.0, recomputed True", id="expander-passes-float",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "feasibility", "holds", 0), ["bounds"],
+            "extras/feasibility/holds: report 0, recomputed True", id="feasibility-holds-int",
         ),
         pytest.param(
             # G1's deficit moved from vertex 57 (degree 2, target 3) to 56
@@ -1349,24 +1393,10 @@ def _perturbed(value):
     return [0] if isinstance(value, list) else {"0": 0}
 
 
-_INFORMATIONAL = "an informational extra that no claim of the report rests on"
 # Report leaves that verify still trusts, as path prefixes, with the reason.
 _TRUSTED = {
-    "sub1": {
-        "extras/g1_split_index": _INFORMATIONAL,
-        "extras/g1_split_inside_g1": _INFORMATIONAL,
-        "extras/i_y1_form": _INFORMATIONAL,
-        "extras/log_base": _INFORMATIONAL,
-    },
+    "sub1": {},
     "beta1": {
-        "extras/delta_k_design": _INFORMATIONAL,
-        "extras/feasibility": _INFORMATIONAL,
-        "extras/gap_ratio": _INFORMATIONAL,
-        "extras/k_window": _INFORMATIONAL,
-        "extras/layered": _INFORMATIONAL,
-        "extras/log_base": _INFORMATIONAL,
-        "extras/n_d": _INFORMATIONAL,
-        "extras/product_max_degree": _INFORMATIONAL,
         "extras/is_g_optimal": "is_g is not certified against the input, so neither is its optimality flag",
     },
 }
@@ -1402,3 +1432,21 @@ def test_verify_fails_every_forged_leaf(kind):
             passed.append(name)
     assert passed == trusted
     assert used == set(_TRUSTED[kind])  # no entry outlives its leaf
+
+
+def test_verify_fails_every_forged_k_window_leaf():
+    # The golden beta = 1 input has fewer than the 16 vertices that define
+    # the walk-length window, so its report's k_window is null; here each
+    # leaf of a defined window is forged in turn.
+    from plg import embed_beta1
+
+    g, rep = embed_beta1(_C40, 4, 3, 2)
+    window = rep["extras"]["k_window"]
+    assert sorted(window) == ["delta_k", "k", "k_l", "k_u", "window_empty"]
+    assert verify_embedding(g, rep, _C40).ok
+    for key, value in window.items():
+        doc = copy.deepcopy(rep)
+        doc["extras"]["k_window"][key] = _perturbed(value)
+        res = verify_embedding(g, doc, _C40)
+        assert failing(res.checks) == ["bounds"], key
+        assert next(c["detail"] for c in res.checks if c["check"] == "bounds").startswith(f"extras/k_window/{key}: ")
