@@ -54,6 +54,7 @@ from .model import (
 )
 from .realizer import (
     CliqueCoverCertificate,
+    clique_cover,
     clique_cover_bound,
     interval_degree_sequence,
     realize,
@@ -84,6 +85,7 @@ __all__ = [
     "choose_k",
     "choose_params_beta1",
     "choose_params_sub1",
+    "clique_cover",
     "clique_cover_bound",
     "count_walks_within",
     "cover_ceiling_sum",

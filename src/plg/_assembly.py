@@ -19,24 +19,20 @@ from .realizer import _realize_columns
 from .report import degree_conformance, upper_bounds
 
 
-def double_with_pairs(g: MultiGraph, loops: str = "reject") -> MultiGraph:
+def double_with_pairs(g: MultiGraph) -> MultiGraph:
     """The pair-clique doubling: v_i becomes adjacent v_{i,1}=2i, v_{i,2}=2i+1.
 
     Cross edges copy g's adjacency between all four copy pairs, so copies have
     degree 2*deg(v)+1 and the matching {2i, 2i+1} supports multi-edge fill.
-
-    ``loops``: "reject" raises on self-loops (the public doubling contract);
-    "to_matching" converts each loop unit into 4 extra units on the pair's
-    matching edge, which keeps both copies at 2*deg+1 without putting
-    self-loops on embedded vertices.
+    Each self-loop unit becomes 4 extra units on the pair's matching edge,
+    which keeps both copies at 2*deg+1 without putting self-loops on
+    embedded vertices.  A multi-edge raises ``InputError``.
     """
     n = g.vertex_count
     u, v, mult = g.arrays()
     loop = u == v
-    bad = (loop & (loops != "to_matching")) | (~loop & (mult != 1))
-    if bad.any():
-        kind = "self-loop" if loop[np.argmax(bad)] else "multi-edge"
-        raise InputError(f"doubling is defined for simple graphs ({kind} found)")
+    if (~loop & (mult != 1)).any():
+        raise InputError("doubling is defined for graphs without multi-edges")
     a, b = 2 * u[~loop], 2 * v[~loop]
     cols = np.ones((3, n + 4 * len(a)), dtype=np.int64)
     cols[0, :n] = 2 * np.arange(n)
@@ -192,15 +188,15 @@ def assemble(
         if len(fill) == 0:
             continue
         srt = np.argsort(fill, kind="stable")
-        cols, cert = _realize_columns(fill[srt])
-        cert.offset = offset
+        cols = _realize_columns(fill[srt])
+        cols.cert.offset = offset
         if i == recv:
             # recv_position[j] = final vertex id of the part's j-th pre-sort entry
             recv_position = np.empty(len(srt), dtype=np.int64)
             recv_position[srt] = np.arange(len(srt)) + offset
         blocks.append(cols)
-        certs[name] = cert.to_dict()
-        local = cert.parity_deficit_vertex
+        certs[name] = cols.cert.to_dict()
+        local = cols.cert.parity_deficit_vertex
         if local is not None:
             intended = int(fill[srt[local]])
             if i == recv:

@@ -22,7 +22,6 @@ from .realizer import interval_degree_sequence
 from .report import BLOCKS, SCHEMA
 from .solver import exact_mis, greedy_maximal_is
 
-_MAX_BUMPS = 64
 # Search nodes ``exact_mis`` may spend on alpha of the input.
 _SOLVER_BUDGET = 2_000_000
 WALK_VERTEX_CAP = 200_000
@@ -228,9 +227,8 @@ class WalkProduct:
 
     def doubled(self) -> MultiGraph:
         """The product's pair doubling, which a beta = 1 embedding takes as
-        its block: the walks' self-loops go to the matching edges, so
-        embedded vertices stay loop-free."""
-        return double_with_pairs(self.product, loops="to_matching")
+        its block; the walks' self-loops go to the matching edges."""
+        return double_with_pairs(self.product)
 
     def report_extras(self) -> dict:
         """The product's size and largest degree and the expander's spectral
@@ -389,36 +387,17 @@ class Beta1Params(Record):
         )
 
 
-def _beta1_at_bump(n_d: int | float, t: int) -> Beta1Params | None:
-    """``Beta1Params(n_d, t)`` if condition (II) holds there: the first
-    usable slot reaches log(n_d).  The real product x*delta equals log(n_d)
-    only when e^alpha is an integer, so the integer slot floor carries the
-    condition."""
-    params = Beta1Params(n_d, t)
-    return params if params.a_x + 1e-9 >= math.log(n_d) else None
-
-
-def _beta1_fit(n_d: int | float, t: int) -> Beta1Params | None:
-    """``_beta1_at_bump`` where condition (I) holds too, against exact
-    summation: [a_x, delta] holds at least n_d vertices."""
-    params = _beta1_at_bump(n_d, t)
-    if params is None or interval_size_exact(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta) < n_d:
-        return None
-    return params
-
-
 def _seat_pairs(doubled: MultiGraph, t: int):
     """Bump t of the beta = 1 search for ``doubled``, the pair doubling of an
-    n_d-vertex walk product: (params, (pair targets, leftover slots)) where
-    both conditions hold and the slots of [a_x, delta] seat every pair, else
-    None.  The slot sequence is built once, and its length is condition
-    (I)'s interval size."""
+    n_d-vertex walk product: (params, (pair targets, leftover slots)) when
+    condition (II), a_x >= log(n_d), holds (x*delta is log(n_d) only at an
+    integer e^alpha) and the slots of [a_x, delta] seat every pair, so (I) too."""
     n_d = doubled.vertex_count // 2
-    params = _beta1_at_bump(float(n_d), t)
-    if params is None:
+    params = Beta1Params(float(n_d), t)
+    if params.a_x + 1e-9 < math.log(n_d):
         return None
     slots = interval_degree_sequence(PowerLawParams(params.alpha, 1.0), params.a_x, params.delta)
-    seated = slot_targets(doubled, slots) if len(slots) >= n_d else None
+    seated = slot_targets(doubled, slots)
     return None if seated is None else (params, seated)
 
 
@@ -435,12 +414,13 @@ def _seat_floor(doubled: MultiGraph) -> int:
     return max(0, math.ceil(math.log(top / n_d) / math.log1p(1.0 / n_d)) - 1)
 
 
-def choose_params_beta1(n_d: int | float) -> Beta1Params:
-    """The least bump of alpha = ln(n_d), t = 0..64, where ``_beta1_fit``
-    holds."""
-    if n_d < 3:
-        raise InputError("need n_d >= 3")
-    return first_fit(lambda t: _beta1_fit(n_d, t), _MAX_BUMPS)
+def choose_params_beta1(doubled: MultiGraph) -> tuple[Beta1Params, tuple[np.ndarray, np.ndarray]]:
+    """The beta = 1 alpha search: ``_seat_pairs(doubled, t)`` at its least
+    bump t.  Seating needs 2*n_d slots at degrees up to the largest pair
+    degree (~4*n_d on dense products); bump steps scale as 1/n_d while that
+    growth of e^alpha does not, so ``first_fit`` doubles and bisects from
+    ``_seat_floor``, the first bump whose delta can reach that degree."""
+    return first_fit(lambda t: _seat_pairs(doubled, t), 1 << 30, _seat_floor(doubled))
 
 
 # -- estimators ---------------------------------------------------------------
@@ -640,12 +620,7 @@ def embed_beta1(
     wp = walk_block(g, d, seed, k)
     doubled = wp.doubled()
 
-    # The doubling needs 2*n_d slots at degrees covering the doubled walk
-    # degrees (up to ~4*n_d on dense products), twice what condition (I) asks
-    # for.  Bump steps scale as 1/n_d while the needed growth of e^alpha does
-    # not, so the bumps are found by doubling and bisection (``first_fit``)
-    # from the first bump whose delta can reach the largest pair degree.
-    params, (pair_targets, leftover) = first_fit(lambda t: _seat_pairs(doubled, t), 1 << 30, _seat_floor(doubled))
+    params, (pair_targets, leftover) = choose_params_beta1(doubled)
     p = PowerLawParams(params.alpha, 1.0)
 
     g2_targets = interval_degree_sequence(p, 1, params.a_x - 1)

@@ -42,6 +42,8 @@ def double_graph(g: MultiGraph) -> MultiGraph:
     ``ResourceLimitError`` before building anything when the copies alone
     pass ``DEFAULT_VERTEX_CAP``.
     """
+    if not g.is_simple():
+        raise InputError("embedding requires a simple input graph")
     if 2 * g.vertex_count > DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(
             f"output would have at least {2 * g.vertex_count} vertices (cap {DEFAULT_VERTEX_CAP})"
@@ -147,8 +149,6 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
     ``DEFAULT_VERTEX_CAP`` vertices or ``DEFAULT_EDGE_CAP`` edge units."""
     if g.vertex_count < 1:
         raise InputError("need at least one vertex")
-    if not g.is_simple():
-        raise InputError("embedding requires a simple input graph")
     gd = double_graph(g)
     params = choose_params_sub1(gd.vertex_count, beta)
     p = PowerLawParams(params.alpha, beta)

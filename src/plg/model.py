@@ -27,6 +27,7 @@ import numpy as np
 from .errors import InputError, ResourceLimitError, UnsupportedCaseError
 
 _SNAP_TOL = 1e-9
+_ZETA_TOL = 1e-9  # the bound on |R| that ``zeta`` sums to
 # Terms or levels per numpy block in the exact sums.
 _CHUNK = 1 << 20
 # Floored terms one exact interval sum may evaluate (direct terms plus
@@ -49,10 +50,7 @@ def guarded_floor(value: float) -> int:
 
 def guarded_ceil(value: float) -> int:
     """ceil() that snaps values within 1e-9 (relative) of an integer."""
-    c = round(value)
-    if abs(value - c) <= _SNAP_TOL * max(1.0, abs(c)):
-        return int(c)
-    return int(math.ceil(value))
+    return -guarded_floor(-value)
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,15 @@ def degree_count(p: PowerLawParams, i: int) -> int:
 
 def _floored_at(p: PowerLawParams, i: np.ndarray) -> np.ndarray:
     """y_i as int64 by the snap rule, for float64 degrees >= 1 (an array or
-    a scalar): the one floored count kernel."""
+    a scalar): the one floored count kernel.  A count past int64, which
+    needs e^alpha >= 2^63, raises ``ResourceLimitError`` before the cast."""
     v = math.exp(p.alpha) / i**p.beta
     c = np.round(v)
     snapped = np.abs(v - c) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))
-    return np.where(snapped, c, np.floor(v)).astype(np.int64)
+    y = np.where(snapped, c, np.floor(v))
+    if math.exp(p.alpha) >= 2.0**63 and np.max(y, initial=0.0) >= 2.0**63:
+        raise ResourceLimitError(f"degree counts at alpha={p.alpha}, beta={p.beta} reach 2^63 or more")
+    return y.astype(np.int64)
 
 
 def _floored_counts(p: PowerLawParams, lo: int, hi: int) -> np.ndarray:
@@ -248,18 +250,18 @@ def cover_ceiling_sum(p: PowerLawParams, a: int, b: int) -> int:
     return total
 
 
-def zeta(s: float, tol: float = 1e-9) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1 by direct series with an Euler-Maclaurin tail.
 
     zeta(s) = sum_{i<=N} i^-s + N^(1-s)/(s-1) - N^-s/2 + s*N^-(s+1)/12 - R,
-    |R| <= |s(s+1)(s+2)| * N^-(s+3) / 720.
+    |R| <= |s(s+1)(s+2)| * N^-(s+3) / 720, N doubled from 10 until <= _ZETA_TOL.
     """
     if s <= 1:
         raise UnsupportedCaseError("zeta series requires s > 1")
     n = 10
     while True:
         rem = abs(s * (s + 1) * (s + 2)) * n ** -(s + 3) / 720.0
-        if rem <= tol:
+        if rem <= _ZETA_TOL:
             break
         n *= 2
         if n > 1 << 26:

@@ -337,31 +337,10 @@ def _fill_edges(sizes: np.ndarray, residuals: np.ndarray) -> tuple[EdgeArrays, n
     return fill.arrays(), np.array(pendings, dtype=np.int64).reshape(-1, 2).T
 
 
-def realize(
-    degrees: np.ndarray | list[int], materialize: bool = True
-) -> tuple[MultiGraph | None, CliqueCoverCertificate]:
-    """Build a multigraph with the given sorted degree sequence and its cover.
-
-    With ``materialize=False`` only the cover and its parity deficit are
-    computed (identical to the materialized ones); the graph is returned as
-    None.  Use it when the edge set would be too large to store:
-    materializing more than ``DEFAULT_EDGE_CAP`` clique edges raises
-    ResourceLimitError before anything is allocated.
-    """
-    cols, cert = _realize_columns(degrees, materialize)
-    if cols is None:
-        return None, cert
-    edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
-    cols.write(edges)
-    return MultiGraph(int(cert.sizes.sum()), edges), cert
-
-
-def _realize_columns(
-    degrees: np.ndarray | list[int], materialize: bool = True
-) -> tuple[PartColumns | None, CliqueCoverCertificate]:
-    """``realize`` with the edges as ``PartColumns`` (None when not
-    materialized), which write them in the key order u * m + v (m the
-    sequence length) that a ``MultiGraph`` takes with no sort."""
+def clique_cover(degrees: np.ndarray | list[int]) -> CliqueCoverCertificate:
+    """The clique cover, parity deficit included, that ``realize`` certifies
+    its multigraph with, for a sorted degree sequence, without building any
+    edge: it serves sequences whose edges would not fit in memory."""
     target = np.asarray(degrees, dtype=np.int64)
     if target.ndim != 1 or len(target) == 0:
         raise InputError("degree sequence must be a non-empty 1-d array")
@@ -369,27 +348,39 @@ def _realize_columns(
         raise InputError("degrees must be >= 1")
     if (np.diff(target) < 0).any():
         raise InputError("degree sequence must be sorted non-decreasing")
-
     sizes = _clique_walk(target)
-    if materialize:
-        clique_edges = int((sizes * (sizes - 1) // 2).sum())
-        if clique_edges > DEFAULT_EDGE_CAP:
-            raise ResourceLimitError(
-                f"realization would have {clique_edges} clique edges (cap {DEFAULT_EDGE_CAP})"
-            )
     cert = CliqueCoverCertificate(sizes)
     if int(target.sum()) % 2 == 1:
         cert.parity_deficit_vertex = _pick_deficit_vertex(target, sizes)
-    if not materialize:
-        return None, cert
+    return cert
 
-    residuals = target - np.repeat(sizes - 1, sizes)
+
+def realize(degrees: np.ndarray | list[int]) -> tuple[MultiGraph, CliqueCoverCertificate]:
+    """Build a multigraph with the given sorted degree sequence and its
+    cover.  More than ``DEFAULT_EDGE_CAP`` clique edges raise
+    ResourceLimitError before anything is allocated."""
+    cols = _realize_columns(degrees)
+    edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
+    cols.write(edges)
+    return MultiGraph(int(cols.cert.sizes.sum()), edges), cols.cert
+
+
+def _realize_columns(degrees: np.ndarray | list[int]) -> PartColumns:
+    """``realize`` with the edges as ``PartColumns``, which write them in
+    the key order u * m + v (m the sequence length) that a ``MultiGraph``
+    takes with no sort."""
+    cert = clique_cover(degrees)
+    sizes = cert.sizes
+    clique_edges = int((sizes * (sizes - 1) // 2).sum())
+    if clique_edges > DEFAULT_EDGE_CAP:
+        raise ResourceLimitError(f"realization would have {clique_edges} clique edges (cap {DEFAULT_EDGE_CAP})")
+    residuals = np.asarray(degrees, dtype=np.int64) - np.repeat(sizes - 1, sizes)
     if cert.parity_deficit_vertex is not None:
         residuals[cert.parity_deficit_vertex] -= 1
     if (residuals < 0).any():
         raise AssertionError("negative residual: sortedness violated")
     units, cross = _fill_edges(sizes, residuals)
-    return PartColumns(cert, units, cross), cert
+    return PartColumns(cert, units, cross)
 
 
 @dataclass(frozen=True)

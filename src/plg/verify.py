@@ -281,12 +281,13 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
 
 
 @_check("bounds")
-def _check_bounds(rep: dict) -> str:
+def _check_bounds(plg: MultiGraph, rep: dict) -> str:
     """The params, the bounds and the derived extras are those that
     ``sub1_leaves`` or ``beta1_leaves``, which the embedder wrote them with,
     give for the record the params' defining fields rebuild (and, kind
     "beta1", the extras' is_g, n_base, d, k and spectrum), leaf for leaf
-    (``_leaf_mismatch``)."""
+    (``_leaf_mismatch``).  Every degree class 1..delta holds a vertex, so a
+    record whose delta exceeds the graph's vertex count fails first."""
     params, extras = rep["params"], rep["extras"]
     record = (Sub1Params if rep["kind"] == "sub1" else Beta1Params).from_dict(params)
     # The params first: the bounds of a forged record can take seconds of
@@ -294,6 +295,8 @@ def _check_bounds(rep: dict) -> str:
     mismatch = _leaf_mismatch(params, record.to_dict(), "params")
     if mismatch:
         return mismatch
+    if record.delta > plg.vertex_count:
+        return f"params: delta {record.delta} exceeds the graph's {plg.vertex_count} vertices"
     want = sub1_leaves(record) if rep["kind"] == "sub1" else beta1_leaves(record, extras)
     got = {"bounds": rep["bounds"], "extras": {key: extras[key] for key in want["extras"]}}
     return next(filter(None, (_leaf_mismatch(val, want[name], name) for name, val in got.items())), "")
@@ -319,7 +322,7 @@ def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> Ver
         _check_parts(plg, report),
         _check_certificates(plg, report),
         _check_witness(plg, report, original, block_source),
-        _check_bounds(report),
+        _check_bounds(plg, report),
         _check_embedded(plg, report, block_source),
     ]
     return VerifyResult(all(c["ok"] for c in checks), checks)

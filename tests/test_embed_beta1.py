@@ -19,6 +19,7 @@ from plg import (
     amplification_feasibility,
     choose_k,
     choose_params_beta1,
+    clique_cover,
     count_walks_within,
     degree_one_heuristic,
     embed_beta1,
@@ -33,7 +34,7 @@ from plg import (
     verify_embedding,
     walk_product,
 )
-from plg._assembly import assign_pair_slots, first_fit
+from plg._assembly import assign_pair_slots, double_with_pairs, first_fit
 from plg.embed_beta1 import (
     WALK_PAIR_CAP,
     WALK_VERTEX_CAP,
@@ -401,21 +402,36 @@ def test_choose_k_needs_16():
         choose_k(5, 4)
 
 
+def _least_seating(doubled):
+    """``choose_params_beta1(doubled)``, checked: conditions (I) and (II)
+    hold at its bump, every pair is seated, and the bump before it, if any,
+    seats none."""
+    params, (targets, leftover) = choose_params_beta1(doubled)
+    n_d = doubled.vertex_count // 2
+    p = PowerLawParams(params.alpha, 1.0)
+    assert params.a_x >= math.log(n_d) - 1e-9  # condition (II)
+    assert interval_size_exact(p, params.a_x, params.delta) >= n_d  # condition (I)
+    assert len(targets) == n_d and (targets[:, 0] >= doubled.degrees()[0::2]).all()
+    assert len(leftover) + 2 * n_d == interval_size_exact(p, params.a_x, params.delta)
+    if params.bumps:
+        assert _seat_pairs(doubled, params.bumps - 1) is None
+    return params
+
+
 def test_choose_params_nd20():
-    bp = choose_params_beta1(20)
+    bp = Beta1Params(20, 0)
     assert bp.alpha == pytest.approx(math.log(20))
     assert bp.delta == 20  # boundary guard snaps e^(ln 20)
     assert bp.x == pytest.approx(math.log(20) / 20)
-    assert bp.a_x >= math.log(20) - 1e-9  # condition (II)
-    p = PowerLawParams(bp.alpha, 1.0)
-    assert interval_size_exact(p, bp.a_x, bp.delta) >= 20  # condition (I)
+    # |[3, 20]| = 36 slots cannot seat 20 pairs, so the search bumps.
+    assert _least_seating(double_with_pairs(MultiGraph(20))).bumps > 0
+    g = random_simple_graph(random.Random(20), 20, 0.3)
+    _least_seating(walk_block(g, 4, 5, 1).doubled())
 
 
 def test_choose_params_small():
-    bp = choose_params_beta1(3)
-    assert bp.bumps > 0  # |[2,3]| = 2 < 3 at alpha = ln 3, so it must bump
-    p = PowerLawParams(bp.alpha, 1.0)
-    assert interval_size_exact(p, bp.a_x, bp.delta) >= 3
+    # |[2,3]| = 2 < 3 at alpha = ln 3: condition (I) fails, so it must bump.
+    assert _least_seating(double_with_pairs(MultiGraph(3))).bumps > 0
 
 
 # -- estimators -----------------------------------------------------------------
@@ -450,9 +466,7 @@ def test_layered_sweep_dominance():
         assert lb.exact < lb.naive
         # both estimates dominate the realized cover of the same interval
         p = PowerLawParams(alpha, 1.0)
-        _, cert = realize(
-            interval_degree_sequence(p, bp.a_x, p.delta), materialize=False
-        )
+        cert = clique_cover(interval_degree_sequence(p, bp.a_x, p.delta))
         assert cert.size <= lb.exact <= lb.naive
 
 
@@ -667,7 +681,7 @@ def test_assign_pair_slots_matches_loop_on_search_slots():
 
 
 def test_params_dict_roundtrip():
-    params = choose_params_beta1(40)
+    params, _ = choose_params_beta1(double_with_pairs(MultiGraph(40)))
     assert Beta1Params.from_dict({**params.to_dict(), "extra": 1}) == params
 
 

@@ -15,6 +15,8 @@ from plg import (
     residual_is_bound_sub1,
 )
 
+from plg._assembly import double_with_pairs
+
 from conftest import brute_mis, enumerate_independent_sets, random_simple_graph
 
 
@@ -56,6 +58,16 @@ def test_double_rejects_multigraph():
         double_graph(MultiGraph(2, {(0, 1): 2}))
     with pytest.raises(InputError):
         double_graph(MultiGraph(1, {(0, 0): 1}))
+
+
+def test_double_with_pairs_moves_loops_to_matching():
+    # A loop unit becomes 4 units on its pair's matching edge: both copies
+    # keep degree 2*deg + 1 and no copy has a loop.
+    g = double_with_pairs(MultiGraph(2, {(0, 0): 1, (0, 1): 1}))
+    assert g.edge_dict() == {(0, 1): 5, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1}
+    assert g.degrees().tolist() == [7, 7, 3, 3]
+    with pytest.raises(InputError):
+        double_with_pairs(MultiGraph(2, {(0, 1): 2}))
 
 
 def test_choose_params_x_value():

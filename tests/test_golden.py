@@ -128,3 +128,39 @@ def test_golden_realize(tmp_path, name):
     out, cert = tmp_path / "out.plg", tmp_path / "cert.json"
     assert main(["realize", *argv, "--out", str(out), "--cert", str(cert)]) == 0
     assert (_sha(out.read_bytes()), _sha(cert.read_bytes())) == want
+
+
+# Graph command argv -> sha256 of its stdout.  Alpha 12 puts delta at
+# 162,754, past the counts limit, so the first prints no counts; delta is
+# 5,284 in the second, so its counts are printed.
+GOLDEN_STDOUT = {
+    "dist-interval": (
+        ["dist", "--alpha", "12", "--beta", "1", "--interval", "0.1", "0.5"],
+        "c71872cceadb34bc85ab5bac50acff4ed0787df0086682264ee44a1a2d468bc6",
+    ),
+    "dist-counts": (
+        ["dist", "--alpha", "6", "--beta", "0.7"],
+        "a55bddd2a6526fd54b83d4c57b47579f166757d603d00c3e90578afdbd45eb5c",
+    ),
+    "expander": (
+        ["expander", "--n", "20", "--d", "4", "--seed", "7"],
+        "3b3ce398ddf99a9f35b4c2635268a6d789ec9b78d327846a9e3faf15078d151b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, name):
+    argv, want = GOLDEN_STDOUT[name]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode()) == want
+
+
+def test_golden_walkprod(tmp_path, capsys):
+    src, out = tmp_path / "in.plg", tmp_path / "out.plg"
+    src.write_text(_BETA1_INPUT)
+    assert main(["walkprod", "--in", str(src), "--d", "4", "--k", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert (_sha(out.read_bytes()), _sha(capsys.readouterr().out.encode())) == (
+        "8adcfbfe46cf7c070e0b728aee364bebfb4dd0c49e9e7af0a5d6838b8e86f3ea",
+        "5d201a6a277f38786ab8da358f8ada8d1d7ca3613f260d73a070db4db6897ef6",
+    )

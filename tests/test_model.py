@@ -305,7 +305,7 @@ def test_floor_block_sums_at_sub1_search_points(beta):
 
 
 def test_floor_block_sums_at_beta1_search_points():
-    # choose_params_beta1 and embed_beta1's slot search step alpha from
+    # choose_params_beta1, embed_beta1's slot search, steps alpha from
     # ln(n_d), where e^alpha = n_d, by ln(1 + 1/n_d).
     from plg.embed_beta1 import Beta1Params, layered_is_bound
 

@@ -13,6 +13,7 @@ from plg import (
     MultiGraph,
     PowerLawParams,
     ResourceLimitError,
+    clique_cover,
     clique_cover_bound,
     degree_counts,
     embed_beta1,
@@ -95,7 +96,7 @@ def test_p_recurrence():
     rng = random.Random(23)
     for _ in range(60):
         d = sorted(rng.randint(1, 7) for _ in range(rng.randint(1, 20)))
-        _, cert = realize(d, materialize=False)
+        cert = clique_cover(d)
         starts = cert.starts.tolist()
         assert starts[0] == 0
         for i in range(len(starts) - 1):
@@ -108,12 +109,10 @@ def test_p_recurrence():
 @settings(max_examples=120, deadline=None)
 @given(degree_seqs)
 def test_modes_agree(d):
-    g, cert_full = realize(d, materialize=True)
-    none_graph, cert_fast = realize(d, materialize=False)
-    assert none_graph is None
-    assert [list(c) for c in cert_full.cliques] == [list(c) for c in cert_fast.cliques]
-    assert cert_full.parity_deficit_vertex == cert_fast.parity_deficit_vertex
-    assert np.array_equal(cert_full.sizes, cert_fast.sizes)
+    # The cover alone is the one the materialized realization certifies.
+    g, cert_full = realize(d)
+    cert_fast = clique_cover(d)
+    assert cert_fast.to_dict() == cert_full.to_dict()
     assert degrees_match(g, d, cert_fast)
 
 
@@ -143,7 +142,7 @@ def test_bound_chain_on_grid():
                 d = interval_degree_sequence(p, a, b)
                 if len(d) == 0:
                     continue
-                _, cert = realize(d, materialize=False)
+                cert = clique_cover(d)
                 bound = clique_cover_bound(p, a, b)
                 assert cert.size <= bound.ceiling_sum
                 assert bound.ceiling_sum <= bound.integral_form + 2
@@ -152,7 +151,7 @@ def test_bound_chain_on_grid():
 def test_realize_vs_bound_alpha3():
     p = PowerLawParams(3.0, 0.5)
     d = interval_degree_sequence(p, 2, 10)
-    _, cert = realize(d, materialize=False)
+    cert = clique_cover(d)
     bound = clique_cover_bound(p, 2, 10)
     assert cert.size <= bound.ceiling_sum <= bound.integral_form + 2
 
@@ -185,7 +184,7 @@ def test_realize_cap_raises_before_allocating():
     # the cap is checked from the clique sizes alone, before any edge exists.
     p = PowerLawParams(10.0, 1.0)
     d = interval_degree_sequence(p, 1, p.delta)
-    _, cert = realize(d, materialize=False)
+    cert = clique_cover(d)
     assert sum(len(c) * (len(c) - 1) // 2 for c in cert.cliques) == 156_445_379
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="156445379 clique edges"):
@@ -358,7 +357,7 @@ def test_ladder_fill_emits_each_pair_about_once():
 def _heap_realize(d):
     """realize() with the heap fill: the fill units summed per pair in a
     dict, then the cross edges joining consecutive pending vertices."""
-    _, cert = realize(d, materialize=False)
+    cert = clique_cover(d)
     residuals = (realized_degrees(d, cert) - np.repeat(cert.sizes - 1, cert.sizes)).tolist()
     fill: dict[tuple[int, int], int] = {}
     pendings = []
@@ -386,12 +385,12 @@ def _recorded_parts(monkeypatch) -> list[tuple[np.ndarray, EdgeArrays]]:
     seen = []
     realize_columns = _assembly._realize_columns
 
-    def recording(d, *args, **kwargs):
-        cols, cert = realize_columns(d, *args, **kwargs)
+    def recording(d):
+        cols = realize_columns(d)
         edges = EdgeArrays(*np.empty((3, cols.rows), dtype=np.int64))
         cols.write(edges)
         seen.append((np.array(d), edges))
-        return cols, cert
+        return cols
 
     monkeypatch.setattr(_assembly, "_realize_columns", recording)
     return seen
@@ -422,7 +421,7 @@ def test_realize_matches_heap_reference(monkeypatch, embed):
         ref, cross = _heap_realize(d)
         for got, want in zip(g.arrays(), ref.arrays()):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert [tuple(e) for e in _realize_columns(d)[0].cross.T.tolist()] == cross
+        assert [tuple(e) for e in _realize_columns(d).cross.T.tolist()] == cross
 
 
 # -- sort-free final builds ----------------------------------------------------

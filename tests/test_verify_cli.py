@@ -6,6 +6,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ from plg import (
     write_graph,
 )
 from plg.cli import main
-from plg.embed_beta1 import embed_beta1, random_regular_expander, walk_block
+from plg.embed_beta1 import Beta1Params, embed_beta1, random_regular_expander, walk_block
 from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
 from plg.realizer import interval_degree_sequence, realize
-from plg.verify import _check_certificates, _check_conformance
+from plg.verify import _check_bounds, _check_certificates, _check_conformance
 
 from test_golden import _BETA1_INPUT, _SUB1_INPUT
 
@@ -777,6 +778,8 @@ def test_cli_verify_fails_oversized_numbers_before_allocating(tmp_path, beta, fo
         ("5", "0.005", "overflows"),  # nor is e^1000
         ("36", "1", "floored terms"),  # about 1.3*10^8 terms
         ("12", "0.25", "2^53"),  # delta = e^48
+        ("44", "50", "2^63"),  # delta = 2, y_1 = e^44 > 2^63
+        ("50", "100", "2^63"),  # delta = 1, y_1 = e^50
     ],
 )
 def test_cli_dist_huge_alpha_exits_2(tmp_path, alpha, beta, error):
@@ -785,6 +788,14 @@ def test_cli_dist_huge_alpha_exits_2(tmp_path, alpha, beta, error):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: ") and error in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_realize_count_past_int64_exits_2(tmp_path):
+    # y_1 = e^50 does not fit in int64: refused, not wrapped to -2^63.
+    argv = ["realize", "--alpha", "50", "--beta", "100", "--from", "1", "--to", "1", "--out", "x.plg"]
+    proc = _run_cli_limited(tmp_path, argv, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and "2^63" in proc.stderr
 
 
 # -- the beta = 1 embedded block D -----------------------------------------------
@@ -1370,6 +1381,35 @@ def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, fo
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
     assert failing(json.loads(capsys.readouterr().out)["checks"]) == failed
+
+
+@pytest.mark.parametrize("n_d", [1e14, 3e14])
+def test_verify_fails_forged_beta1_record_before_exact_sums(c5_embeddings, n_d):
+    # A consistent record whose delta passes the output's vertex count leaves
+    # some degree class 1..delta empty; it fails before the seconds of exact
+    # sums its layered bound would take.
+    _, out, rep = c5_embeddings["beta1"]
+    doc = json.loads(rep.read_text())
+    doc["params"] = Beta1Params(n_d, 0).to_dict()
+    plg = read_graph(out.read_bytes())
+    start = time.perf_counter()
+    record = _check_bounds(plg, doc)
+    assert time.perf_counter() - start < 0.5
+    want = f"params: delta {Beta1Params(n_d, 0).delta} exceeds the graph's {plg.vertex_count} vertices"
+    assert record == {"check": "bounds", "ok": False, "detail": want}
+
+
+def test_cli_verify_fails_input_with_loop(c5_embeddings, tmp_path, capsys):
+    # The sub1 rebuild doubles the input with ``double_graph``, which refuses
+    # a self-loop, so the witness and the block fail against C5 plus a loop.
+    _, out, rep = c5_embeddings["sub1"]
+    looped = MultiGraph(5, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    (tmp_path / "looped.plg").write_text(write_graph(looped))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(tmp_path / "looped.plg")]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert failing(checks) == ["witness", "embedded"]
+    assert {c["detail"] for c in checks if not c["ok"]} == {"embedding requires a simple input graph"}
 
 
 def _leaves(node, path=()):
