@@ -58,6 +58,6 @@ print(" only holds for beta <= 1/2; the g3 bound holds throughout)")
 section("Independent re-verification")
 g, rep = embed_sub1(c5, 0.5)
 result = verify_embedding(g, rep, c5)
-for check in result.checks:
+for check in result["checks"]:
     print(f"  {check['check']:<14} {'ok' if check['ok'] else 'FAILED ' + check['detail']}")
-print("verdict:", result.ok)
+print("verdict:", result["ok"])

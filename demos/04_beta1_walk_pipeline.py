@@ -61,7 +61,7 @@ print(
     (rep["bounds"]["alon_lo"], rep["bounds"]["alon_hi"]),
     " witness size:", len(rep["witness"]),
 )
-print("verify:", verify_embedding(g, rep, c5).ok)
+print("verify:", verify_embedding(g, rep, c5)["ok"])
 
 section("Layered estimator for IS([x*delta, delta])")
 for alpha in (4.0, 6.0, 8.0):

@@ -61,7 +61,7 @@ from .realizer import (
 )
 from .report import degree_conformance
 from .solver import SolveResult, exact_mis, greedy_maximal_is
-from .verify import VerifyResult, verify_embedding
+from .verify import verify_embedding
 
 __all__ = [
     "Beta1Params",
@@ -78,7 +78,6 @@ __all__ = [
     "SolveResult",
     "Sub1Params",
     "UnsupportedCaseError",
-    "VerifyResult",
     "WalkProduct",
     "alon_interval",
     "amplification_feasibility",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import _jsonio
@@ -57,19 +58,9 @@ def _cmd_dist(args) -> int:
         record["counts"] = degree_counts(p)
     if args.interval:
         x, y = args.interval
-        size = interval_size_bounds(p, x, y)
-        record["bounds"] = {
-            "x": x,
-            "y": y,
-            "size": {"lower": size.lower, "upper": size.upper, "exact": size.exact},
-        }
+        record["bounds"] = {"x": x, "y": y, "size": asdict(interval_size_bounds(p, x, y))}
         if p.beta == 1 or y == 1.0:
-            vol = interval_volume_bounds(p, x, y)
-            record["bounds"]["volume"] = {
-                "lower": vol.lower,
-                "upper": vol.upper,
-                "exact": vol.exact,
-            }
+            record["bounds"]["volume"] = asdict(interval_volume_bounds(p, x, y))
     sys.stdout.write(_jsonio.dumps(record))
     return 0
 
@@ -147,18 +138,8 @@ def _cmd_walkprod(args) -> int:
 def _cmd_solve(args) -> int:
     from .solver import exact_mis
 
-    g = _read_graph_file(args.infile)
-    res = exact_mis(g, budget=args.budget)
-    sys.stdout.write(
-        _jsonio.dumps(
-            {
-                "size": res.size,
-                "optimal": res.optimal,
-                "witness": res.witness,
-                "nodes_explored": res.nodes_explored,
-            }
-        )
-    )
+    res = exact_mis(_read_graph_file(args.infile), budget=args.budget)
+    sys.stdout.write(_jsonio.dumps(asdict(res)))
     return 0
 
 
@@ -173,9 +154,9 @@ def _cmd_verify(args) -> int:
     except ValueError:  # not JSON: the schema check fails it
         report = None
     original = _read_graph_file(args.infile)
-    result = verify_embedding(plg, report, original)
-    sys.stdout.write(_jsonio.dumps(result.to_dict()))
-    return 0 if result.ok else 1
+    verdict = verify_embedding(plg, report, original)
+    sys.stdout.write(_jsonio.dumps(verdict))
+    return 0 if verdict["ok"] else 1
 
 
 # Built once per process: main() only reads it, and parse_args returns a

@@ -1,7 +1,7 @@
 """The embedding report: one JSON document, a plain dict that an embedder
 builds once, ``plg embed-*`` writes and ``plg verify`` reads.
 
-Its keys: ``schema``, ``kind`` ("sub1" or "beta1"), ``params``, ``parts``
+Its keys, ``KEYS``: ``schema``, ``kind`` ("sub1" or "beta1"), ``params``, ``parts``
 ({name: {"range": [lo, hi], "size": hi - lo}}), ``is_upper_bounds``,
 ``bounds``, ``witness``, ``conformance``, ``parity_deficits`` ([vertex,
 target] pairs), ``certificates`` (each ``CliqueCoverCertificate.to_dict``)
@@ -17,6 +17,8 @@ from .graph import MultiGraph
 from .model import PowerLawParams
 
 SCHEMA = "plg-report/1"
+KEYS = ("schema", "kind", "params", "parts", "is_upper_bounds", "bounds", "witness", "conformance", "parity_deficits",
+        "certificates", "extras")
 # Each kind's embedded block: the part its m pair cliques cover.
 BLOCKS = {"sub1": "Gprime", "beta1": "D"}
 

@@ -4,14 +4,15 @@ Every check recomputes from first principles: histogram against the
 distribution definition, clique covers against the assembled edges, witness
 independence and its mapping from the recorded source, every parameter,
 bound and derived extra from the defining fields, by the function the
-embedder wrote them with, and the embedded block.
+embedder wrote them with, and the embedded block.  Each recomputed entry is
+compared with the report's by one rule, ``_leaf_mismatch``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +23,9 @@ from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate
-from .report import BLOCKS, SCHEMA, degree_conformance, upper_bounds
+from .report import BLOCKS, KEYS, SCHEMA, degree_conformance, upper_bounds
 
 _REL_TOL = 1e-9
-
-
-@dataclass
-class VerifyResult:
-    ok: bool
-    checks: list[dict]
-
-    def to_dict(self) -> dict:
-        return {"schema": SCHEMA, "ok": self.ok, "checks": self.checks}
 
 
 def _close(a: float, b: float) -> bool:
@@ -46,19 +38,45 @@ def _leaf_mismatch(got, want, path: str) -> str:
     the recomputed ``want``, as a failure detail, or "" when none does.
     Tables must have the same keys and lists the same length; a float
     matches a number within the relative tolerance (``_close``), a bool only
-    the same bool, and any other leaf an equal one."""
+    the same bool, and any other leaf an equal one.  This is the one rule by
+    which every check compares a report entry with what it recomputed."""
     if isinstance(want, dict) and isinstance(got, dict):
         unknown = sorted(got.keys() - want.keys())
         if unknown:
             return f"{path}: {unknown[0]} is not a recomputed entry"
         return next(filter(None, (_leaf_mismatch(got[key], val, f"{path}/{key}") for key, val in want.items())), "")
-    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return f"{path}: report {len(got)} entries, recomputed {len(want)}"
+        # Equal lists of plain ints, or of lists of them (a certificate's
+        # cliques), match whole: they are most of a report's bulk.
+        if got == want and _int_leaves(got) and _int_leaves(want):
+            return ""
         return next(filter(None, (_leaf_mismatch(g, w, f"{path}/{i}") for i, (g, w) in enumerate(zip(got, want)))), "")
     if isinstance(want, float) and type(got) in (int, float):
         same = _close(got, want)
     else:
         same = isinstance(got, bool) == isinstance(want, bool) and got == want
     return "" if same else f"{path}: report {got}, recomputed {want}"
+
+
+def _all_ints(values) -> bool:
+    return set(map(type, values)) <= {int}
+
+
+def _int_leaves(values: list) -> bool:
+    """Whether ``values`` holds only plain ints, or only lists of them."""
+    if set(map(type, values)) == {list}:
+        values = itertools.chain.from_iterable(values)
+    return _all_ints(values)
+
+
+def _ints(values, what: str) -> list:
+    """``values``, read as integers, as a list of plain ints (no bool or float), else ``TypeError``."""
+    values = list(values)
+    if not _all_ints(values):
+        raise TypeError(f"{what} must be integers")
+    return values
 
 
 def _check(name: str):
@@ -92,7 +110,7 @@ def _check_conformance(plg: MultiGraph, rep: dict) -> str:
     deficits = [list(t) for t in rep["parity_deficits"]]
     if len(deficits) > 2:
         return "more than 2 deficits declared"
-    if not all(len(d) == 2 and all(isinstance(x, int) for x in d) for d in deficits):
+    if not all(len(d) == 2 and _all_ints(d) for d in deficits):
         return "deficits must be [vertex, degree] pairs"
     result = degree_conformance(plg, p, deficits)
     bad = result["mismatched_buckets"]
@@ -102,26 +120,21 @@ def _check_conformance(plg: MultiGraph, rep: dict) -> str:
     for v, t in deficits:
         if not (0 <= v < plg.vertex_count and plg.degree(v) == t - 1):
             return f"deficit vertex {v} does not have degree {t - 1}"
-    if rep["conformance"] != result:
-        return "conformance block differs from the recomputed one"
-    return ""
+    return _leaf_mismatch(rep["conformance"], result, "conformance")
 
 
 @_check("parts")
 def _check_parts(plg: MultiGraph, rep: dict) -> str:
-    spans = sorted(part["range"] for part in rep["parts"].values())
+    ranges = {name: _ints(part["range"], f"{name}: range") for name, part in rep["parts"].items()}
     pos = 0
-    for lo, hi in spans:
+    for lo, hi in sorted(ranges.values()):
         if lo != pos:
             return f"gap or overlap at vertex {pos}"
         pos = hi
     if pos != plg.vertex_count:
         return f"parts cover {pos} vertices, graph has {plg.vertex_count}"
-    for name, part in rep["parts"].items():
-        lo, hi = part["range"]
-        if part["size"] != hi - lo:
-            return f"{name}: size {part['size']} is not its range's width {hi - lo}"
-    return ""
+    built = {name: {"range": [lo, hi], "size": hi - lo} for name, (lo, hi) in ranges.items()}
+    return _leaf_mismatch(rep["parts"], built, "parts")
 
 
 @_check("certificates")
@@ -131,9 +144,11 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
     its cliques define, and its deficit vertex, if any, lies in the part and
     is declared in ``parity_deficits``.  ``is_upper_bounds`` then holds each
     part's clique count, by ``report.upper_bounds``."""
+    ranges = {name: _ints(part["range"], f"{name}: range") for name, part in rep["parts"].items()}
     for name, cert in rep["certificates"].items():
-        lo, hi = rep["parts"][name]["range"]
-        cliques = cert["cliques"]
+        lo, hi = ranges[name]
+        cliques, v = cert["cliques"], cert["parity_deficit_vertex"]
+        _ints(itertools.chain([] if v is None else [v], *cliques), f"{name}: clique ends and deficit vertex")
         start, stop = np.array(cliques, dtype=np.int64).reshape(len(cliques), 2).T
         # Cliques are checked in order, so only those before the first
         # misaligned one are tested for missing edges.
@@ -170,26 +185,18 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
         covered = (stop[-1] if len(stop) else lo) - lo
         if covered != hi - lo:
             return f"{name}: cliques cover {covered} of {hi - lo} vertices"
-        if len(cliques) != cert["is_upper_bound"]:
-            return f"{name}: is_upper_bound does not equal the clique count"
-        v = cert["parity_deficit_vertex"]
         built = CliqueCoverCertificate(sizes, lo, None if v is None else v - lo).to_dict()
-        differs = [key for key in sorted(built.keys() | cert.keys()) if built.get(key) != cert.get(key)]
-        if differs:
-            return f"{name}: {differs[0]} does not match the cover its cliques define"
+        mismatch = _leaf_mismatch(cert, built, f"certificates/{name}")
+        if mismatch:
+            return mismatch
         if v is not None and not (lo <= v < hi and v in [d[0] for d in rep["parity_deficits"]]):
             return f"{name}: parity deficit vertex {v} is not a declared deficit in [{lo},{hi})"
-    block, certs, ranges = BLOCKS[rep["kind"]], rep["certificates"], {}
-    for name, part in rep["parts"].items():
-        lo, hi = ranges[name] = part["range"]
+    block, certs = BLOCKS[rep["kind"]], rep["certificates"]
+    for name, (lo, hi) in ranges.items():
         if name not in certs and name != block and hi != lo:
             return f"{name}: part of {hi - lo} vertices has no certificate"
     counts = upper_bounds(block, ranges, {name: len(cert["cliques"]) for name, cert in certs.items()})
-    bounds = rep["is_upper_bounds"]
-    for name in sorted(bounds.keys() | counts.keys()):
-        if bounds.get(name) != counts.get(name):
-            return f"is_upper_bounds: {name} is {bounds.get(name)}, its clique count {counts.get(name)}"
-    return ""
+    return _leaf_mismatch(rep["is_upper_bounds"], counts, "is_upper_bounds")
 
 
 # What each kind's embedded block doubles.
@@ -265,19 +272,19 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
     its source, an independent set of the input, under the walks of
     ``block_source`` (as in ``_check_embedded``)."""
     walks = _built(block_source)[1]
-    witness = rep["witness"]
+    witness = _ints(rep["witness"], "witness")
     if not is_independent(plg, witness):
         return "witness not independent in output"
     source = rep["extras"].get("witness_source_vertices")
     if source is None:
         return "witness source missing"
-    if not is_independent(original, source):
+    if not is_independent(original, _ints(source, "witness source")):
         return "witness source not independent in input"
-    if list(witness) != map_witness(walks, source).tolist():
-        return "witness does not match its source"
-    if rep["kind"] == "beta1" and len(witness) != rep["extras"].get("witness_walk_count"):
-        return "witness size differs from witness_walk_count"
-    return ""
+    image = map_witness(walks, source).tolist()
+    mismatch = _leaf_mismatch(witness, image, "witness")
+    if mismatch or rep["kind"] != "beta1":
+        return mismatch
+    return _leaf_mismatch(rep["extras"]["witness_walk_count"], len(image), "extras/witness_walk_count")
 
 
 @_check("bounds")
@@ -302,27 +309,35 @@ def _check_bounds(plg: MultiGraph, rep: dict) -> str:
     return next(filter(None, (_leaf_mismatch(val, want[name], name) for name, val in got.items())), "")
 
 
-def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> VerifyResult:
+def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> dict:
     """Re-check an embedding run: conformance, certificates, witness, bounds,
     and the embedded block: for kind "sub1" against the input's doubling, for
-    kind "beta1" against the doubled walk product and its expander.  A report
-    that lacks a key or holds a value a check cannot use fails that check."""
+    kind "beta1" against the doubled walk product and its expander.  Returns
+    the verdict document ``plg verify`` prints: its ``schema``, ``ok`` and
+    the ``checks``' records.  A report that lacks a key or holds a value a
+    check cannot use fails that check; one with a key outside
+    ``report.KEYS`` fails ``schema``."""
     if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown schema"}])
-    if report.get("kind") not in tuple(BLOCKS):
-        return VerifyResult(False, [{"check": "schema", "ok": False, "detail": "unknown kind"}])
-    # The witness and the embedded block share one rebuild of the source;
-    # a refused rebuild fails both checks with the same detail.
-    try:
-        block_source = _embedded_source(report, original)
-    except Exception as exc:
-        block_source = exc
-    checks = [
-        _check_conformance(plg, report),
-        _check_parts(plg, report),
-        _check_certificates(plg, report),
-        _check_witness(plg, report, original, block_source),
-        _check_bounds(plg, report),
-        _check_embedded(plg, report, block_source),
-    ]
-    return VerifyResult(all(c["ok"] for c in checks), checks)
+        detail = "unknown schema"
+    elif report.get("kind") not in tuple(BLOCKS):
+        detail = "unknown kind"
+    else:
+        detail = next((f"{key} is not a report entry" for key in report if key not in KEYS), "")
+    if detail:
+        checks = [{"check": "schema", "ok": False, "detail": detail}]
+    else:
+        # The witness and the embedded block share one rebuild of the source;
+        # a refused rebuild fails both checks with the same detail.
+        try:
+            block_source = _embedded_source(report, original)
+        except Exception as exc:
+            block_source = exc
+        checks = [
+            _check_conformance(plg, report),
+            _check_parts(plg, report),
+            _check_certificates(plg, report),
+            _check_witness(plg, report, original, block_source),
+            _check_bounds(plg, report),
+            _check_embedded(plg, report, block_source),
+        ]
+    return {"schema": SCHEMA, "ok": all(c["ok"] for c in checks), "checks": checks}

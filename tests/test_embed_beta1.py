@@ -586,7 +586,7 @@ def test_embed_beta1_c5(c5):
     lo, hi = rep["bounds"]["alon_lo"], rep["bounds"]["alon_hi"]
     assert lo - 1e-9 <= 2 <= hi + 1e-9
     assert is_independent(g, rep["witness"])
-    assert verify_embedding(g, rep, c5).ok
+    assert verify_embedding(g, rep, c5)["ok"]
     # embedded walk vertices carry no self-loops
     for v in range(2 * rep["extras"]["n_d"]):
         assert not g.has_loop(v)
@@ -620,7 +620,7 @@ def test_embed_beta1_k3_dense_product():
     g, rep = embed_beta1(g0, d=4, seed=2, k_override=3)
     assert rep["extras"]["n_d"] == 9 * 16
     assert rep["conformance"]["ok"]
-    assert verify_embedding(g, rep, g0).ok
+    assert verify_embedding(g, rep, g0)["ok"]
 
 
 def _assign_pair_slots_loop(slots, pair_degrees):

@@ -7,9 +7,11 @@ outputs on purpose must say so and update the digests.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from plg import MultiGraph, read_graph, write_graph
 from plg.cli import main
 
 
@@ -99,6 +101,43 @@ def test_golden_outputs(tmp_path, capsys, name):
     assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 0
     got = (_sha(out.read_bytes()), _sha(rep.read_bytes()), _sha(capsys.readouterr().out.encode()))
     assert got == want
+
+
+def _last_clique_edge(rep: dict) -> tuple[int, int]:
+    """The first pair of the last certificate clique with two or more members."""
+    certs = rep["certificates"]
+    start = [s for name in sorted(certs) for s, t in certs[name]["cliques"] if t - s >= 2][-1]
+    return start, start + 1
+
+
+# Tampered copies of golden outputs, each missing one edge: (embed argv,
+# input text, the edge to drop from the report) -> sha256 of the verify
+# stdout, which exits 1.
+GOLDEN_TAMPERED = {
+    "sub1-0.5-clique-edge": (
+        ["embed-sub1", "--beta", "0.5"], _SUB1_INPUT, _last_clique_edge,
+        "6a6ce1e46bef83946e4ea422184b24ed8500106bb3708172543097a6b6c5622e",
+    ),
+    "beta1-k2-pair-edge": (
+        ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"], _BETA1_INPUT, lambda rep: (0, 1),
+        "ee636aae6d200f15229bcda5e7344a28ab78812cf671601b9bac3733b6e6be8a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TAMPERED))
+def test_golden_tampered_verify(tmp_path, capsys, name):
+    argv, text, edge, want = GOLDEN_TAMPERED[name]
+    src, out, rep = tmp_path / "in.plg", tmp_path / "out.plg", tmp_path / "rep.json"
+    src.write_text(text)
+    assert main([*argv, "--in", str(src), "--out", str(out), "--report", str(rep)]) == 0
+    g = read_graph(out.read_bytes())
+    edges = g.edge_dict()
+    del edges[edge(json.loads(rep.read_text()))]
+    out.write_text(write_graph(MultiGraph(g.vertex_count, edges, g.labels)))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
+    assert _sha(capsys.readouterr().out.encode()) == want
 
 
 # realize argv -> sha256 of (graph file, --cert JSON).  The first interval

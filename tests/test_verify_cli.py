@@ -28,6 +28,7 @@ from plg.embed_beta1 import Beta1Params, embed_beta1, random_regular_expander, w
 from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
 from plg.realizer import interval_degree_sequence, realize
+from plg.report import KEYS
 from plg.verify import _check_bounds, _check_certificates, _check_conformance
 
 from test_golden import _BETA1_INPUT, _SUB1_INPUT
@@ -40,8 +41,8 @@ def failing(checks):
 def test_verify_untampered(c5):
     g, rep = embed_sub1(c5, 0.5)
     res = verify_embedding(g, rep, c5)
-    assert res.ok
-    assert failing(res.checks) == []
+    assert res["ok"]
+    assert failing(res["checks"]) == []
 
 
 def test_verify_detects_deleted_edge(c5):
@@ -51,10 +52,10 @@ def test_verify_detects_deleted_edge(c5):
     del edges[key]
     mutated = MultiGraph(g.vertex_count, edges, g.labels)
     res = verify_embedding(mutated, rep, c5)
-    assert not res.ok
-    bad = failing(res.checks)
+    assert not res["ok"]
+    bad = failing(res["checks"])
     assert "conformance" in bad
-    detail = next(c["detail"] for c in res.checks if c["check"] == "conformance")
+    detail = next(c["detail"] for c in res["checks"] if c["check"] == "conformance")
     assert "degree bucket" in detail
 
 
@@ -63,8 +64,8 @@ def test_verify_detects_bad_witness(c5):
     doc = copy.deepcopy(rep)
     doc["witness"] = [0, 2]  # adjacent pair copies of adjacent C5 vertices
     res = verify_embedding(g, doc, c5)
-    assert not res.ok
-    assert "witness" in failing(res.checks)
+    assert not res["ok"]
+    assert "witness" in failing(res["checks"])
 
 
 def test_verify_detects_tampered_bound(c5):
@@ -72,8 +73,8 @@ def test_verify_detects_tampered_bound(c5):
     doc = copy.deepcopy(rep)
     doc["bounds"]["g3_bound"] += 0.5
     res = verify_embedding(g, doc, c5)
-    assert not res.ok
-    assert "bounds" in failing(res.checks)
+    assert not res["ok"]
+    assert "bounds" in failing(res["checks"])
 
 
 def test_verify_detects_broken_certificate(c5):
@@ -81,8 +82,8 @@ def test_verify_detects_broken_certificate(c5):
     doc = copy.deepcopy(rep)
     doc["certificates"]["G2"]["cliques"][0][1] += 1  # clique overlaps its neighbour
     res = verify_embedding(g, doc, c5)
-    assert not res.ok
-    assert "certificates" in failing(res.checks)
+    assert not res["ok"]
+    assert "certificates" in failing(res["checks"])
 
 
 def test_verify_certified_block_counts_its_cliques(c5):
@@ -94,11 +95,11 @@ def test_verify_certified_block_counts_its_cliques(c5):
     doc["certificates"]["Gprime"] = CliqueCoverCertificate(np.array([4, 4, 2])).to_dict()
     assert doc["certificates"]["Gprime"]["cliques"] == [[0, 4], [4, 8], [8, 10]]
     doc["is_upper_bounds"]["Gprime"] = 3.0
-    assert verify_embedding(g, doc, c5).ok
+    assert verify_embedding(g, doc, c5)["ok"]
     doc["is_upper_bounds"]["Gprime"] = 5.0
     res = verify_embedding(g, doc, c5)
-    assert [(c["check"], c["detail"]) for c in res.checks if not c["ok"]] == [
-        ("certificates", "is_upper_bounds: Gprime is 5.0, its clique count 3")
+    assert [(c["check"], c["detail"]) for c in res["checks"] if not c["ok"]] == [
+        ("certificates", "is_upper_bounds/Gprime: report 5.0, recomputed 3")
     ]
 
 
@@ -107,8 +108,8 @@ def test_verify_detects_unjoined_pair(c5):
     edges = g.edge_dict()
     del edges[(0, 1)]
     res = verify_embedding(MultiGraph(g.vertex_count, edges, g.labels), rep, c5)
-    assert not res.ok
-    detail = next(c["detail"] for c in res.checks if c["check"] == "embedded")
+    assert not res["ok"]
+    detail = next(c["detail"] for c in res["checks"] if c["check"] == "embedded")
     assert detail == "pair (0,1) not joined"
 
 
@@ -116,10 +117,10 @@ def test_verify_beta1(c5):
     from plg import embed_beta1
 
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    assert verify_embedding(g, rep, c5).ok
+    assert verify_embedding(g, rep, c5)["ok"]
     doc = copy.deepcopy(rep)
     doc["bounds"]["alon_hi"] *= 2
-    assert not verify_embedding(g, doc, c5).ok
+    assert not verify_embedding(g, doc, c5)["ok"]
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -149,9 +150,15 @@ def test_returned_report_is_the_written_document(c5, tmp_path, kind):
     before = copy.deepcopy(rep)
     in_memory = verify_embedding(g, rep, c5)
     from_file = verify_embedding(g, json.loads(report.read_text()), c5)
-    assert in_memory.ok
-    assert in_memory.to_dict() == from_file.to_dict()
+    assert in_memory["ok"]
+    assert in_memory == from_file
     assert rep == before
+
+
+@pytest.mark.parametrize("kind", ["sub1", "beta1"])
+def test_report_has_exactly_the_report_keys(c5, kind):
+    _, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k_override=2)
+    assert sorted(rep) == sorted(KEYS)
 
 
 def test_cli_dist(capsys):
@@ -489,7 +496,8 @@ def reference_check_certificates(plg, rep):
         if covered != hi - lo:
             return f"{name}: cliques cover {covered} of {hi - lo} vertices"
         if len(cert["cliques"]) != cert["is_upper_bound"]:
-            return f"{name}: is_upper_bound does not equal the clique count"
+            count = len(cert["cliques"])
+            return f"certificates/{name}/is_upper_bound: report {cert['is_upper_bound']}, recomputed {count}"
     return ""
 
 
@@ -646,9 +654,9 @@ def test_conformance_fails_on_out_of_range_deficit(c5):
     for t in (0, -1, delta + 2, 10**15):
         doc["parity_deficits"] = [[0, t]]
         res = verify_embedding(g, doc, c5)
-        assert not res.ok and "conformance" in failing(res.checks)
+        assert not res["ok"] and "conformance" in failing(res["checks"])
     doc["parity_deficits"] = [[0, 2.5]]
-    assert "conformance" in failing(verify_embedding(g, doc, c5).checks)
+    assert "conformance" in failing(verify_embedding(g, doc, c5)["checks"])
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -897,7 +905,7 @@ def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
 
 
 def _embedded_check(g, doc, original):
-    return next(c for c in verify_embedding(g, doc, original).checks if c["check"] == "embedded")
+    return next(c for c in verify_embedding(g, doc, original)["checks"] if c["check"] == "embedded")
 
 
 @pytest.mark.parametrize(
@@ -991,7 +999,7 @@ def test_verify_beta1_witness_walk_count(c5):
     doc = copy.deepcopy(rep)
     doc["extras"]["witness_walk_count"] += 1
     res = verify_embedding(g, doc, c5)
-    assert failing(res.checks) == ["witness"]
+    assert failing(res["checks"]) == ["witness"]
 
 
 # -- malformed reports fail a check ---------------------------------------------------
@@ -1195,18 +1203,18 @@ def test_verify_fails_malformed_report(c5, kind, forge, failed, detail):
     g, doc = _c5_outputs(c5, kind)
     forge(doc)
     res = verify_embedding(g, doc, c5)
-    assert not res.ok
-    assert failing(res.checks) == failed
-    assert [c["check"] for c in res.checks] == _CHECK_ORDER
+    assert not res["ok"]
+    assert failing(res["checks"]) == failed
+    assert [c["check"] for c in res["checks"]] == _CHECK_ORDER
     if detail is not None:
-        assert next(c["detail"] for c in res.checks if c["check"] == failed[0]) == detail
+        assert next(c["detail"] for c in res["checks"] if c["check"] == failed[0]) == detail
 
 
 @pytest.mark.parametrize("report", [[1, 2], "plg-report/1", 5, None])
 def test_verify_fails_report_that_is_not_an_object(c5, report):
     g, _ = embed_sub1(c5, 0.5)
     res = verify_embedding(g, report, c5)
-    assert res.to_dict()["checks"] == [{"check": "schema", "ok": False, "detail": "unknown schema"}]
+    assert res["checks"] == [{"check": "schema", "ok": False, "detail": "unknown schema"}]
 
 
 @pytest.mark.parametrize("fault", [InternalError("bug"), AssertionError("bug")])
@@ -1236,12 +1244,12 @@ def test_verify_builds_block_source_once(c5, monkeypatch):
     embedded_source = plg.verify._embedded_source
     monkeypatch.setattr(plg.verify, "_embedded_source", counting)
     g, doc = _c5_outputs(c5, "beta1")
-    assert verify_embedding(g, doc, c5).ok and len(calls) == 1
+    assert verify_embedding(g, doc, c5)["ok"] and len(calls) == 1
     doc["extras"]["n_base"] = 6
     res = verify_embedding(g, doc, c5)
     assert len(calls) == 2
-    assert failing(res.checks) == ["witness", "bounds", "embedded"]
-    for c in res.checks:
+    assert failing(res["checks"]) == ["witness", "bounds", "embedded"]
+    for c in res["checks"]:
         if c["check"] in ("witness", "embedded"):
             assert c["detail"] == "walk product: n_base 6 is not the input's 5 vertices"
 
@@ -1256,7 +1264,7 @@ def test_verify_looks_checks_up_at_call_time(c5, monkeypatch):
         monkeypatch.setattr(plg.verify, f"_check_{name}", lambda *a, c=check, n=name: seen.append(n) or c(*a))
     g, rep = embed_sub1(c5, 0.5)
     res = verify_embedding(g, rep, c5)
-    assert res.ok and seen == _CHECK_ORDER
+    assert res["ok"] and seen == _CHECK_ORDER
 
 
 @pytest.mark.parametrize(
@@ -1383,6 +1391,20 @@ def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, fo
     assert failing(json.loads(capsys.readouterr().out)["checks"]) == failed
 
 
+@pytest.mark.parametrize("kind", ["sub1", "beta1"])
+def test_cli_verify_fails_unknown_report_key(c5_embeddings, tmp_path, capsys, kind):
+    src, out, rep = c5_embeddings[kind]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({**json.loads(rep.read_text()), "foo": 1}))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "plg-report/1",
+        "ok": False,
+        "checks": [{"check": "schema", "ok": False, "detail": "foo is not a report entry"}],
+    }
+
+
 @pytest.mark.parametrize("n_d", [1e14, 3e14])
 def test_verify_fails_forged_beta1_record_before_exact_sums(c5_embeddings, n_d):
     # A consistent record whose delta passes the output's vertex count leaves
@@ -1446,6 +1468,8 @@ _TRUSTED = {
 def test_verify_fails_every_forged_leaf(kind):
     # The golden beta = 0.5 and k = 2 reports: a change to any one leaf
     # outside the trusted list fails a check, and the trusted ones pass.
+    # Each leaf is changed in value (``_perturbed``), and each bool and each
+    # int 0 or 1 also in type alone: a bool becomes its int, the int its bool.
     from plg import _jsonio, embed_beta1
 
     if kind == "sub1":
@@ -1455,9 +1479,15 @@ def test_verify_fails_every_forged_leaf(kind):
         src = read_graph(_BETA1_INPUT)
         g, rep = embed_beta1(src, 4, 3, 2)
     base = json.loads(_jsonio.dumps(rep))
-    assert verify_embedding(g, base, src).ok
+    assert verify_embedding(g, base, src)["ok"]
+    forgeries = [(path, _perturbed(value)) for path, value in _leaves(base)]
+    forgeries += [
+        (path, int(value) if type(value) is bool else bool(value))
+        for path, value in _leaves(base)
+        if type(value) in (bool, int) and value in (0, 1)
+    ]
     passed, trusted, used = [], [], set()
-    for path, value in _leaves(base):
+    for path, forged in forgeries:
         name = "/".join(map(str, path))
         prefix = next((p for p in _TRUSTED[kind] if name == p or name.startswith(p + "/")), None)
         if prefix is not None:
@@ -1467,8 +1497,8 @@ def test_verify_fails_every_forged_leaf(kind):
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = _perturbed(value)
-        if verify_embedding(g, doc, src).ok:
+        node[path[-1]] = forged
+        if verify_embedding(g, doc, src)["ok"]:
             passed.append(name)
     assert passed == trusted
     assert used == set(_TRUSTED[kind])  # no entry outlives its leaf
@@ -1483,10 +1513,10 @@ def test_verify_fails_every_forged_k_window_leaf():
     g, rep = embed_beta1(_C40, 4, 3, 2)
     window = rep["extras"]["k_window"]
     assert sorted(window) == ["delta_k", "k", "k_l", "k_u", "window_empty"]
-    assert verify_embedding(g, rep, _C40).ok
+    assert verify_embedding(g, rep, _C40)["ok"]
     for key, value in window.items():
         doc = copy.deepcopy(rep)
         doc["extras"]["k_window"][key] = _perturbed(value)
         res = verify_embedding(g, doc, _C40)
-        assert failing(res.checks) == ["bounds"], key
-        assert next(c["detail"] for c in res.checks if c["check"] == "bounds").startswith(f"extras/k_window/{key}: ")
+        assert failing(res["checks"]) == ["bounds"], key
+        assert next(c["detail"] for c in res["checks"] if c["check"] == "bounds").startswith(f"extras/k_window/{key}: ")
