@@ -232,7 +232,7 @@ def assemble(
     counts = upper_bounds(block, part_ranges, {name: cert["is_upper_bound"] for name, cert in certs.items()})
     entries = {
         "parts": {name: {"range": [lo, hi], "size": hi - lo} for name, (lo, hi) in part_ranges.items()},
-        "is_upper_bounds": {name: float(c) for name, c in counts.items()},
+        "is_upper_bounds": counts,
         "certificates": certs,
         "parity_deficits": deficits,
         "conformance": degree_conformance(graph, p, deficits),

@@ -19,7 +19,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graph import EdgeArrays, MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact
 from .realizer import interval_degree_sequence
-from .report import BLOCKS, SCHEMA
+from .report import BLOCKS, SCHEMA, input_extras
 from .solver import exact_mis, greedy_maximal_is
 
 # Search nodes ``exact_mis`` may spend on alpha of the input.
@@ -635,17 +635,18 @@ def embed_beta1(
         raise InternalError("walk DP count disagrees with enumeration")
 
     solved = exact_mis(g, budget=_SOLVER_BUDGET)
-    extras = {
+    extras = input_extras(
+        "beta1",
         **wp.report_extras(),
-        "seed": seed,
-        "d": d,
-        "k": k,
-        "n_base": n,
-        "is_g": solved.size,
-        "is_g_optimal": solved.optimal,
-        "witness_source_vertices": sorted(witness_source),
-        "witness_walk_count": dp_count,
-    }
+        seed=seed,
+        d=d,
+        k=k,
+        n_base=n,
+        is_g=solved.size,
+        is_g_optimal=solved.optimal,
+        witness_source_vertices=sorted(witness_source),
+        witness_walk_count=dp_count,
+    )
     leaves = beta1_leaves(params, extras)
     extras.update(leaves["extras"])
     return graph, {"schema": SCHEMA, "kind": "beta1", **leaves, **assembled, "extras": extras}

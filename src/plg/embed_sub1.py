@@ -21,7 +21,7 @@ from .errors import InputError, InternalError, ResourceLimitError
 from .graph import MultiGraph
 from .model import PowerLawParams, guarded_ceil, interval_size_exact, interval_volume_exact
 from .realizer import DEFAULT_EDGE_CAP, interval_degree_sequence
-from .report import BLOCKS, SCHEMA
+from .report import BLOCKS, SCHEMA, input_extras
 from .solver import greedy_maximal_is
 
 _MAX_BUMPS = 64
@@ -182,5 +182,5 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
     )
 
     leaves = sub1_leaves(params)
-    extras = {**leaves["extras"], "witness_source_vertices": sorted(witness_source)}
+    extras = {**leaves["extras"], **input_extras("sub1", witness_source_vertices=sorted(witness_source))}
     return graph, {"schema": SCHEMA, "kind": "sub1", **leaves, **assembled, "extras": extras}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InternalError
 from .graph import MultiGraph
 from .model import PowerLawParams
 
@@ -21,6 +22,23 @@ KEYS = ("schema", "kind", "params", "parts", "is_upper_bounds", "bounds", "witne
         "certificates", "extras")
 # Each kind's embedded block: the part its m pair cliques cover.
 BLOCKS = {"sub1": "Gprime", "beta1": "D"}
+# Each kind's input extras, in the order written: the run's own values,
+# which ``plg verify`` reads or rebuilds outside its ``bounds`` check (the
+# rebuild's inputs, the witness source and count, the walk product's claims
+# and the trusted ``is_g_optimal``).  Every other extra is derived.
+INPUT_EXTRAS = {
+    "sub1": ("witness_source_vertices",),
+    "beta1": ("n_d", "product_max_degree", "lambda", "lambda_1", "lambda_min", "lambda_bound", "expander_passes",
+              "seed", "d", "k", "n_base", "is_g", "is_g_optimal", "witness_source_vertices", "witness_walk_count"),
+}
+
+
+def input_extras(kind: str, **values) -> dict:
+    """The kind's ``INPUT_EXTRAS`` holding ``values``, in the table's order;
+    values that are not exactly the table's keys raise ``InternalError``."""
+    if values.keys() != set(INPUT_EXTRAS[kind]):
+        raise InternalError(f"{kind} input extras {sorted(values)} are not {sorted(INPUT_EXTRAS[kind])}")
+    return {key: values[key] for key in INPUT_EXTRAS[kind]}
 
 
 def upper_bounds(block: str, ranges: dict, clique_counts: dict[str, int]) -> dict[str, int]:

@@ -23,7 +23,7 @@ from .errors import InputError, ResourceLimitError
 from .graph import MultiGraph, is_independent
 from .model import PowerLawParams
 from .realizer import CliqueCoverCertificate
-from .report import BLOCKS, KEYS, SCHEMA, degree_conformance, upper_bounds
+from .report import BLOCKS, INPUT_EXTRAS, KEYS, SCHEMA, degree_conformance, upper_bounds
 
 _REL_TOL = 1e-9
 
@@ -37,9 +37,10 @@ def _leaf_mismatch(got, want, path: str) -> str:
     """The first leaf of the report's ``got`` at ``path`` that differs from
     the recomputed ``want``, as a failure detail, or "" when none does.
     Tables must have the same keys and lists the same length; a float
-    matches a number within the relative tolerance (``_close``), a bool only
-    the same bool, and any other leaf an equal one.  This is the one rule by
-    which every check compares a report entry with what it recomputed."""
+    matches a number within the relative tolerance (``_close``), a plain int
+    only an equal plain int, a bool only the same bool, and any other leaf
+    an equal one.  This is the one rule by which every check compares a
+    report entry with what it recomputed."""
     if isinstance(want, dict) and isinstance(got, dict):
         unknown = sorted(got.keys() - want.keys())
         if unknown:
@@ -55,6 +56,8 @@ def _leaf_mismatch(got, want, path: str) -> str:
         return next(filter(None, (_leaf_mismatch(g, w, f"{path}/{i}") for i, (g, w) in enumerate(zip(got, want)))), "")
     if isinstance(want, float) and type(got) in (int, float):
         same = _close(got, want)
+    elif type(want) is int:
+        same = type(got) is int and got == want
     else:
         same = isinstance(got, bool) == isinstance(want, bool) and got == want
     return "" if same else f"{path}: report {got}, recomputed {want}"
@@ -292,9 +295,11 @@ def _check_bounds(plg: MultiGraph, rep: dict) -> str:
     """The params, the bounds and the derived extras are those that
     ``sub1_leaves`` or ``beta1_leaves``, which the embedder wrote them with,
     give for the record the params' defining fields rebuild (and, kind
-    "beta1", the extras' is_g, n_base, d, k and spectrum), leaf for leaf
-    (``_leaf_mismatch``).  Every degree class 1..delta holds a vertex, so a
-    record whose delta exceeds the graph's vertex count fails first."""
+    "beta1", the extras' is_g, a plain int, n_base, d, k and spectrum), leaf
+    for leaf (``_leaf_mismatch``), and the extras hold no key outside these
+    and the kind's ``report.INPUT_EXTRAS``.  Every degree class 1..delta
+    holds a vertex, so a record whose delta exceeds the graph's vertex count
+    fails first."""
     params, extras = rep["params"], rep["extras"]
     record = (Sub1Params if rep["kind"] == "sub1" else Beta1Params).from_dict(params)
     # The params first: the bounds of a forged record can take seconds of
@@ -304,7 +309,12 @@ def _check_bounds(plg: MultiGraph, rep: dict) -> str:
         return mismatch
     if record.delta > plg.vertex_count:
         return f"params: delta {record.delta} exceeds the graph's {plg.vertex_count} vertices"
+    if rep["kind"] == "beta1":
+        _ints([extras["is_g"]], "is_g")
     want = sub1_leaves(record) if rep["kind"] == "sub1" else beta1_leaves(record, extras)
+    unknown = sorted(extras.keys() - want["extras"].keys() - set(INPUT_EXTRAS[rep["kind"]]))
+    if unknown:
+        return f"extras: {unknown[0]} is not a recomputed entry"
     got = {"bounds": rep["bounds"], "extras": {key: extras[key] for key in want["extras"]}}
     return next(filter(None, (_leaf_mismatch(val, want[name], name) for name, val in got.items())), "")
 

@@ -217,6 +217,26 @@ def _label_vertex_out_of_range(line, data):
     return [re.sub(r"^(l\s+)\S+", lambda m: m[1] + str(data.draw(st.integers(10, 12))), line)]
 
 
+def _label_vertex_skipped(line, data):
+    # The next id: the line leaves its run (or repeats the next line's id).
+    return [re.sub(r"^(l )([0-9]+)", lambda m: m[1] + str(int(m[2]) + 1), line)]
+
+
+def _swap_label_lines(lines, data):
+    label_lines = [i for i, line in enumerate(lines) if line.startswith("l ")]
+    if len(label_lines) > 1:
+        i, j = data.draw(st.lists(st.sampled_from(label_lines), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _tag_char(line, data):
+    # A character inside the tag: NUL is part of a tag, \x1c and a space
+    # split it for the line parser.
+    at = line.index(" ", 2) + 1 + data.draw(st.integers(0, len(line) - line.index(" ", 2) - 1))
+    return [line[:at] + data.draw(st.sampled_from(["\x00", "\x1c", " "])) + line[at:]]
+
+
 MUTATIONS = {
     "none": lambda lines, data: lines,
     "extra space": _line_edit(lambda s, data: s.replace(" ", "  ", 1)),
@@ -241,6 +261,11 @@ MUTATIONS = {
     "swapped edge lines": _swap_edge_lines,
     "duplicated edge line": _edit_kind("e ", lambda line, data: [line, line]),
     "u > v edge line": _edit_kind("e ", _reverse_endpoints),
+    "label id skipped": _edit_kind("l ", _label_vertex_skipped),
+    "labels out of order": _swap_label_lines,
+    "char inside a tag": _edit_kind("l ", _tag_char),
+    "20-digit zero-padded field": _field_edit(lambda f, data: "0" * 19 + "1"),
+    "fourth edge field": _edit_kind("e ", lambda line, data: [line + " " + str(data.draw(st.integers(0, 9)))]),
 }
 
 
@@ -249,8 +274,13 @@ MUTATIONS = {
 def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 10), rng.randint(0, 12))
-    for v in rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count)):
-        g.labels[v] = rng.choice(["embedded", "residual-G1", "x", "naïve", "l", "e", "1"])
+    # Labelled vertices keep the tag before them at even odds, so runs of
+    # one tag over consecutive ids are common.
+    tags = ["embedded", "residual-G1", "residual-G2", "x", "naïve", "nul\x00tag", "l", "e", "1"]
+    tag = rng.choice(tags)
+    for v in sorted(rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))):
+        tag = tag if rng.random() < 0.5 else rng.choice(tags)
+        g.labels[v] = tag
     lines = write_graph(g).split("\n")[:-1]
     for name in names:
         lines = MUTATIONS[name](lines, data)
@@ -266,6 +296,30 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
             assert _outcome(read_graph, text) == (slow, slow_err)
         if not names and not crlf:
             assert fast == g
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p plg 3 0\nl 1 a\nl 1 b\n",  # a repeated label
+        "p plg 3 0\nl 2 a\nl 1 a\n",  # labels out of order
+        "p plg 3 0\nl 0 a\nl 1 a",  # no final line break
+        "p plg 12 0\nl 9 a\nl 10 a\nl 011 a\n",  # a leading zero inside a run
+        "p plg 2 0\nl abcdefghijklmnopqr x\n",  # an id of 18 non-digits
+        b"p plg 2 0\nl " + b"\x94" * 18 + b" x\n",  # one whose place values pass 2^63
+        "p plg 10000000000000000000 0\nl 9999999999999999999 x\n",  # an id of 19 digits
+        "p plg 2 0\nl 0 a\nzz",  # a last line with no separator
+        "p plg 2 0\nl 0 a\x1cb\nl 1 a\x1cb\n",  # a tag the line parser splits
+        "p plg 2 1\ne 0 1 1\ne\n",  # rendered rows followed by a line with no field
+        "p plg 2 1\ne 0 1 1\nx\nl 0 a\n",
+        "p plg 1 0\nl",  # label text with no separator
+        "p plg 2 1\ne 0 1 1\nl0",
+    ],
+)
+def test_fast_reader_refuses_text_it_does_not_render(text):
+    data = text if isinstance(text, bytes) else text.encode()
+    assert _read_canonical(data) is None
+    assert _outcome(read_graph, data) == _outcome(_read_lines, data)
 
 
 def test_round_trip_seeded_loops_multi_edges_labels(monkeypatch):
@@ -288,6 +342,61 @@ def test_round_trip_seeded_loops_multi_edges_labels(monkeypatch):
             assert write_graph(read_graph(text)) == text
 
 
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 18])
+def test_label_runs_round_trip_across_powers_of_ten(monkeypatch, block_bytes):
+    # Every vertex labelled, in runs that cross 9 -> 10, 99 -> 100 and
+    # 9999 -> 10000, and a run of one vertex: a head's width changes at
+    # each power of ten, and the writer's blocks cut runs anywhere.
+    monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
+    n = 10_005
+    bounds = [0, 5, 12, 95, 96, 105, 9_990, 10_003, n]
+    tags = ["embedded", "residual-G1", "residual-G2", "x\x00y", "naïve"]
+    labels = {v: tags[i % len(tags)] for i in range(len(bounds) - 1) for v in range(bounds[i], bounds[i + 1])}
+    g = MultiGraph(n, [(0, 9), (9, 10), (99, 100), (9_999, 10_000)], labels)
+    text = write_graph(g)
+    assert text == (
+        f"p plg {n} 4\ne 0 9 1\ne 9 10 1\ne 99 100 1\ne 9999 10000 1\n"
+        + "".join(f"l {v} {labels[v]}\n" for v in range(n))
+    )
+    assert _read_canonical(text.encode()) == g == _read_lines(text.encode())
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 18])
+def test_labels_on_ids_of_scattered_widths_round_trip(monkeypatch, block_bytes):
+    # Ids of 1, 4, 6 and 18 digits and no width in between, with tags of
+    # several lengths: each block lays out only the widths it holds.
+    monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
+    labels = {5: "a", 1000: "bb", 1001: "a", 123_456: "residual-G1", 10**17: "x\x00y"}
+    g = MultiGraph(10**18, labels=labels)
+    text = write_graph(g)
+    assert text == f"p plg {10**18} 0\n" + "".join(f"l {v} {labels[v]}\n" for v in sorted(labels))
+    assert _read_canonical(text.encode()) == g == _read_lines(text.encode())
+
+
+def test_read_renders_edges_and_labels_once(monkeypatch):
+    # A canonical read of many blocks renders its edge rows once, and its
+    # label lines once from a pool of the three runs' tags: no line is
+    # formatted on its own.
+    rng = random.Random(26)
+    n = 400
+    labels = {v: "embedded" if v < 40 else "residual-G2" if v < 250 else "residual-G1" for v in range(n)}
+    g = MultiGraph(n, {tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(1, 3) for _ in range(600)}, labels)
+    text = write_graph(g).encode()
+    edge_calls, label_calls = [], []
+    edge_blocks, label_lines = graph_module._edge_blocks, graph_module._label_lines
+    monkeypatch.setattr(graph_module, "_READ_BLOCK_BYTES", 64)
+    monkeypatch.setattr(graph_module, "_edge_blocks", lambda cols: edge_calls.append(len(cols.u)) or edge_blocks(cols))
+
+    def counted_label_lines(ids, starts, pool, size):
+        label_calls.append((ids.tolist(), starts.tolist(), bytes(pool), size.tolist()))
+        return label_lines(ids, starts, pool, size)
+
+    monkeypatch.setattr(graph_module, "_label_lines", counted_label_lines)
+    assert read_graph(text) == g
+    assert edge_calls == [g.distinct_edge_count()]
+    assert label_calls == [(list(range(n)), [0, 40, 250], b"embedded\nresidual-G2\nresidual-G1\n", [8, 11, 11])]
+
+
 @pytest.mark.parametrize(
     "text, u, v, m",
     [
@@ -303,6 +412,19 @@ def test_huge_header_keys_do_not_overflow(text, u, v, m):
     assert g.multiplicity(u, v + 1) == 0
     assert g.multiplicity(0, g.vertex_count - 1) == 0
     assert write_graph(g) == text
+
+
+def test_labels_are_on_vertices_below_n_and_2_to_the_63():
+    # The writer renders label ids in int64, so an id of 2^63 or more is
+    # refused even where the header's n is larger.
+    with pytest.raises(InputError, match="label on unknown vertex 3"):
+        MultiGraph(3, labels={0: "a", 3: "b"})
+    with pytest.raises(InputError, match="label on unknown vertex -1"):
+        MultiGraph(3, labels={-1: "a", 3: "b"})
+    with pytest.raises(InputError, match="labelled vertex ids must be below 2\\^63"):
+        MultiGraph(2**64, labels={2**63: "x"})
+    g = MultiGraph(2**64, labels={2**63 - 1: "x"})
+    assert read_graph(write_graph(g)) == g
 
 
 def _run_values(text: str) -> list[int]:

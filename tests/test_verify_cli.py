@@ -24,11 +24,12 @@ from plg import (
     write_graph,
 )
 from plg.cli import main
-from plg.embed_beta1 import Beta1Params, embed_beta1, random_regular_expander, walk_block
+from plg.embed_beta1 import Beta1Params, beta1_leaves, embed_beta1, random_regular_expander, walk_block
+from plg.embed_sub1 import Sub1Params, sub1_leaves
 from plg.errors import InternalError
 from plg.model import PowerLawParams, degree_counts
 from plg.realizer import interval_degree_sequence, realize
-from plg.report import KEYS
+from plg.report import INPUT_EXTRAS, KEYS, input_extras
 from plg.verify import _check_bounds, _check_certificates, _check_conformance
 
 from test_golden import _BETA1_INPUT, _SUB1_INPUT
@@ -94,13 +95,15 @@ def test_verify_certified_block_counts_its_cliques(c5):
     doc = copy.deepcopy(rep)
     doc["certificates"]["Gprime"] = CliqueCoverCertificate(np.array([4, 4, 2])).to_dict()
     assert doc["certificates"]["Gprime"]["cliques"] == [[0, 4], [4, 8], [8, 10]]
-    doc["is_upper_bounds"]["Gprime"] = 3.0
+    doc["is_upper_bounds"]["Gprime"] = 3
     assert verify_embedding(g, doc, c5)["ok"]
-    doc["is_upper_bounds"]["Gprime"] = 5.0
-    res = verify_embedding(g, doc, c5)
-    assert [(c["check"], c["detail"]) for c in res["checks"] if not c["ok"]] == [
-        ("certificates", "is_upper_bounds/Gprime: report 5.0, recomputed 3")
-    ]
+    # A count is a plain int: an equal float fails too.
+    for forged in (5, 3.0):
+        doc["is_upper_bounds"]["Gprime"] = forged
+        res = verify_embedding(g, doc, c5)
+        assert [(c["check"], c["detail"]) for c in res["checks"] if not c["ok"]] == [
+            ("certificates", f"is_upper_bounds/Gprime: report {forged}, recomputed 3")
+        ]
 
 
 def test_verify_detects_unjoined_pair(c5):
@@ -1192,6 +1195,17 @@ def _move_deficit(doc):
             "extras/feasibility/holds: report 0, recomputed True", id="feasibility-holds-int",
         ),
         pytest.param(
+            "sub1", _set("extras", "foo", 1), ["bounds"], "extras: foo is not a recomputed entry",
+            id="sub1-extras-unknown-key",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "foo", 1), ["bounds"], "extras: foo is not a recomputed entry",
+            id="beta1-extras-unknown-key",
+        ),
+        pytest.param(
+            "beta1", _set("extras", "is_g", 2.0), ["bounds"], "is_g must be integers", id="is-g-float",
+        ),
+        pytest.param(
             # G1's deficit moved from vertex 57 (degree 2, target 3) to 56
             # (degree 3) everywhere it is declared: the histogram still fits.
             "sub1", _move_deficit, ["conformance"], "deficit vertex 56 does not have degree 2",
@@ -1326,6 +1340,17 @@ def _bump(*path):
     return forge
 
 
+def _floated(*path):
+    """A forge that makes the int at ``path`` an equal float."""
+
+    def forge(doc):
+        for p in path[:-1]:
+            doc = doc[p]
+        doc[path[-1]] = float(doc[path[-1]])
+
+    return forge
+
+
 def _add_empty_part(doc):
     # An empty part at the end of the vertex range, claiming one clique.
     n = max(part["range"][1] for part in doc["parts"].values())
@@ -1378,6 +1403,11 @@ def c5_embeddings(tmp_path_factory):
         pytest.param("sub1", _set("conformance", "ok", False), ["conformance"], id="conformance-ok"),
         pytest.param("sub1", _bump("conformance", "deficits", 0, 1), ["conformance"], id="conformance-deficits"),
         pytest.param("beta1", _set("kind", "beta1x"), ["schema"], id="kind"),
+        # An integer leaf is a plain int: an equal float fails.
+        pytest.param("beta1", _floated("extras", "witness_walk_count"), ["witness"], id="walk-count-float"),
+        pytest.param("beta1", _floated("extras", "n_d"), ["embedded"], id="n-d-float"),
+        pytest.param("beta1", _floated("extras", "product_max_degree"), ["embedded"], id="max-degree-float"),
+        pytest.param("beta1", _floated("extras", "is_g"), ["bounds"], id="is-g-float"),
     ],
 )
 def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, forge, failed):
@@ -1389,6 +1419,22 @@ def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, fo
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
     assert failing(json.loads(capsys.readouterr().out)["checks"]) == failed
+
+
+@pytest.mark.parametrize("kind", ["sub1", "beta1"])
+def test_report_extras_are_the_input_table_and_the_derived_leaves(c5_embeddings, kind):
+    # The embedders write exactly their kind's INPUT_EXTRAS besides the
+    # derived extras, so verify's list of allowed keys is the one they use.
+    _, _, rep = c5_embeddings[kind]
+    extras = json.loads(rep.read_text())["extras"]
+    record = Sub1Params if kind == "sub1" else Beta1Params
+    params = record.from_dict(json.loads(rep.read_text())["params"])
+    derived = (sub1_leaves(params) if kind == "sub1" else beta1_leaves(params, extras))["extras"]
+    assert extras.keys() == derived.keys() | set(INPUT_EXTRAS[kind])
+    with pytest.raises(InternalError, match="sub1 input extras"):
+        input_extras("sub1", witness_source_vertices=[0], foo=1)
+    with pytest.raises(InternalError, match="beta1 input extras"):
+        input_extras("beta1", seed=1)
 
 
 @pytest.mark.parametrize("kind", ["sub1", "beta1"])
