@@ -18,25 +18,24 @@ text a block at a time: lines are laid out a block of rows at a time in a
 uint8 matrix, each field is filled four digits at a time by gathering
 4-byte words of a fixed table of ASCII digit rows, and each block is
 yielded with the zero bytes left where a value is shorter than its field
-dropped.  Label lines are laid out by the same digit table, one matrix of
-'l <v> ' heads per id width with no byte to drop, and each tag is encoded
-once per run, a run being consecutive label lines with one tag, and
-copied whole to its lines.  Files are written block by block; no
-whole-text buffer is built.
+dropped.  The label lines follow as one bytes object, each run of
+consecutive lines with one tag rendered by one ``%`` format.  Files are
+written block by block; no whole-text buffer is built.
 
 Canonical text is what the writer emits.  The reader parses the edge lines
 a block at a time, reading every field at once as the value of a run of
 ASCII digits, then has the writer render all parsed rows once and compares
-each rendered block in place.  It splits the label lines into runs of
-one tag, decodes each run's tag once and compares the rendering of the
-runs in place the same way.  It keeps the parse
-only if every comparison holds and the graph built from it keeps its rows
-and gives the header; any other text goes to the line parser.
+each rendered block in place.  It splits the label text with
+``str.split``, three fields to a line, and compares the writer's rendering
+of those labels with it.  It keeps the parse only if every comparison
+holds and the graph built from it keeps its rows and gives the header; any
+other text goes to the line parser.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -145,6 +144,10 @@ class MultiGraph:
                 raise InputError(f"label on unknown vertex {low if low < 0 else high}")
             if high >= _INT64_LIMIT:
                 raise InputError("labelled vertex ids must be below 2^63")
+            # A tag the line parser reads back: one str.split field.
+            for tag in dict.fromkeys(self.labels.values()):
+                if not isinstance(tag, str) or tag.split() != [tag]:
+                    raise InputError(f"label tag {tag!r} is not one whitespace-free string")
         self._degrees: np.ndarray | None = None
 
     # -- queries ------------------------------------------------------------
@@ -305,16 +308,16 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 # ``write_graph`` joins: the header, the edge lines of the digit-table
 # writer ``_edge_blocks`` (base-10^4 chunks gathered from ``_UNITS_WORDS``
 # and ``_HIGH_WORDS``, one bytes object per block of about
-# ``_WRITE_BLOCK_BYTES``), then the label lines, which ``_label_lines``
-# lays out from the runs of one tag, a matrix of heads per id width and
-# each run's tag encoded once; the writer is the format's only definition.  ``read_graph``
-# checks a text's claim to be canonical with one render of each part:
-# ``_digit_runs`` reads the fields of every block of edge lines
+# ``_WRITE_BLOCK_BYTES``), then ``_label_text``; the writer is the format's
+# only definition.  A tag is one ``str.split`` field (``MultiGraph``
+# refuses any other), so the line parser reads each label line back whole.
+# ``read_graph`` checks a text's claim to be canonical with one render of
+# each part: ``_digit_runs`` reads the fields of every block of edge lines
 # (``_READ_BLOCK_BYTES``, cut at a line break), ``_edge_blocks`` renders
 # all the rows once and each block it yields must lie in place in the text;
-# ``_read_labels`` splits the label lines into runs, ``_label_lines``
-# renders them once and each block must lie in place.  The graph built
-# from the rows must keep them as they are and give the text's header.
+# the label text, split into fields, must equal ``_label_text`` of the
+# labels they give.  The graph built from the rows must keep them as they
+# are and give the text's header.
 # Any text that the writer does not reproduce (extra whitespace, CRLF,
 # signs, leading zeros, unsorted lines, any error) goes to the line
 # parser, the only producer of ParseError.
@@ -421,89 +424,22 @@ def _header(g: MultiGraph) -> bytes:
     return f"p plg {g.vertex_count} {g.distinct_edge_count()}\n".encode("ascii")
 
 
-def _spans(lengths: np.ndarray, limit: int) -> Iterator[slice]:
-    """Consecutive slices of ``lengths`` that each sum to at most ``limit``,
-    or hold one item."""
-    ends = np.cumsum(lengths)
-    lo = 0
-    while lo < len(lengths):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - lengths[lo] + limit, side="right")))
-        yield slice(lo, hi)
-        lo = hi
-
-
-def _words(a, dtype) -> np.ndarray:
-    """The item of ``dtype`` that starts at each byte of the bytes or uint8
-    array ``a`` (bar the last itemsize - 1), as a view."""
-    dtype = np.dtype(dtype)
-    return np.ndarray((len(a) - dtype.itemsize + 1,), dtype=dtype, buffer=a, strides=(1,))
-
-
-# An id has one digit more than the number of these it reaches.
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _label_lines(ids: np.ndarray, starts: np.ndarray, pool, size: np.ndarray) -> Iterator[bytes]:
-    """The lines 'l <v> <tag>' of the increasing int64 ``ids``, in runs of
-    one tag: run r starts at line ``starts[r]`` and its tag is ``size[r]``
-    bytes of ``pool``, which holds the runs' tags in order, each followed
-    by a line break.  The lines are yielded a block of about
-    ``_WRITE_BLOCK_BYTES`` at a time.
-
-    A block is laid out in two parts per line, by length rather than by
-    run.  The heads 'l <v> ' whose ids have w digits (a stretch of lines,
-    as the ids increase) are the rows of one uint8 matrix, written by
-    ``_write_field`` (the top chunk's zero bytes land on the 'l ' and the
-    columns before it, written after).  Each row is then copied whole to
-    its place, and so is each tag with its line break, straight from the
-    pool (NUL bytes and all), all tails of one length at once.  So a block
-    costs a few array operations per id width and per tag length, however
-    short its runs."""
-    pool = np.frombuffer(pool, dtype=np.uint8)
-    offset = np.cumsum(size + 1) - size - 1
-    runs = np.repeat(np.arange(len(size)), np.diff(starts, append=len(ids)))
-    width = 1 + np.searchsorted(_TENS, ids, side="right")
-    length = width + size[runs] + 4
-    for span in _spans(length, _WRITE_BLOCK_BYTES):
-        val, w_line, n, tail = ids[span], width[span], length[span], size[runs[span]] + 1
-        out = np.empty(int(n.sum()), dtype=np.uint8)
-        first = np.cumsum(n) - n
-        cuts = [0, *(np.flatnonzero(np.diff(w_line)) + 1).tolist(), len(w_line)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            w = int(w_line[lo])
-            pad, head = max(0, 2 - _top_width(w)), f"V{w + 3}"
-            mat = np.empty((hi - lo, pad + w + 3), dtype=np.uint8)
-            _write_field(mat, pad + 2 + w, val[lo:hi], w)
-            mat[:, pad] = ord("l")
-            mat[:, pad + 1] = mat[:, -1] = ord(" ")
-            _words(out, head)[first[lo:hi]] = _words(mat.reshape(-1), head)[pad :: pad + w + 3]
-        order = np.argsort(tail, kind="stable")
-        for lines in np.split(order, np.flatnonzero(np.diff(tail[order])) + 1):
-            k = f"V{tail[lines[0]]}"
-            _words(out, k)[first[lines] + w_line[lines] + 3] = _words(pool, k)[offset[runs[span][lines]]]
-        yield out.tobytes()
-
-
-def _label_blocks(labels: dict[int, str]) -> Iterator[bytes]:
-    """The label lines in vertex order, each run of one tag encoded once."""
-    if not labels:
-        return
-    ids = np.fromiter(labels, dtype=np.int64, count=len(labels))
-    order = np.argsort(ids, kind="stable")
-    tags = np.array(list(labels.values()), dtype=object)[order]
-    starts = np.flatnonzero(np.concatenate([[True], tags[1:] != tags[:-1]]))
-    encoded = list(map(str.encode, tags[starts].tolist()))
-    size = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    yield from _label_lines(ids[order], starts, b"\n".join(encoded) + b"\n", size)
+def _label_text(labels: dict[int, str]) -> bytes:
+    """The lines 'l <v> <tag>' in vertex order, each run of consecutive
+    lines with one tag rendered by one ``%`` format."""
+    out = []
+    for tag, run in groupby(sorted(labels), labels.__getitem__):
+        run = tuple(run)
+        out.append((b"l %d " + tag.encode().replace(b"%", b"%%") + b"\n") * len(run) % run)
+    return b"".join(out)
 
 
 def _graph_blocks(g: MultiGraph) -> Iterator[bytes]:
     """The canonical text of ``g`` as UTF-8 bytes (ASCII but for labels):
-    the header, then the edge lines and the label lines a block at a
-    time."""
+    the header, the edge lines a block at a time, then the label lines."""
     yield _header(g)
     yield from _edge_blocks(g.arrays())
-    yield from _label_blocks(g.labels)
+    yield _label_text(g.labels)
 
 
 def write_graph(g: MultiGraph) -> str:
@@ -553,62 +489,6 @@ def _laid_out(data: bytes, pos: int, blocks: Iterable[bytes]) -> int:
     return pos
 
 
-def _read_labels(data: bytes, start: int) -> dict[int, str] | None:
-    """The labels of the label text ``data[start:]`` if ``_label_lines``
-    renders them back to it exactly, else None.
-
-    The text is split at once at its spaces and line breaks, taken three
-    to a line: the space after the 'l', the space after the id and the line
-    break.  Each line's id is read a place at a time (at most 18 digits,
-    increasing over the lines), and its tag is the rest of the line.  A
-    line whose tag has the bytes of the tag before it joins that tag's run:
-    the tags of each size are compared, and the runs' tags copied to one
-    pool, whole, as items of that size.  The pool is decoded at once, and
-    each run's tag must be one field of ``str.split``, so that the line
-    parser reads the same three fields from a text equal to the rendering,
-    which must lie in place over the text."""
-    text = np.frombuffer(data, dtype=np.uint8)
-    if start == len(text):
-        return {}
-    sep = start + np.flatnonzero((text[start:] == ord(" ")) | (text[start:] == ord("\n")))
-    if not len(sep) or len(sep) % 3 or sep[-1] != len(text) - 1:
-        return None
-    first_space, id_end, ends = sep.reshape(-1, 3).T
-    width, size = id_end - first_space - 1, ends - id_end - 1
-    if width.min() < 1 or width[-1] > 18 or (width[1:] < width[:-1]).any() or size.min() < 1:
-        return None
-    ids = np.zeros(len(ends), dtype=np.int64)
-    for place in range(int(width[-1])):
-        k = int(np.searchsorted(width, place, side="right"))
-        digit = text[id_end[k:] - 1 - place] - np.uint8(ord("0"))
-        if digit.max() > 9:
-            return None
-        ids[k:] += digit.astype(np.int64) * 10**place
-    if not (ids[1:] > ids[:-1]).all():
-        return None
-    # Line i + 1 starts a run unless its tag has the bytes of line i's;
-    # the tags of each size are compared whole, as items of that size.
-    same = size[1:] == size[:-1]
-    pairs = np.flatnonzero(same)
-    for s in np.flatnonzero(np.bincount(size[pairs])).tolist():
-        p = pairs[size[pairs] == s]
-        tag = _words(data, f"V{s}")
-        same[p[tag[id_end[p] + 1] != tag[id_end[p + 1] + 1]]] = False
-    starts = np.flatnonzero(np.concatenate([[True], ~same]))
-    # The pool of the runs' tags, each with its line break, copied whole.
-    run_size = size[starts]
-    pool = np.empty(int(run_size.sum()) + len(starts), dtype=np.uint8)
-    at = np.cumsum(run_size + 1) - run_size - 1
-    for s in np.flatnonzero(np.bincount(run_size)).tolist():
-        q = np.flatnonzero(run_size == s)
-        _words(pool, f"V{s + 1}")[at[q]] = _words(data, f"V{s + 1}")[id_end[starts[q]] + 1]
-    joined = pool.tobytes().decode("utf-8")
-    tags = joined.split("\n")[:-1]
-    if joined.split() != tags or _laid_out(data, start, _label_lines(ids, starts, pool, run_size)) != len(data):
-        return None
-    return dict(zip(ids.tolist(), np.repeat(np.array(tags, dtype=object), np.diff(starts, append=len(ids))).tolist()))
-
-
 def _read_canonical(data: bytes) -> MultiGraph | None:
     """The graph of ``data`` if the writer reproduces ``data`` exactly from
     it, else None.
@@ -617,8 +497,8 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
     line breaks: a block's rows are the values of its digit runs, three per
     line, and go into columns sized for the shortest edge line.  The writer
     then renders all rows once, and each block it yields must lie in place
-    in ``data``; the label text must be the rendering of its runs
-    (``_read_labels``).  The graph is built from the columns once and keeps
+    in ``data``; the label text must be the writer's rendering of the
+    labels its ``str.split`` fields give.  The graph is built from the columns once and keeps
     them.  It must keep every row in place (so no line has u > v, and the
     lines are sorted with no repeat), and the header must be the writer's
     for it.  This is as strict as re-emitting the whole text, since the
@@ -649,8 +529,12 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
         parsed = EdgeArrays(*cols[:, :rows])
         if _laid_out(data, head.end(), _edge_blocks(parsed)) != cut:
             return None
-        labels = _read_labels(data, cut)
-        if labels is None:
+        label_text = data[cut:]
+        fields = label_text.decode().split()
+        if len(fields) % 3:
+            return None
+        labels = dict(zip(map(int, fields[1::3]), fields[2::3]))
+        if label_text != _label_text(labels):
             return None
         g = MultiGraph(int(head[1]), parsed, labels)
     except ValueError:  # InputError and UnicodeError are ValueErrors

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InternalError
 from .graph import MultiGraph
-from .model import PowerLawParams
+from .model import PowerLawParams, _floored_counts, degree_counts
 
 SCHEMA = "plg-report/1"
 KEYS = ("schema", "kind", "params", "parts", "is_upper_bounds", "bounds", "witness", "conformance", "parity_deficits",
@@ -73,8 +73,6 @@ def degree_conformance(g: MultiGraph, p: PowerLawParams, deficits: list[list[int
         the n degrees and 2k deficit buckets leave a class up to n + 2k + 1
         empty: the classes above it are left out.
     """
-    from .model import _floored_counts, degree_counts
-
     n, k = g.vertex_count, len(deficits)
     # The highest bucket listed (None: all are) and the tabulated buckets
     # 0..size-1; bucket 0 alone is counted sparsely, as n may pass int64.

@@ -276,7 +276,7 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     g = random_multigraph(rng, rng.randint(1, 10), rng.randint(0, 12))
     # Labelled vertices keep the tag before them at even odds, so runs of
     # one tag over consecutive ids are common.
-    tags = ["embedded", "residual-G1", "residual-G2", "x", "naïve", "nul\x00tag", "l", "e", "1"]
+    tags = ["embedded", "residual-G1", "residual-G2", "x", "naïve", "nul\x00tag", "l", "e", "1", "%d", "5%"]
     tag = rng.choice(tags)
     for v in sorted(rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))):
         tag = tag if rng.random() < 0.5 else rng.choice(tags)
@@ -350,7 +350,7 @@ def test_label_runs_round_trip_across_powers_of_ten(monkeypatch, block_bytes):
     monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
     n = 10_005
     bounds = [0, 5, 12, 95, 96, 105, 9_990, 10_003, n]
-    tags = ["embedded", "residual-G1", "residual-G2", "x\x00y", "naïve"]
+    tags = ["embedded", "residual-G1", "residual-G2", "x\x00y", "naïve", "%d%%"]
     labels = {v: tags[i % len(tags)] for i in range(len(bounds) - 1) for v in range(bounds[i], bounds[i + 1])}
     g = MultiGraph(n, [(0, 9), (9, 10), (99, 100), (9_999, 10_000)], labels)
     text = write_graph(g)
@@ -375,26 +375,20 @@ def test_labels_on_ids_of_scattered_widths_round_trip(monkeypatch, block_bytes):
 
 def test_read_renders_edges_and_labels_once(monkeypatch):
     # A canonical read of many blocks renders its edge rows once, and its
-    # label lines once from a pool of the three runs' tags: no line is
-    # formatted on its own.
+    # label lines once from the parsed labels, three runs of one tag.
     rng = random.Random(26)
     n = 400
     labels = {v: "embedded" if v < 40 else "residual-G2" if v < 250 else "residual-G1" for v in range(n)}
     g = MultiGraph(n, {tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(1, 3) for _ in range(600)}, labels)
     text = write_graph(g).encode()
     edge_calls, label_calls = [], []
-    edge_blocks, label_lines = graph_module._edge_blocks, graph_module._label_lines
+    edge_blocks, label_text = graph_module._edge_blocks, graph_module._label_text
     monkeypatch.setattr(graph_module, "_READ_BLOCK_BYTES", 64)
     monkeypatch.setattr(graph_module, "_edge_blocks", lambda cols: edge_calls.append(len(cols.u)) or edge_blocks(cols))
-
-    def counted_label_lines(ids, starts, pool, size):
-        label_calls.append((ids.tolist(), starts.tolist(), bytes(pool), size.tolist()))
-        return label_lines(ids, starts, pool, size)
-
-    monkeypatch.setattr(graph_module, "_label_lines", counted_label_lines)
+    monkeypatch.setattr(graph_module, "_label_text", lambda parsed: label_calls.append(dict(parsed)) or label_text(parsed))
     assert read_graph(text) == g
     assert edge_calls == [g.distinct_edge_count()]
-    assert label_calls == [(list(range(n)), [0, 40, 250], b"embedded\nresidual-G2\nresidual-G1\n", [8, 11, 11])]
+    assert label_calls == [labels]
 
 
 @pytest.mark.parametrize(
@@ -415,7 +409,7 @@ def test_huge_header_keys_do_not_overflow(text, u, v, m):
 
 
 def test_labels_are_on_vertices_below_n_and_2_to_the_63():
-    # The writer renders label ids in int64, so an id of 2^63 or more is
+    # Vertex ids are int64 throughout, so a label id of 2^63 or more is
     # refused even where the header's n is larger.
     with pytest.raises(InputError, match="label on unknown vertex 3"):
         MultiGraph(3, labels={0: "a", 3: "b"})
@@ -425,6 +419,14 @@ def test_labels_are_on_vertices_below_n_and_2_to_the_63():
         MultiGraph(2**64, labels={2**63: "x"})
     g = MultiGraph(2**64, labels={2**63 - 1: "x"})
     assert read_graph(write_graph(g)) == g
+
+
+@pytest.mark.parametrize("tag", ["a b", "", "x\ty", "a\u2028b", 7])
+def test_labels_refuse_tags_that_do_not_round_trip(tag):
+    # The writer renders each tag as one field of its line: a tag that
+    # str.split does not keep whole is refused before any text is written.
+    with pytest.raises(InputError, match="label tag"):
+        MultiGraph(2, labels={0: "a", 1: tag})
 
 
 def _run_values(text: str) -> list[int]:
