@@ -22,20 +22,20 @@ dropped.  The label lines follow as one bytes object, each run of
 consecutive lines with one tag rendered by one ``%`` format.  Files are
 written block by block; no whole-text buffer is built.
 
-Canonical text is what the writer emits.  The reader parses the edge lines
-a block at a time, reading every field at once as the value of a run of
-ASCII digits, then has the writer render all parsed rows once and compares
-each rendered block in place.  It splits the label text with
-``str.split``, three fields to a line, and compares the writer's rendering
-of those labels with it.  It keeps the parse only if every comparison
-holds and the graph built from it keeps its rows and gives the header; any
-other text goes to the line parser.
+A graph is checked in full and fixed when it is built, labels included,
+and its text is a function of it alone.  So canonical text is what the
+writer emits, and the reader proves a text canonical with one comparison:
+it parses the edge fields a block at a time and the label fields with
+``str.split``, builds the graph, and keeps it only if the graph's render
+is the whole text.  Any other text goes to the line parser.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import groupby
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,6 +47,9 @@ _MAX_KEY_BASE = 3_037_000_499
 _INT64_LIMIT = 1 << 63
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+# A tag the line parser reads back whole: one str.split field (re's \s is
+# str.isspace) with no lone surrogate, which UTF-8 cannot encode.
+_TAG = re.compile("[^\\s\ud800-\udfff]+")
 
 
 class EdgeArrays(NamedTuple):
@@ -98,10 +101,10 @@ class MultiGraph:
     an iterable of (u, v) pairs (multiplicity 1 each) or ``EdgeArrays``;
     repeated pairs, in either orientation, sum their multiplicities.  Labels
     are optional per-vertex text tags used by the embedders to record
-    provenance ("embedded", "residual-G1", ...).
+    provenance ("embedded", "residual-G1", ...), fixed at construction too.
     """
 
-    __slots__ = ("vertex_count", "_u", "_v", "_mult", "_edges", "_base", "labels", "_degrees")
+    __slots__ = ("vertex_count", "_u", "_v", "_mult", "_edges", "_base", "_labels", "_degrees")
 
     def __init__(
         self,
@@ -109,9 +112,12 @@ class MultiGraph:
         edges: dict[tuple[int, int], int] | Iterable[tuple[int, int]] | EdgeArrays | None = None,
         labels: dict[int, str] | None = None,
     ):
-        if vertex_count < 0:
+        try:
+            n = self.vertex_count = operator.index(vertex_count)
+        except TypeError:
+            raise InputError(f"vertex_count {vertex_count!r} is not an integer") from None
+        if n < 0:
             raise InputError("vertex_count must be non-negative")
-        n = self.vertex_count = int(vertex_count)
         u, v, mult = _edge_columns(edges)
         if not (u <= v).all():
             u, v = np.minimum(u, v), np.maximum(u, v)
@@ -137,20 +143,32 @@ class MultiGraph:
         self._edges = _frozen(key)
         self._u, self._v = _frozen(u), _frozen(v)
         self._mult = _frozen(mult)
-        self.labels = dict(labels) if labels else {}
-        if self.labels:
-            low, high = min(self.labels), max(self.labels)
+        labels = dict(labels) if labels else {}
+        if labels:
+            if not set(map(type, labels)) <= {int}:
+                # Other integer types are stored as int; any other id is refused.
+                try:
+                    labels = dict(zip(map(operator.index, labels), labels.values()))
+                except TypeError:
+                    raise InputError("label ids must be integers") from None
+            ids = sorted(labels)  # one pass: the embedders and the reader give ids in order
+            low, high = ids[0], ids[-1]
             if low < 0 or high >= n:
                 raise InputError(f"label on unknown vertex {low if low < 0 else high}")
             if high >= _INT64_LIMIT:
                 raise InputError("labelled vertex ids must be below 2^63")
-            # A tag the line parser reads back: one str.split field.
-            for tag in dict.fromkeys(self.labels.values()):
-                if not isinstance(tag, str) or tag.split() != [tag]:
-                    raise InputError(f"label tag {tag!r} is not one whitespace-free string")
+            for tag in dict.fromkeys(labels.values()):
+                if not isinstance(tag, str) or not _TAG.fullmatch(tag):
+                    raise InputError(f"label tag {tag!r} is not one whitespace-free UTF-8 string")
+        self._labels = labels
         self._degrees: np.ndarray | None = None
 
     # -- queries ------------------------------------------------------------
+
+    @property
+    def labels(self) -> MappingProxyType:
+        """The vertex labels {v: tag}, read-only."""
+        return MappingProxyType(self._labels)
 
     def arrays(self) -> EdgeArrays:
         """The sorted, read-only (u, v, mult) columns."""
@@ -260,7 +278,7 @@ class MultiGraph:
             and np.array_equal(self._u, other._u)
             and np.array_equal(self._v, other._v)
             and np.array_equal(self._mult, other._mult)
-            and self.labels == other.labels
+            and self._labels == other._labels
         )
 
     def __hash__(self):
@@ -309,15 +327,11 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 # writer ``_edge_blocks`` (base-10^4 chunks gathered from ``_UNITS_WORDS``
 # and ``_HIGH_WORDS``, one bytes object per block of about
 # ``_WRITE_BLOCK_BYTES``), then ``_label_text``; the writer is the format's
-# only definition.  A tag is one ``str.split`` field (``MultiGraph``
-# refuses any other), so the line parser reads each label line back whole.
-# ``read_graph`` checks a text's claim to be canonical with one render of
-# each part: ``_digit_runs`` reads the fields of every block of edge lines
-# (``_READ_BLOCK_BYTES``, cut at a line break), ``_edge_blocks`` renders
-# all the rows once and each block it yields must lie in place in the text;
-# the label text, split into fields, must equal ``_label_text`` of the
-# labels they give.  The graph built from the rows must keep them as they
-# are and give the text's header.
+# only definition, and ``MultiGraph`` refuses any graph it could not write
+# (a tag the line parser would not read back whole, say).  ``read_graph``
+# parses a text's fields (``_digit_runs`` for each block of edge lines,
+# ``str.split`` for the labels), builds the graph, and keeps it only if
+# ``_graph_blocks`` of it lies in place over the whole text.
 # Any text that the writer does not reproduce (extra whitespace, CRLF,
 # signs, leading zeros, unsorted lines, any error) goes to the line
 # parser, the only producer of ParseError.
@@ -420,10 +434,6 @@ def _edge_blocks(cols: EdgeArrays) -> Iterator[bytes]:
         yield part.tobytes().translate(None, b"\0")
 
 
-def _header(g: MultiGraph) -> bytes:
-    return f"p plg {g.vertex_count} {g.distinct_edge_count()}\n".encode("ascii")
-
-
 def _label_text(labels: dict[int, str]) -> bytes:
     """The lines 'l <v> <tag>' in vertex order, each run of consecutive
     lines with one tag rendered by one ``%`` format."""
@@ -437,9 +447,9 @@ def _label_text(labels: dict[int, str]) -> bytes:
 def _graph_blocks(g: MultiGraph) -> Iterator[bytes]:
     """The canonical text of ``g`` as UTF-8 bytes (ASCII but for labels):
     the header, the edge lines a block at a time, then the label lines."""
-    yield _header(g)
+    yield f"p plg {g.vertex_count} {g.distinct_edge_count()}\n".encode("ascii")
     yield from _edge_blocks(g.arrays())
-    yield _label_text(g.labels)
+    yield _label_text(g._labels)
 
 
 def write_graph(g: MultiGraph) -> str:
@@ -495,14 +505,12 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
 
     The edge text is read in blocks of about ``_READ_BLOCK_BYTES`` cut at
     line breaks: a block's rows are the values of its digit runs, three per
-    line, and go into columns sized for the shortest edge line.  The writer
-    then renders all rows once, and each block it yields must lie in place
-    in ``data``; the label text must be the writer's rendering of the
-    labels its ``str.split`` fields give.  The graph is built from the columns once and keeps
-    them.  It must keep every row in place (so no line has u > v, and the
-    lines are sorted with no repeat), and the header must be the writer's
-    for it.  This is as strict as re-emitting the whole text, since the
-    writer renders each line from its own row alone."""
+    line, and go into columns sized for the shortest edge line.  The label
+    text is split with ``str.split``, three fields to a line.  The graph
+    built from them is kept only if its render is the whole of ``data``:
+    the writer renders each line from one row or label alone, so an
+    unsorted, repeated or u > v line, a wrong header or any other byte
+    renders differently."""
     try:
         head = _HEADER.match(data)
         if head is None:
@@ -521,33 +529,24 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
             block = text[lo:hi]
             digit = block - np.uint8(ord("0")) < 10
             vals = _digit_runs(block)[np.flatnonzero(digit[:-1] > digit[1:])].astype(np.int64)
-            if len(vals) % 3 or (vals < 0).any():  # a field of 2^63 or more
+            if len(vals) % 3:
                 return None
             cols[:, rows : rows + len(vals) // 3] = vals.reshape(-1, 3).T
             rows += len(vals) // 3
             lo = hi
-        parsed = EdgeArrays(*cols[:, :rows])
-        if _laid_out(data, head.end(), _edge_blocks(parsed)) != cut:
-            return None
-        label_text = data[cut:]
-        fields = label_text.decode().split()
-        if len(fields) % 3:
-            return None
-        labels = dict(zip(map(int, fields[1::3]), fields[2::3]))
-        if label_text != _label_text(labels):
-            return None
-        g = MultiGraph(int(head[1]), parsed, labels)
+        fields = data[cut:].decode().split()
+        g = MultiGraph(int(head[1]), EdgeArrays(*cols[:, :rows]), dict(zip(map(int, fields[1::3]), fields[2::3])))
     except ValueError:  # InputError and UnicodeError are ValueErrors
         return None
-    kept = all(np.array_equal(mine, row) for mine, row in zip(g.arrays(), parsed))
-    return g if kept and data[: head.end()] == _header(g) else None
+    return g if _laid_out(data, 0, _graph_blocks(g)) == len(data) else None
 
 
 def read_graph(data: bytes | str) -> MultiGraph:
     """The graph of a text in the format above, given as UTF-8 bytes (a str
-    is encoded first).  Raises ``ParseError`` on a malformed text."""
+    is encoded first, a lone surrogate to bytes that are not UTF-8).
+    Raises ``ParseError`` on a malformed text."""
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        data = data.encode("utf-8", "surrogatepass")
     g = _read_canonical(data)
     return g if g is not None else _read_lines(data)
 

@@ -38,3 +38,12 @@ def test_trace_targets_resolve(monkeypatch):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+    # The graph layer's work counts read its results and one private field.
+    from plg import MultiGraph, read_graph, write_graph
+
+    count = {span: fn for _module, _attr, span, fn in tracing.TARGETS}
+    g = MultiGraph(3, [(0, 1), (1, 2)], {0: "a"})
+    text = write_graph(g)
+    assert count["graph.build"]((g, 3), {}, None) == {"graph.build_edges": 2}
+    assert count["graph.write"]((g,), {}, text) == {"graph.write_bytes": len(text)}
+    assert count["graph.read"]((text,), {}, read_graph(text)) == {"graph.read_edges": 2}

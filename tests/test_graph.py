@@ -94,6 +94,9 @@ def test_read_examples():
         (b"p plg 2 1\ne 0 1 1\nl 0 \xff\n", 3),  # not UTF-8
         (b"\xffp plg 1 0\n", 1),
         (b"p plg 2 0\r\n\x0bl 0 \xc3\n", 3),  # str.splitlines counts \x0b as a line break
+        ("p plg 1 0\nl 0 a\ud800\n", 2),  # a str with a lone surrogate has no UTF-8 bytes
+        ("p plg 1 0\ud800\n", 1),
+        ("p plg 2 1\ne 0 1 1\n\udc80", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -105,8 +108,7 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_round_trip_seeded_100_vertices():
     rng = random.Random(42)
     g = random_multigraph(rng, 100, 300)
-    g.labels[3] = "embedded"
-    g.labels[7] = "residual-G1"
+    g = MultiGraph(g.vertex_count, g.arrays(), {3: "embedded", 7: "residual-G1"})
     text = write_graph(g)
     again = read_graph(text)
     assert again == g
@@ -167,6 +169,11 @@ def _blank_line(lines, data):
 def _huge_header(lines, data):
     n = data.draw(st.sampled_from([2**31, 2**31 + 7, 3_037_000_500, 2**40, 2**63 + 1]))
     return [re.sub(r"^p plg [0-9]+ ", f"p plg {n} ", line) for line in lines]
+
+
+def _header_count_off_by_one(lines, data):
+    step = data.draw(st.sampled_from([-1, 1]))
+    return [re.sub(r"^(p plg [0-9]+ )([0-9]+)$", lambda m: m[1] + str(int(m[2]) + step), line) for line in lines]
 
 
 def _drop_edge_line(lines, data):
@@ -249,6 +256,7 @@ MUTATIONS = {
     "non-integer": _field_edit(lambda f, data: f + "x"),
     "blank line": _blank_line,
     "huge header n": _huge_header,
+    "header edge count off by one": _header_count_off_by_one,
     "missing edge line": _drop_edge_line,
     "extra edge line": _extra_edge_line,
     "e inside field": _field_edit(lambda f, data: f + "e" + f),
@@ -267,6 +275,15 @@ MUTATIONS = {
     "20-digit zero-padded field": _field_edit(lambda f, data: "0" * 19 + "1"),
     "fourth edge field": _edit_kind("e ", lambda line, data: [line + " " + str(data.draw(st.integers(0, 9)))]),
 }
+# Each of these edits alone, where it changes the text, leaves text that the
+# writer emits for no graph.
+NEVER_CANONICAL = {
+    "header edge count off by one",
+    "swapped edge lines",
+    "duplicated edge line",
+    "u > v edge line",
+    "label tag with space",
+}
 
 
 @settings(max_examples=400, deadline=None)
@@ -277,20 +294,23 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     # Labelled vertices keep the tag before them at even odds, so runs of
     # one tag over consecutive ids are common.
     tags = ["embedded", "residual-G1", "residual-G2", "x", "naïve", "nul\x00tag", "l", "e", "1", "%d", "5%"]
-    tag = rng.choice(tags)
+    tag, labels = rng.choice(tags), {}
     for v in sorted(rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))):
         tag = tag if rng.random() < 0.5 else rng.choice(tags)
-        g.labels[v] = tag
+        labels[v] = tag
+    g = MultiGraph(g.vertex_count, g.arrays(), labels)
     lines = write_graph(g).split("\n")[:-1]
     for name in names:
         lines = MUTATIONS[name](lines, data)
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+    refused = len(names) == 1 and names[0] in NEVER_CANONICAL and text != write_graph(g)
     slow, slow_err = _outcome(_read_lines, text.encode())
     # A line per block, one or a few lines per block, and the default.
     for block_bytes in (1, 20, 64, graph_module._READ_BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "_READ_BLOCK_BYTES", block_bytes)
             fast = _read_canonical(text.encode())
+            assert fast is None or not refused
             if fast is not None:
                 assert slow_err is None and fast == slow
             assert _outcome(read_graph, text) == (slow, slow_err)
@@ -314,6 +334,16 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
         "p plg 2 1\ne 0 1 1\nx\nl 0 a\n",
         "p plg 1 0\nl",  # label text with no separator
         "p plg 2 1\ne 0 1 1\nl0",
+        # One case per check that the whole-text render stands for.
+        "p plg 3 2\ne 0 1 1\n",  # a header edge count one too high
+        "p plg 3 1\ne 0 1 1\ne 1 2 1\n",  # and one too low
+        "p plg 3 2\ne 1 2 1\ne 0 1 1\n",  # two swapped edge lines
+        "p plg 3 2\ne 0 1 1\ne 0 1 1\n",  # a repeated edge line
+        "p plg 3 1\ne 0 1 1\ne 0 1 1\n",
+        "p plg 3 1\ne 1 0 1\n",  # u > v
+        "p plg 2 0\nl 0 a b\n",  # a label line with a second space
+        "p plg 2 0\nl 0 a b 1 c\n",  # whose fields still come in threes
+        "p plg 2 0\nl 0  a\n",
     ],
 )
 def test_fast_reader_refuses_text_it_does_not_render(text):
@@ -421,12 +451,48 @@ def test_labels_are_on_vertices_below_n_and_2_to_the_63():
     assert read_graph(write_graph(g)) == g
 
 
-@pytest.mark.parametrize("tag", ["a b", "", "x\ty", "a\u2028b", 7])
+@pytest.mark.parametrize("tag", ["a b", "", "x\ty", "a\u2028b", 7, "a\ud800", "\udfff"])
 def test_labels_refuse_tags_that_do_not_round_trip(tag):
-    # The writer renders each tag as one field of its line: a tag that
-    # str.split does not keep whole is refused before any text is written.
+    # The writer renders each tag as one UTF-8 field of its line: a tag that
+    # str.split does not keep whole, or that holds a lone surrogate, is
+    # refused before any text is written.
     with pytest.raises(InputError, match="label tag"):
         MultiGraph(2, labels={0: "a", 1: tag})
+
+
+def test_labels_are_fixed_at_construction():
+    given = {0: "a", 1: "b"}
+    g = MultiGraph(2, labels=given)
+    given[0] = "a b"
+    with pytest.raises(TypeError):
+        g.labels[0] = "a b"
+    with pytest.raises(AttributeError):
+        g.labels = {}
+    assert g.labels == {0: "a", 1: "b"}
+    assert write_graph(g) == "p plg 2 0\nl 0 a\nl 1 b\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MultiGraph(2, labels={0.5: "x"}),  # written as 'l 0 x' at the parent
+        lambda: MultiGraph(2, labels={1.0: "x"}),
+        lambda: MultiGraph(2, labels={"1": "x"}),
+        lambda: MultiGraph(2, labels={0: "a", "1": "x"}),
+        lambda: MultiGraph(2.5),
+        lambda: MultiGraph("2"),
+    ],
+    ids=["float id", "integral float id", "str id", "int and str ids", "float n", "str n"],
+)
+def test_vertex_count_and_label_ids_must_be_integers(make):
+    with pytest.raises(InputError, match="integer"):
+        make()
+
+
+def test_integer_types_are_stored_as_int():
+    g = MultiGraph(np.int64(3), labels={np.int64(2): "x", True: "y"})
+    assert type(g.vertex_count) is int and list(map(type, g.labels)) == [int, int]
+    assert g.labels == {1: "y", 2: "x"} and read_graph(write_graph(g)) == g
 
 
 def _run_values(text: str) -> list[int]:
