@@ -26,8 +26,8 @@ print("IS preserved:", exact_mis(c5).size, "->", exact_mis(gd).size)
 section("Embedding C5 at beta = 0.5")
 g, rep = embed_sub1(c5, 0.5)
 print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep["params"].items()})
-print("part sizes:", {name: part["size"] for name, part in rep["parts"].items()})
-print("conformance:", rep["conformance"]["ok"], " parity deficits:", rep["parity_deficits"])
+print("parts [lo, hi):", {name: part["range"] for name, part in rep["parts"].items()})
+print("parity deficits [vertex, target degree]:", rep["parity_deficits"])
 print("IS upper bounds:", rep["is_upper_bounds"])
 print("closed forms:", {k: round(v, 2) for k, v in rep["bounds"].items()})
 print("witness (copies of a maximal IS of C5):", rep["witness"])

@@ -55,7 +55,7 @@ section("Embedding the C5 walk product into an (alpha, 1)-PLG")
 c5 = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
 print("parameters:", {k: round(v, 4) if isinstance(v, float) else v for k, v in rep["params"].items()})
-print("parts:", {name: part["size"] for name, part in rep["parts"].items()}, " conformance:", rep["conformance"]["ok"])
+print("parts [lo, hi):", {name: part["range"] for name, part in rep["parts"].items()})
 print(
     "spectral bracket for alpha(D):",
     (rep["bounds"]["alon_lo"], rep["bounds"]["alon_hi"]),

@@ -12,7 +12,6 @@ from .embed_beta1 import (
     KWindow,
     WalkProduct,
     alon_interval,
-    amplification_feasibility,
     choose_k,
     choose_params_beta1,
     count_walks_within,
@@ -80,7 +79,6 @@ __all__ = [
     "UnsupportedCaseError",
     "WalkProduct",
     "alon_interval",
-    "amplification_feasibility",
     "choose_k",
     "choose_params_beta1",
     "choose_params_sub1",

@@ -136,10 +136,10 @@ def assemble(
 
     Returns (graph, entries), where entries are the report entries assembly
     settles, under their JSON keys: ``parts``, ``is_upper_bounds``,
-    ``certificates``, ``parity_deficits``, ``conformance`` and ``witness``
-    (see ``plg.report``).  Raises
-    InputError when the surplus part cannot take every surplus half-edge
-    with its targets kept at 1 or more.
+    ``certificates``, ``parity_deficits`` and ``witness`` (see
+    ``plg.report``).  Raises InputError when the surplus part cannot take
+    every surplus half-edge with its targets kept at 1 or more, and
+    ``InternalError`` when the output's degree histogram does not conform.
     """
     n_embed = doubled.vertex_count
     deg = doubled.degrees()
@@ -229,13 +229,15 @@ def assemble(
     witness = map_witness(walks, witness_source).tolist()
     if not is_independent(graph, witness):
         raise InternalError("mapped witness is not independent in the output")
-    counts = upper_bounds(block, part_ranges, {name: cert["is_upper_bound"] for name, cert in certs.items()})
+    mismatched = degree_conformance(graph, p, deficits)
+    if mismatched:
+        raise InternalError(f"output degree histogram does not conform: {mismatched}")
+    counts = upper_bounds(block, part_ranges, {name: len(cert["cliques"]) for name, cert in certs.items()})
     entries = {
-        "parts": {name: {"range": [lo, hi], "size": hi - lo} for name, (lo, hi) in part_ranges.items()},
+        "parts": {name: {"range": [lo, hi]} for name, (lo, hi) in part_ranges.items()},
         "is_upper_bounds": counts,
         "certificates": certs,
         "parity_deficits": deficits,
-        "conformance": degree_conformance(graph, p, deficits),
         "witness": witness,
     }
     return graph, entries

@@ -72,9 +72,7 @@ def _cmd_realize(args) -> int:
         raise InputError("interval contains no vertices after flooring")
     graph, cert = realize(d)
     _write_graph_file(args.out, graph)
-    record = {"schema": SCHEMA, **cert.to_dict()}
-    del record["cliques"]
-    text = _jsonio.dumps(record)
+    text = _jsonio.dumps({"schema": SCHEMA, **cert.to_dict()})
     if args.cert:
         Path(args.cert).write_text(text)
     else:

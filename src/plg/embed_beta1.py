@@ -1,9 +1,8 @@
 """The beta = 1 pipeline: expander supply, walk-product amplification, embedding
 into an (alpha, 1)-PLG, and the layered independent-set estimator.
 
-All logarithms in this module are natural; reports record that explicitly
-because the quantities involved (k windows, alpha = log n_d) are sensitive to
-the base.
+All logarithms in this module are natural: the quantities involved (k
+windows, alpha = log n_d) are sensitive to the base.
 """
 
 from __future__ import annotations
@@ -513,36 +512,12 @@ def gap_ratio(a: float, b: float, eps2: float, k: int) -> GapRatio:
     return GapRatio(ratio, 16.0 / (b - a) ** 2)
 
 
-def amplification_feasibility(
-    b: float, eps2: float, n: int, d: int, k: int, eps: float
-) -> dict:
-    """Both sides of the feasibility inequalities, evaluated (not asserted):
-    (b+eps2)^(k-1) > (log(n*d^(k-1)))^(-1/eps) and its log-n restatement."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    lhs = (b + eps2) ** (k - 1)
-    rhs = math.log(n * d ** (k - 1)) ** (-1.0 / eps)
-    b_prime = 1.0 / (b + eps2)
-    alt_lhs = math.log(n) ** (1.0 / eps) * (
-        1 + (k - 1) * math.log(d) / math.log(n)
-    ) ** (1.0 / eps)
-    alt_rhs = b_prime ** (k - 1)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs > rhs,
-        "log_form_lhs": alt_lhs,
-        "log_form_rhs": alt_rhs,
-        "eps": eps,
-    }
-
-
 def beta1_leaves(params: Beta1Params, extras: dict) -> dict[str, dict]:
     """``sub1_leaves`` for beta = 1: the entries that ``params`` and the
-    run's is_g, n_base, d, k and spectrum (lambda, lambda_1, lambda_min) in
-    ``extras`` fix.  (n, d, k) past ``check_walk_caps`` are refused, as
-    ``walk_block`` refuses them, before any power d^(k-1) is taken."""
-    is_g, n, d, k, lam = (extras[key] for key in ("is_g", "n_base", "d", "k", "lambda"))
+    run's is_g, n_base, d, k, lambda_1 and lambda_min in ``extras`` fix.
+    (n, d, k) past ``check_walk_caps`` are refused, as ``walk_block``
+    refuses them, before any power d^(k-1) is taken."""
+    is_g, n, d, k = (extras[key] for key in ("is_g", "n_base", "d", "k"))
     check_walk_caps(n, d, k)
     layered = layered_is_bound(params)
     lo, hi = alon_interval(is_g, n, d, extras["lambda_1"], extras["lambda_min"], k)
@@ -554,24 +529,6 @@ def beta1_leaves(params: Beta1Params, extras: dict) -> dict[str, dict]:
             "layered_naive": float(layered.naive),
             "alon_lo": lo,
             "alon_hi": hi,
-        },
-        "extras": {
-            "log_base": "natural",
-            "k_window": choose_k(n, d).to_dict() if n >= 16 else None,
-            "delta_k_design": walk_degree_bound(d, k),
-            "gap_ratio": {
-                "bracket_lo": lo,
-                "bracket_hi": hi,
-                "bracket_ratio": hi / lo if lo > 0 else None,
-                "eps2_surrogate": lam,
-                "k": k,
-            },
-            # Feasibility inequality sides are reported, never asserted: they
-            # encode asymptotic viability and only bite at large n.  The
-            # instance's own independence ratio stands in for the class
-            # constant b; eps = 0.5.
-            "feasibility": amplification_feasibility(b=is_g / n, eps2=lam, n=n, d=d, k=k, eps=0.5),
-            "layered": layered.to_dict(),
         },
     }
 
@@ -610,8 +567,8 @@ def embed_beta1(
     pair doubling of D), slot assignment in [x*delta, delta], leftover slots
     realized as G1, the low interval [1, x*delta) realized as G2.
 
-    k defaults to 2 at desk scale; the asymptotic window is reported
-    alongside whenever the input is large enough to define it.
+    k defaults to 2 at desk scale; ``choose_k`` gives the asymptotic
+    window for inputs large enough to define it.
     """
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
@@ -647,6 +604,4 @@ def embed_beta1(
         witness_source_vertices=sorted(witness_source),
         witness_walk_count=dp_count,
     )
-    leaves = beta1_leaves(params, extras)
-    extras.update(leaves["extras"])
-    return graph, {"schema": SCHEMA, "kind": "beta1", **leaves, **assembled, "extras": extras}
+    return graph, {"schema": SCHEMA, "kind": "beta1", **beta1_leaves(params, extras), **assembled, "extras": extras}

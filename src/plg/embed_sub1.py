@@ -121,24 +121,10 @@ def residual_is_bound_sub1(params: Sub1Params) -> dict[str, float]:
 
 
 def sub1_leaves(params: Sub1Params) -> dict[str, dict]:
-    """Every report entry ``params`` fix: ``params``, ``bounds`` and the
-    derived ``extras``.  The embedder writes them and ``plg verify``
-    compares them with this function's output for the rebuilt record."""
-    split_index = guarded_ceil(math.sqrt(params.delta))
-    return {
-        "params": params.to_dict(),
-        "bounds": residual_is_bound_sub1(params),
-        "extras": {
-            "log_base": "natural",
-            "g1_split_index": split_index,
-            # The y-split lands above g3_cut for every beta < 1, so G1 is
-            # realized as a single piece; the split only shapes the closed
-            # forms.  The first-piece estimate uses the displayed result
-            # line, not the inline sum it abbreviates.
-            "g1_split_inside_g1": split_index < params.g3_cut,
-            "i_y1_form": "displayed-closed-form",
-        },
-    }
+    """Every report entry ``params`` fix: ``params`` and ``bounds``.  The
+    embedder writes them and ``plg verify`` compares them with this
+    function's output for the rebuilt record."""
+    return {"params": params.to_dict(), "bounds": residual_is_bound_sub1(params)}
 
 
 def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
@@ -181,6 +167,5 @@ def embed_sub1(g: MultiGraph, beta: float) -> tuple[MultiGraph, dict]:
         witness_source,
     )
 
-    leaves = sub1_leaves(params)
-    extras = {**leaves["extras"], **input_extras("sub1", witness_source_vertices=sorted(witness_source))}
-    return graph, {"schema": SCHEMA, "kind": "sub1", **leaves, **assembled, "extras": extras}
+    extras = input_extras("sub1", witness_source_vertices=sorted(witness_source))
+    return graph, {"schema": SCHEMA, "kind": "sub1", **sub1_leaves(params), **assembled, "extras": extras}

@@ -91,14 +91,12 @@ class CliqueCoverCertificate:
         return [range(s, s + k) for s, k in zip(self.starts.tolist(), self.sizes.tolist())]
 
     def to_dict(self) -> dict:
+        """The report's certificate entry: each clique as [start, stop) and
+        the deficit vertex, both as vertex ids."""
         starts, v = self.starts, self.parity_deficit_vertex
         return {
-            "clique_sizes": self.sizes.tolist(),
-            "p_values": starts.tolist(),
-            "parity_deficit": int(v is not None),
-            "parity_deficit_vertex": None if v is None else self.offset + v,
-            "is_upper_bound": self.size,
             "cliques": np.stack([starts, starts + self.sizes], axis=1).tolist(),
+            "parity_deficit_vertex": None if v is None else self.offset + v,
         }
 
 

@@ -2,11 +2,12 @@
 builds once, ``plg embed-*`` writes and ``plg verify`` reads.
 
 Its keys, ``KEYS``: ``schema``, ``kind`` ("sub1" or "beta1"), ``params``, ``parts``
-({name: {"range": [lo, hi], "size": hi - lo}}), ``is_upper_bounds``,
-``bounds``, ``witness``, ``conformance``, ``parity_deficits`` ([vertex,
-target] pairs), ``certificates`` (each ``CliqueCoverCertificate.to_dict``)
-and ``extras``.  The rules the embedders and the verifier share live here:
-each part's IS upper bound and the degree conformance entry.
+({name: {"range": [lo, hi]}}), ``is_upper_bounds``, ``bounds``,
+``witness``, ``parity_deficits`` ([vertex, target] pairs),
+``certificates`` (each ``CliqueCoverCertificate.to_dict``) and ``extras``
+(exactly the kind's ``INPUT_EXTRAS``).  The rules the embedders and the
+verifier share live here: each part's IS upper bound and the degree
+histogram's mismatched buckets.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from .errors import InternalError
 from .graph import MultiGraph
 from .model import PowerLawParams, _floored_counts, degree_counts
 
-SCHEMA = "plg-report/1"
-KEYS = ("schema", "kind", "params", "parts", "is_upper_bounds", "bounds", "witness", "conformance", "parity_deficits",
-        "certificates", "extras")
+SCHEMA = "plg-report/2"
+KEYS = ("schema", "kind", "params", "parts", "is_upper_bounds", "bounds", "witness", "parity_deficits", "certificates",
+        "extras")
 # Each kind's embedded block: the part its m pair cliques cover.
 BLOCKS = {"sub1": "Gprime", "beta1": "D"}
-# Each kind's input extras, in the order written: the run's own values,
-# which ``plg verify`` reads or rebuilds outside its ``bounds`` check (the
-# rebuild's inputs, the witness source and count, the walk product's claims
-# and the trusted ``is_g_optimal``).  Every other extra is derived.
+# Each kind's extras, in the order written: the run's own values, which
+# ``plg verify`` reads or rebuilds (the rebuild's inputs, the witness source
+# and count, the walk product's claims and the trusted ``is_g_optimal``).
 INPUT_EXTRAS = {
     "sub1": ("witness_source_vertices",),
     "beta1": ("n_d", "product_max_degree", "lambda", "lambda_1", "lambda_min", "lambda_bound", "expander_passes",
@@ -51,16 +51,15 @@ def upper_bounds(block: str, ranges: dict, clique_counts: dict[str, int]) -> dic
     }
 
 
-def degree_conformance(g: MultiGraph, p: PowerLawParams, deficits: list[list[int]]) -> dict:
-    """The report's conformance entry: does the histogram equal y_i for
-    every i, up to the declared deficits?
+def degree_conformance(g: MultiGraph, p: PowerLawParams, deficits: list[list[int]]) -> dict[int, list[int]]:
+    """The degree buckets where the histogram differs from y_i, up to the
+    declared deficits, as {degree: [expected, actual]}, ascending: empty
+    when the graph conforms.
 
     Each deficit (vertex, target) explains one vertex sitting at target-1;
-    conformance passes iff the histogram differences are exactly those
-    predicted by the deficit list.  The entry holds ``ok``, the
-    ``deficits`` as [vertex, target] lists and the ``mismatched_buckets``
-    as {str(degree): [expected, actual]}, ascending.  A target outside the
-    histogram's range leaves its buckets mismatched rather than failing.
+    the histogram conforms iff its differences from y_i are exactly those
+    the deficit list predicts.  A target outside the histogram's range
+    leaves its buckets mismatched rather than failing.
 
     Buckets 0..delta+1 are tabulated, and degrees and deficit buckets above
     them are counted sparsely.  Two bounds keep every array within the
@@ -105,8 +104,4 @@ def degree_conformance(g: MultiGraph, p: PowerLawParams, deficits: list[list[int
         actual = np.bincount(deg[~high], minlength=size)
     mism = {int(i): [int(expected[i]), int(actual[i])] for i in np.flatnonzero(expected != actual)}
     mism.update({b: ea for b, ea in outside.items() if ea[0] != ea[1] and (listed is None or b <= listed)})
-    return {
-        "ok": not mism,
-        "deficits": [list(d) for d in deficits],
-        "mismatched_buckets": {str(b): mism[b] for b in sorted(mism)},
-    }
+    return {b: mism[b] for b in sorted(mism)}

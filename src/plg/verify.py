@@ -2,9 +2,9 @@
 
 Every check recomputes from first principles: histogram against the
 distribution definition, clique covers against the assembled edges, witness
-independence and its mapping from the recorded source, every parameter,
-bound and derived extra from the defining fields, by the function the
-embedder wrote them with, and the embedded block.  Each recomputed entry is
+independence and its mapping from the recorded source, every parameter and
+bound from the defining fields, by the function the embedder wrote them
+with, and the embedded block.  Each recomputed entry is
 compared with the report's by one rule, ``_leaf_mismatch``.
 """
 
@@ -115,15 +115,14 @@ def _check_conformance(plg: MultiGraph, rep: dict) -> str:
         return "more than 2 deficits declared"
     if not all(len(d) == 2 and _all_ints(d) for d in deficits):
         return "deficits must be [vertex, degree] pairs"
-    result = degree_conformance(plg, p, deficits)
-    bad = result["mismatched_buckets"]
+    bad = degree_conformance(plg, p, deficits)
     if bad:
-        worst = min(bad, key=int)
+        worst = min(bad)
         return f"degree bucket {worst}: expected {bad[worst][0]}, found {bad[worst][1]}"
     for v, t in deficits:
         if not (0 <= v < plg.vertex_count and plg.degree(v) == t - 1):
             return f"deficit vertex {v} does not have degree {t - 1}"
-    return _leaf_mismatch(rep["conformance"], result, "conformance")
+    return ""
 
 
 @_check("parts")
@@ -136,7 +135,7 @@ def _check_parts(plg: MultiGraph, rep: dict) -> str:
         pos = hi
     if pos != plg.vertex_count:
         return f"parts cover {pos} vertices, graph has {plg.vertex_count}"
-    built = {name: {"range": [lo, hi], "size": hi - lo} for name, (lo, hi) in ranges.items()}
+    built = {name: {"range": [lo, hi]} for name, (lo, hi) in ranges.items()}
     return _leaf_mismatch(rep["parts"], built, "parts")
 
 
@@ -145,8 +144,9 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
     """Each certificate's cliques tile its part in order and are complete in
     the graph, the certificate is the dict of the ``CliqueCoverCertificate``
     its cliques define, and its deficit vertex, if any, lies in the part and
-    is declared in ``parity_deficits``.  ``is_upper_bounds`` then holds each
-    part's clique count, by ``report.upper_bounds``."""
+    is declared in ``parity_deficits``; each declared deficit is one
+    certificate's.  ``is_upper_bounds`` then holds each part's clique count,
+    by ``report.upper_bounds``."""
     ranges = {name: _ints(part["range"], f"{name}: range") for name, part in rep["parts"].items()}
     for name, cert in rep["certificates"].items():
         lo, hi = ranges[name]
@@ -195,6 +195,10 @@ def _check_certificates(plg: MultiGraph, rep: dict) -> str:
         if v is not None and not (lo <= v < hi and v in [d[0] for d in rep["parity_deficits"]]):
             return f"{name}: parity deficit vertex {v} is not a declared deficit in [{lo},{hi})"
     block, certs = BLOCKS[rep["kind"]], rep["certificates"]
+    named = {cert["parity_deficit_vertex"] for cert in certs.values()} - {None}
+    for v, _ in rep["parity_deficits"]:
+        if v not in named:
+            return f"parity deficit vertex {v} is no certificate's deficit vertex"
     for name, (lo, hi) in ranges.items():
         if name not in certs and name != block and hi != lo:
             return f"{name}: part of {hi - lo} vertices has no certificate"
@@ -292,15 +296,19 @@ def _check_witness(plg: MultiGraph, rep: dict, original: MultiGraph, block_sourc
 
 @_check("bounds")
 def _check_bounds(plg: MultiGraph, rep: dict) -> str:
-    """The params, the bounds and the derived extras are those that
-    ``sub1_leaves`` or ``beta1_leaves``, which the embedder wrote them with,
-    give for the record the params' defining fields rebuild (and, kind
-    "beta1", the extras' is_g, a plain int, n_base, d, k and spectrum), leaf
-    for leaf (``_leaf_mismatch``), and the extras hold no key outside these
-    and the kind's ``report.INPUT_EXTRAS``.  Every degree class 1..delta
-    holds a vertex, so a record whose delta exceeds the graph's vertex count
-    fails first."""
+    """The params and the bounds are those that ``sub1_leaves`` or
+    ``beta1_leaves``, which the embedder wrote them with, give for the
+    record the params' defining fields rebuild (and, kind "beta1", the
+    extras' is_g, n_base, d, k, lambda_1 and lambda_min), leaf for leaf
+    (``_leaf_mismatch``), and the extras hold no key outside the kind's
+    ``report.INPUT_EXTRAS``.  Kind "beta1" also needs n_base, d, k, seed and
+    is_g to be plain ints and is_g_optimal a bool.  Every degree class
+    1..delta holds a vertex, so a record whose delta exceeds the graph's
+    vertex count fails first."""
     params, extras = rep["params"], rep["extras"]
+    unknown = sorted(extras.keys() - set(INPUT_EXTRAS[rep["kind"]]))
+    if unknown:
+        return f"extras: {unknown[0]} is not a recomputed entry"
     record = (Sub1Params if rep["kind"] == "sub1" else Beta1Params).from_dict(params)
     # The params first: the bounds of a forged record can take seconds of
     # exact sums.
@@ -309,14 +317,15 @@ def _check_bounds(plg: MultiGraph, rep: dict) -> str:
         return mismatch
     if record.delta > plg.vertex_count:
         return f"params: delta {record.delta} exceeds the graph's {plg.vertex_count} vertices"
-    if rep["kind"] == "beta1":
-        _ints([extras["is_g"]], "is_g")
-    want = sub1_leaves(record) if rep["kind"] == "sub1" else beta1_leaves(record, extras)
-    unknown = sorted(extras.keys() - want["extras"].keys() - set(INPUT_EXTRAS[rep["kind"]]))
-    if unknown:
-        return f"extras: {unknown[0]} is not a recomputed entry"
-    got = {"bounds": rep["bounds"], "extras": {key: extras[key] for key in want["extras"]}}
-    return next(filter(None, (_leaf_mismatch(val, want[name], name) for name, val in got.items())), "")
+    if rep["kind"] == "sub1":
+        want = sub1_leaves(record)
+    else:
+        for key in ("n_base", "d", "k", "seed", "is_g"):
+            _ints([extras[key]], key)
+        if type(extras["is_g_optimal"]) is not bool:
+            return "is_g_optimal must be a bool"
+        want = beta1_leaves(record, extras)
+    return _leaf_mismatch(rep["bounds"], want["bounds"], "bounds")
 
 
 def verify_embedding(plg: MultiGraph, report: dict, original: MultiGraph) -> dict:

@@ -16,7 +16,6 @@ from plg import (
     PowerLawParams,
     ResourceLimitError,
     alon_interval,
-    amplification_feasibility,
     choose_k,
     choose_params_beta1,
     clique_cover,
@@ -540,13 +539,6 @@ def test_gap_ratio_validation():
         gap_ratio(0.2, 0.6, 0.7, 2)  # b - eps2 <= 0
 
 
-def test_amplification_feasibility_fields():
-    rec = amplification_feasibility(0.6, 0.05, 1000, 8, 3, 0.5)
-    assert rec["lhs"] == pytest.approx(0.65**2)
-    assert rec["rhs"] == pytest.approx(math.log(1000 * 64) ** -2.0)
-    assert rec["holds"] == (rec["lhs"] > rec["rhs"])
-
-
 # -- heuristic ------------------------------------------------------------------
 
 
@@ -574,12 +566,44 @@ def test_heuristic_on_realized_plg():
     assert len(got) >= math.floor(math.exp(3)) // 2  # >= 10
 
 
+def _sparse(n: int) -> MultiGraph:
+    """The n-cycle plus chords drawn by ``random.Random(n)``: 2n edges."""
+    rng = random.Random(n)
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return MultiGraph(n, sorted(edges))
+
+
+_LEMMA_INPUTS = {
+    "c5": MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "sparse12": _sparse(12),
+    "sparse16": _sparse(16),
+}
+
+
+@pytest.mark.parametrize("name, k", [("c5", 1), ("c5", 2), ("sparse12", 2), ("sparse16", 2)])
+def test_degree_one_lemma_on_beta1_outputs(name, k):
+    # Every multigraph with y_1 degree-1 vertices has an independent set of
+    # at least y_1 / 2 of them (``degree_one_heuristic``), and a beta = 1
+    # output's class 1 holds y_1 = floor(e^alpha) = delta vertices, so its
+    # alpha is at least delta / 2.  The 35-vertex C5 output at k = 1 is
+    # solved exactly.
+    graph = _LEMMA_INPUTS[name]
+    g, rep = embed_beta1(graph, d=4, seed=3, k_override=k)
+    got = degree_one_heuristic(g)
+    assert is_independent(g, got)
+    assert 2 * len(got) >= rep["params"]["delta"]
+    if g.vertex_count <= 40:
+        res = exact_mis(g)
+        assert res.optimal and len(got) <= res.size and 2 * res.size >= rep["params"]["delta"]
+
+
 # -- the embedding ----------------------------------------------------------------
 
 
 def test_embed_beta1_c5(c5):
     g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
-    assert rep["conformance"]["ok"]
     assert len(rep["parity_deficits"]) <= 2
     assert rep["extras"]["n_d"] == 20
     # exact independence number of the product sits in the spectral bracket
@@ -596,14 +620,14 @@ def test_embed_beta1_isolated():
     e5 = MultiGraph(5)
     g, rep = embed_beta1(e5, d=4, seed=3, k_override=2)
     assert len(rep["witness"]) == 20  # product is edgeless
-    assert rep["conformance"]["ok"]
+    assert verify_embedding(g, rep, e5)["ok"]
 
 
 def test_embed_beta1_complete():
     k5 = MultiGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     g, rep = embed_beta1(k5, d=4, seed=3, k_override=2)
     assert rep["witness"] == []  # no walk stays inside a single vertex
-    assert rep["conformance"]["ok"]
+    assert verify_embedding(g, rep, k5)["ok"]
 
 
 def test_embed_beta1_deterministic(c5):
@@ -619,7 +643,6 @@ def test_embed_beta1_k3_dense_product():
     g0 = MultiGraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
     g, rep = embed_beta1(g0, d=4, seed=2, k_override=3)
     assert rep["extras"]["n_d"] == 9 * 16
-    assert rep["conformance"]["ok"]
     assert verify_embedding(g, rep, g0)["ok"]
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from plg import (
     InputError,
+    InternalError,
     MultiGraph,
     PowerLawParams,
     choose_params_sub1,
+    degree_conformance,
     double_graph,
     embed_sub1,
     interval_size_exact,
@@ -147,11 +149,21 @@ def test_embed_empty3_witness():
 
 def test_embed_c5_conformance_and_bounds(c5):
     g, rep = embed_sub1(c5, 0.5)
-    assert rep["conformance"]["ok"]
+    assert degree_conformance(g, PowerLawParams(rep["params"]["alpha"], 0.5), rep["parity_deficits"]) == {}
     assert len(rep["parity_deficits"]) <= 2
     sd = math.sqrt(rep["params"]["delta"])
     assert rep["is_upper_bounds"]["G1"] <= 4 * sd
     assert rep["is_upper_bounds"]["G2"] <= rep["bounds"]["g3_bound"] + 2
+
+
+def test_embed_refuses_a_nonconforming_output(c5, monkeypatch):
+    # The report holds no conformance entry: assembly raises rather than
+    # return an output whose degree histogram does not conform.
+    import plg._assembly
+
+    monkeypatch.setattr(plg._assembly, "degree_conformance", lambda *args: {3: [1, 0]})
+    with pytest.raises(InternalError, match="does not conform"):
+        embed_sub1(c5, 0.5)
 
 
 def test_embed_pair_degrees_equal(c5):
@@ -181,7 +193,7 @@ def test_embed_part_sizes_sum_to_n_exact(c5):
         g, rep = embed_sub1(c5, beta)
         p = PowerLawParams(rep["params"]["alpha"], beta)
         assert g.vertex_count == interval_size_exact(p, 1, p.delta)
-        assert sum(part["size"] for part in rep["parts"].values()) == g.vertex_count
+        assert sum(hi - lo for lo, hi in (part["range"] for part in rep["parts"].values())) == g.vertex_count
 
 
 def test_embed_no_loops_or_foreign_fill_on_embedded(c5):

@@ -24,7 +24,7 @@ _SUB1_INPUT = _cycle_with_chords(7, [(0, 3), (2, 5)])
 _BETA1_INPUT = _cycle_with_chords(12, [(0, 6), (1, 4), (3, 9), (5, 11), (7, 10)])
 
 # Every call verifies clean, so all share one verify stdout.
-_VERIFY_OK = "9e350530833392a742b9e934eb779cfb81cab4ecbd5ee0bcfd3d735dac88c480"
+_VERIFY_OK = "c59f7d4a07853f2d9c4ee70bcce49f87e8ac5eb395be6f87a06407ed8fc63499"
 
 # (embed argv, input text) -> sha256 of (graph file, report file, verify stdout)
 GOLDEN = {
@@ -33,7 +33,7 @@ GOLDEN = {
         _SUB1_INPUT,
         (
             "e1a9ab916252e42b73ea6d6cd95ac9fe88449d0e226cf644b24568ab0ab543bc",
-            "8fe59a9fcf41a5b05649c58db3d4bb0b91bfee5a77cec1ac8ff292dea47acbf2",
+            "d484cd134809526339d17078c6c475c42ee3af0d6bb404f44198ea6575ceac7a",
             _VERIFY_OK,
         ),
     ),
@@ -42,7 +42,7 @@ GOLDEN = {
         _SUB1_INPUT,
         (
             "bb8e50784a45466cde5725c58f53d1428f6ec6a2408878a935ed0c5f309eb962",
-            "9e0fb3950fd7d5969e09170fb87066fa4542234f853fb63f8a3fbaf2b7c3cb72",
+            "1684bfb9fb87fa36471abfe5ad775303378f3dead2a7ad16e2d048fd63aa6a84",
             _VERIFY_OK,
         ),
     ),
@@ -51,7 +51,7 @@ GOLDEN = {
         _SUB1_INPUT,
         (
             "2d5b71c6cee06a34b89235d824e0ebeb1c5d0ceb1db3153022510b65bfa45df6",
-            "88ac168bc420918dc8a12049a373902da31f5eb6503f101fd107730b8171765e",
+            "1e200def50437224e29c2d414b5787e05f312d2361a79f5442bbe09ffe4fbaef",
             _VERIFY_OK,
         ),
     ),
@@ -60,7 +60,7 @@ GOLDEN = {
         _BETA1_INPUT,
         (
             "8e25f9e9f002df15dfa9e7cb00b8fe144919f98338378d58a05e7c04b79ef47b",
-            "7e664668472f44c6f6f4de110bbd4d74078a00a540159d5afd236ed7ba1618af",
+            "46cd72b438b1d2d451f505724004bb9f66cd127d4317039d0ac9cba898a8f39a",
             _VERIFY_OK,
         ),
     ),
@@ -69,7 +69,7 @@ GOLDEN = {
         _BETA1_INPUT,
         (
             "9b639c6e7ef3433ca868cd49b49638de8074d4a2f049877b6441b417a5b46ae4",
-            "fa677bf40bff1dccffcc074212da5a290213c0dd017c0ddba27aeed7a31febfd",
+            "957858d6a2cc04553bb423e934ed829ccfb04a41075edefbd36c15dc3a75d513",
             _VERIFY_OK,
         ),
     ),
@@ -80,7 +80,7 @@ GOLDEN = {
             "758ebd7419b0a00335b413ab0ee830fc05e03509324c283c4290aba8223df907",
             # alon_lo is 0: its base r + lambda_min*(1 - r) is negative, so it
             # is clamped at 0 before the even power k - 1 = 2.
-            "0c0f2c1e79babf67708a8f50d9a9d02edf8b83eb6ad06be0527a5b4f052af0a1",
+            "dc12026e8a74b8d78b790fa9ec8574bc2825d93cb8d8387793a96dac677f0366",
             _VERIFY_OK,
         ),
     ),
@@ -116,11 +116,11 @@ def _last_clique_edge(rep: dict) -> tuple[int, int]:
 GOLDEN_TAMPERED = {
     "sub1-0.5-clique-edge": (
         ["embed-sub1", "--beta", "0.5"], _SUB1_INPUT, _last_clique_edge,
-        "6a6ce1e46bef83946e4ea422184b24ed8500106bb3708172543097a6b6c5622e",
+        "ebd8f260573d3e1c143138ed7b6d323eae1892746ff81c885707ed2975a3f1de",
     ),
     "beta1-k2-pair-edge": (
         ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"], _BETA1_INPUT, lambda rep: (0, 1),
-        "ee636aae6d200f15229bcda5e7344a28ab78812cf671601b9bac3733b6e6be8a",
+        "7f1fad32ea42ae89c85470f0fcafe932dc7a7762a9ca11e517708b8547941659",
     ),
 }
 
@@ -148,14 +148,14 @@ GOLDEN_REALIZE = {
         ["--alpha", "5.67", "--beta", "1", "--from", "14", "--to", "29"],
         (
             "9968ec6e9e8f41dfd66ed1829c34f6435ce59d771baf83e8c8db5c7a196d17bf",
-            "f70fbd274808faf76579aff52c644aebfe9c9393da8f3895a90b4a9a44345467",
+            "aa4690e86b82e1b13c8fd85fb41d9ce90328a358e13c77413610ed7d383168d4",
         ),
     ),
     "alpha8-1-2980": (
         ["--alpha", "8", "--beta", "1", "--from", "1", "--to", "2980"],
         (
             "c5843adca9f5c78bf5fe6aa0d07b3a5582246b649ad9f68bcc570fdc66a0e6dc",
-            "584420a3276306b9073982837ec59d26ed52683cbe98b46e84ca9efd6cf69cef",
+            "77d50e8382e9b4f073073465ee3c4307d1be3c9f435c147920f16c604e32e545",
         ),
     ),
 }
@@ -175,15 +175,15 @@ def test_golden_realize(tmp_path, name):
 GOLDEN_STDOUT = {
     "dist-interval": (
         ["dist", "--alpha", "12", "--beta", "1", "--interval", "0.1", "0.5"],
-        "c71872cceadb34bc85ab5bac50acff4ed0787df0086682264ee44a1a2d468bc6",
+        "261b7cfe93a3e407d5eed43eaa2a88aa22945750570f4030f21a6c81df0f784b",
     ),
     "dist-counts": (
         ["dist", "--alpha", "6", "--beta", "0.7"],
-        "a55bddd2a6526fd54b83d4c57b47579f166757d603d00c3e90578afdbd45eb5c",
+        "3e935840071d93dbf5082853d9bee777fbdb46287dc6db10498b702ea6e2a884",
     ),
     "expander": (
         ["expander", "--n", "20", "--d", "4", "--seed", "7"],
-        "3b3ce398ddf99a9f35b4c2635268a6d789ec9b78d327846a9e3faf15078d151b",
+        "2e5a79e19dfbc1f71a88cf83aba05dd4c055a5b54c25f29bfeab667cd8f45829",
     ),
 }
 
@@ -201,5 +201,5 @@ def test_golden_walkprod(tmp_path, capsys):
     assert main(["walkprod", "--in", str(src), "--d", "4", "--k", "2", "--seed", "1", "--out", str(out)]) == 0
     assert (_sha(out.read_bytes()), _sha(capsys.readouterr().out.encode())) == (
         "8adcfbfe46cf7c070e0b728aee364bebfb4dd0c49e9e7af0a5d6838b8e86f3ea",
-        "5d201a6a277f38786ab8da358f8ada8d1d7ca3613f260d73a070db4db6897ef6",
+        "7318d7bbf37fb4b54e58c068e8dc5115dc1575a4206d84e6b7600bc184561d09",
     )

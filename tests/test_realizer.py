@@ -167,16 +167,12 @@ def test_realize_input_validation():
 
 def test_certificate_json_shape():
     _, cert = realize([1, 1, 2, 2, 2])
-    d = cert.to_dict()
-    assert d["clique_sizes"] == [2, 3]
-    assert d["p_values"] == [0, 2]
-    assert d["is_upper_bound"] == 2
-    assert d["cliques"] == [[0, 2], [2, 5]]
+    assert cert.to_dict() == {"cliques": [[0, 2], [2, 5]], "parity_deficit_vertex": None}
     cert.offset = 10
     assert cert.to_dict()["cliques"] == [[10, 12], [12, 15]]
     _, odd = realize([1, 2, 2, 2, 2])
     odd.offset = 10
-    assert (odd.to_dict()["parity_deficit"], odd.to_dict()["parity_deficit_vertex"]) == (1, 10 + odd.parity_deficit_vertex)
+    assert odd.to_dict()["parity_deficit_vertex"] == 10 + odd.parity_deficit_vertex
 
 
 def test_realize_cap_raises_before_allocating():

@@ -170,7 +170,7 @@ def test_cli_dist(capsys):
     assert rec["delta"] == 7
     assert rec["n_exact"] == 16
     assert rec["counts"] == [7, 3, 2, 1, 1, 1, 1]
-    assert rec["schema"] == "plg-report/1"
+    assert rec["schema"] == "plg-report/2"
 
 
 def test_cli_dist_interval(capsys):
@@ -207,9 +207,12 @@ def test_cli_realize_roundtrip(tmp_path, capsys):
          "--out", str(out)]
     ) == 0
     cert = json.loads(capsys.readouterr().out)
-    assert cert["is_upper_bound"] == len(cert["clique_sizes"])
+    assert sorted(cert) == ["cliques", "parity_deficit_vertex", "schema"]
     g = read_graph(out.read_text())
     assert g.vertex_count == 16
+    cliques = cert["cliques"]
+    assert [start for start, _ in cliques] == [0] + [stop for _, stop in cliques[:-1]] and cliques[-1][1] == 16
+    assert all(g.multiplicity(u, v) for s, t in cliques for u in range(s, t) for v in range(u + 1, t))
     assert write_graph(read_graph(write_graph(g))) == write_graph(g)
 
 
@@ -498,26 +501,20 @@ def reference_check_certificates(plg, rep):
             pos = stop
         if covered != hi - lo:
             return f"{name}: cliques cover {covered} of {hi - lo} vertices"
-        if len(cert["cliques"]) != cert["is_upper_bound"]:
+    for name, cert in rep["certificates"].items():
+        if rep["is_upper_bounds"][name] != len(cert["cliques"]):
             count = len(cert["cliques"])
-            return f"certificates/{name}/is_upper_bound: report {cert['is_upper_bound']}, recomputed {count}"
+            return f"is_upper_bounds/{name}: report {rep['is_upper_bounds'][name]}, recomputed {count}"
     return ""
 
 
 def _one_part(n, cliques):
     """A report of one part [0, n) whose certificate is the cover its cliques define."""
-    cert = {
-        "cliques": cliques,
-        "clique_sizes": [stop - start for start, stop in cliques],
-        "p_values": [start for start, _ in cliques],
-        "parity_deficit": 0,
-        "parity_deficit_vertex": None,
-        "is_upper_bound": len(cliques),
-    }
     return {
         "kind": "sub1",
         "parts": {"P": {"range": [0, n]}},
-        "certificates": {"P": cert},
+        "certificates": {"P": {"cliques": cliques, "parity_deficit_vertex": None}},
+        "parity_deficits": [],
         "is_upper_bounds": {"P": len(cliques)},
     }
 
@@ -558,7 +555,7 @@ def test_certificate_check_matches_pairwise_reference(petersen):
             cliques = doc["certificates"][rng.choice(sorted(doc["certificates"]))]["cliques"]
             cliques[rng.randrange(len(cliques))][rng.randint(0, 1)] += rng.choice([-1, 1])
         if trial % 5 == 2:
-            doc["certificates"]["G1"]["is_upper_bound"] += 1
+            doc["is_upper_bounds"]["G1"] += 1
         tampered = MultiGraph(g.vertex_count, edges, g.labels)
         got = _check_certificates(tampered, doc)
         assert got["detail"] == reference_check_certificates(tampered, doc)
@@ -885,9 +882,8 @@ def test_cli_verify_fails_on_odd_copy_two_swap(tmp_path, capsys, embed, old, new
 
 def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
     # lambda_1 = 0.1 and lambda_min = -0.1 with alon_lo and alon_hi
-    # rewritten to match: the expander regenerated from the report's seed
-    # does not have that spectrum, and the gap ratio's bracket, which reads
-    # it too, was left as it was.
+    # rewritten to match, so the bounds pass: the expander regenerated from
+    # the report's seed does not have that spectrum.
     src, out, rep = tmp_path / "g.plg", tmp_path / "e.plg", tmp_path / "e.json"
     src.write_text(write_graph(_C40))
     argv = ["embed-beta1", "--d", "4", "--seed", "3", "--in", str(src), "--out", str(out), "--report", str(rep)]
@@ -901,9 +897,8 @@ def test_cli_verify_fails_on_forged_spectrum(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
     rec = json.loads(capsys.readouterr().out)
-    assert failing(rec["checks"]) == ["bounds", "embedded"]
+    assert failing(rec["checks"]) == ["embedded"]
     detail = {c["check"]: c["detail"] for c in rec["checks"]}
-    assert detail["bounds"].startswith("extras/gap_ratio/bracket_lo: report ")
     assert detail["embedded"].startswith("extras/lambda_1: report 0.1, recomputed ")
 
 
@@ -1056,7 +1051,6 @@ def _empty_base(doc):
 def _move_deficit(doc):
     doc["certificates"]["G1"]["parity_deficit_vertex"] = 56
     doc["parity_deficits"][1][0] = 56
-    doc["conformance"]["deficits"][1][0] = 56
 
 
 @pytest.mark.parametrize(
@@ -1067,7 +1061,7 @@ def _move_deficit(doc):
             id="del-g3_cut",
         ),
         pytest.param(
-            "beta1", _delete("extras", "seed"), ["witness", "embedded"], "report lacks key 'seed'",
+            "beta1", _delete("extras", "seed"), ["witness", "bounds", "embedded"], "report lacks key 'seed'",
             id="del-seed",
         ),
         pytest.param(
@@ -1128,7 +1122,7 @@ def _move_deficit(doc):
             id="d-float",
         ),
         pytest.param(
-            "beta1", _set("extras", "seed", 1.5), ["witness", "embedded"],
+            "beta1", _set("extras", "seed", 1.5), ["witness", "bounds", "embedded"],
             "walk product: seed must be a non-negative integer, got 1.5",
             id="seed-float",
         ),
@@ -1191,8 +1185,8 @@ def _move_deficit(doc):
             "extras/expander_passes: report 1.0, recomputed True", id="expander-passes-float",
         ),
         pytest.param(
-            "beta1", _set("extras", "feasibility", "holds", 0), ["bounds"],
-            "extras/feasibility/holds: report 0, recomputed True", id="feasibility-holds-int",
+            "beta1", _set("extras", "is_g_optimal", 0), ["bounds"], "is_g_optimal must be a bool",
+            id="is-g-optimal-int",
         ),
         pytest.param(
             "sub1", _set("extras", "foo", 1), ["bounds"], "extras: foo is not a recomputed entry",
@@ -1354,19 +1348,21 @@ def _floated(*path):
 def _add_empty_part(doc):
     # An empty part at the end of the vertex range, claiming one clique.
     n = max(part["range"][1] for part in doc["parts"].values())
-    doc["parts"]["G3"] = {"range": [n, n], "size": 0}
+    doc["parts"]["G3"] = {"range": [n, n]}
     doc["is_upper_bounds"]["G3"] = 1.0
 
 
 @pytest.fixture(scope="module")
 def c5_embeddings(tmp_path_factory):
-    """(input, output graph, report) paths of embed-sub1 at beta 0.5 and of
-    embed-beta1 at d = 4, seed 3, k = 2, on C5."""
+    """(input, output graph, report) paths of embed-sub1 at beta 0.5, of
+    embed-beta1 at d = 4, seed 3, k = 2 and of embed-beta1 at d = 4, seed 1,
+    k = 1, on C5."""
     root = tmp_path_factory.mktemp("c5")
     write_c5(root / "c5.plg")
     argv = {
         "sub1": ["embed-sub1", "--beta", "0.5"],
         "beta1": ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"],
+        "beta1-k1": ["embed-beta1", "--d", "4", "--seed", "1", "--k", "1"],
     }
     paths = {}
     for kind, embed in argv.items():
@@ -1379,10 +1375,22 @@ def c5_embeddings(tmp_path_factory):
 @pytest.mark.parametrize(
     "kind, forge, failed",
     [
-        pytest.param("sub1", _bump("certificates", "G1", "clique_sizes", 0), ["certificates"], id="clique_sizes"),
-        pytest.param("sub1", _bump("certificates", "G2", "p_values", 1), ["certificates"], id="p_values"),
-        pytest.param("sub1", _bump("certificates", "G1", "is_upper_bound"), ["certificates"], id="is_upper_bound"),
-        pytest.param("sub1", _bump("certificates", "G1", "parity_deficit"), ["certificates"], id="parity_deficit"),
+        # Each field schema 2 dropped, written back with the value schema 1
+        # gave it on this report, fails the check of the entry that holds it.
+        pytest.param(
+            "sub1", _set("certificates", "G1", "clique_sizes", [2, 2, 2, 3, 3, 1]), ["certificates"], id="clique_sizes"
+        ),
+        pytest.param("sub1", _set("certificates", "G2", "p_values", [10, 15, 22, 32]), ["certificates"], id="p_values"),
+        pytest.param("sub1", _set("certificates", "G1", "is_upper_bound", 6), ["certificates"], id="is_upper_bound"),
+        pytest.param("sub1", _set("certificates", "G1", "parity_deficit", 1), ["certificates"], id="parity_deficit"),
+        pytest.param("sub1", _set("parts", "G1", "size", 13), ["parts"], id="part-size"),
+        pytest.param(
+            "sub1",
+            _set("conformance", {"ok": True, "deficits": [[44, 40], [57, 3]], "mismatched_buckets": {}}),
+            ["schema"],
+            id="conformance",
+        ),
+        pytest.param("sub1", _set("extras", "log_base", "natural"), ["bounds"], id="log_base"),
         pytest.param(
             "sub1", _set("certificates", "G1", "parity_deficit_vertex", None), ["certificates"], id="deficit-vertex-null"
         ),
@@ -1399,15 +1407,17 @@ def c5_embeddings(tmp_path_factory):
         pytest.param("sub1", _bump("is_upper_bounds", "G1"), ["certificates"], id="is_upper_bounds-part"),
         pytest.param("beta1", _bump("is_upper_bounds", "D"), ["certificates"], id="is_upper_bounds-block"),
         pytest.param("sub1", _add_empty_part, ["certificates"], id="is_upper_bounds-empty-part"),
-        pytest.param("sub1", _bump("parts", "G1", "size"), ["parts"], id="part-size"),
-        pytest.param("sub1", _set("conformance", "ok", False), ["conformance"], id="conformance-ok"),
-        pytest.param("sub1", _bump("conformance", "deficits", 0, 1), ["conformance"], id="conformance-deficits"),
         pytest.param("beta1", _set("kind", "beta1x"), ["schema"], id="kind"),
         # An integer leaf is a plain int: an equal float fails.
         pytest.param("beta1", _floated("extras", "witness_walk_count"), ["witness"], id="walk-count-float"),
         pytest.param("beta1", _floated("extras", "n_d"), ["embedded"], id="n-d-float"),
         pytest.param("beta1", _floated("extras", "product_max_degree"), ["embedded"], id="max-degree-float"),
         pytest.param("beta1", _floated("extras", "is_g"), ["bounds"], id="is-g-float"),
+        # A bool in place of an integer, or an int in place of a bool: the
+        # walk product rebuilt from seed True or k True is that of 1.
+        pytest.param("beta1-k1", _set("extras", "seed", True), ["bounds"], id="seed-bool"),
+        pytest.param("beta1-k1", _set("extras", "k", True), ["bounds"], id="k-bool"),
+        pytest.param("beta1-k1", _set("extras", "is_g_optimal", 1), ["bounds"], id="is-g-optimal-int"),
     ],
 )
 def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, forge, failed):
@@ -1423,14 +1433,15 @@ def test_cli_verify_fails_forged_claim(c5_embeddings, tmp_path, capsys, kind, fo
 
 @pytest.mark.parametrize("kind", ["sub1", "beta1"])
 def test_report_extras_are_the_input_table_and_the_derived_leaves(c5_embeddings, kind):
-    # The embedders write exactly their kind's INPUT_EXTRAS besides the
-    # derived extras, so verify's list of allowed keys is the one they use.
+    # The embedders write exactly their kind's INPUT_EXTRAS, and the leaves
+    # derived from the params are the params and the bounds alone, so
+    # verify's list of allowed extras is the one the embedders use.
     _, _, rep = c5_embeddings[kind]
-    extras = json.loads(rep.read_text())["extras"]
-    record = Sub1Params if kind == "sub1" else Beta1Params
-    params = record.from_dict(json.loads(rep.read_text())["params"])
-    derived = (sub1_leaves(params) if kind == "sub1" else beta1_leaves(params, extras))["extras"]
-    assert extras.keys() == derived.keys() | set(INPUT_EXTRAS[kind])
+    doc = json.loads(rep.read_text())
+    assert doc["extras"].keys() == set(INPUT_EXTRAS[kind])
+    params = (Sub1Params if kind == "sub1" else Beta1Params).from_dict(doc["params"])
+    derived = sub1_leaves(params) if kind == "sub1" else beta1_leaves(params, doc["extras"])
+    assert derived == {"params": doc["params"], "bounds": doc["bounds"]}
     with pytest.raises(InternalError, match="sub1 input extras"):
         input_extras("sub1", witness_source_vertices=[0], foo=1)
     with pytest.raises(InternalError, match="beta1 input extras"):
@@ -1445,10 +1456,24 @@ def test_cli_verify_fails_unknown_report_key(c5_embeddings, tmp_path, capsys, ki
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
     assert json.loads(capsys.readouterr().out) == {
-        "schema": "plg-report/1",
+        "schema": "plg-report/2",
         "ok": False,
         "checks": [{"check": "schema", "ok": False, "detail": "foo is not a report entry"}],
     }
+
+
+def test_cli_verify_fails_schema_1_report(c5_embeddings, tmp_path, capsys):
+    # A report in the schema before this one is not read: it fails with one
+    # schema check, whatever else it holds.
+    src, out, rep = c5_embeddings["sub1"]
+    doc = json.loads(rep.read_text())
+    doc["schema"] = "plg-report/1"
+    doc["conformance"] = {"ok": True, "deficits": doc["parity_deficits"], "mismatched_buckets": {}}
+    forged = tmp_path / "v1.json"
+    forged.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plg", str(out), "--report", str(forged), "--in", str(src)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [{"check": "schema", "ok": False, "detail": "unknown schema"}]
 
 
 @pytest.mark.parametrize("n_d", [1e14, 3e14])
@@ -1501,7 +1526,8 @@ def _perturbed(value):
     return [0] if isinstance(value, list) else {"0": 0}
 
 
-# Report leaves that verify still trusts, as path prefixes, with the reason.
+# Report leaves whose value verify still trusts, as path prefixes, with the
+# reason.  Their type is checked: a forgery of type alone fails.
 _TRUSTED = {
     "sub1": {},
     "beta1": {
@@ -1513,9 +1539,10 @@ _TRUSTED = {
 @pytest.mark.parametrize("kind", ["sub1", "beta1"])
 def test_verify_fails_every_forged_leaf(kind):
     # The golden beta = 0.5 and k = 2 reports: a change to any one leaf
-    # outside the trusted list fails a check, and the trusted ones pass.
-    # Each leaf is changed in value (``_perturbed``), and each bool and each
-    # int 0 or 1 also in type alone: a bool becomes its int, the int its bool.
+    # outside the trusted list fails a check, and a trusted one changed in
+    # value alone passes.  Each leaf is changed in value (``_perturbed``), and
+    # each bool and each int 0 or 1 also in type alone: a bool becomes its
+    # int, the int its bool.
     from plg import _jsonio, embed_beta1
 
     if kind == "sub1":
@@ -1526,17 +1553,17 @@ def test_verify_fails_every_forged_leaf(kind):
         g, rep = embed_beta1(src, 4, 3, 2)
     base = json.loads(_jsonio.dumps(rep))
     assert verify_embedding(g, base, src)["ok"]
-    forgeries = [(path, _perturbed(value)) for path, value in _leaves(base)]
+    forgeries = [(path, value, _perturbed(value)) for path, value in _leaves(base)]
     forgeries += [
-        (path, int(value) if type(value) is bool else bool(value))
+        (path, value, int(value) if type(value) is bool else bool(value))
         for path, value in _leaves(base)
         if type(value) in (bool, int) and value in (0, 1)
     ]
     passed, trusted, used = [], [], set()
-    for path, forged in forgeries:
+    for path, value, forged in forgeries:
         name = "/".join(map(str, path))
         prefix = next((p for p in _TRUSTED[kind] if name == p or name.startswith(p + "/")), None)
-        if prefix is not None:
+        if prefix is not None and type(forged) is type(value):
             trusted.append(name)
             used.add(prefix)
         doc = copy.deepcopy(base)
@@ -1548,21 +1575,3 @@ def test_verify_fails_every_forged_leaf(kind):
             passed.append(name)
     assert passed == trusted
     assert used == set(_TRUSTED[kind])  # no entry outlives its leaf
-
-
-def test_verify_fails_every_forged_k_window_leaf():
-    # The golden beta = 1 input has fewer than the 16 vertices that define
-    # the walk-length window, so its report's k_window is null; here each
-    # leaf of a defined window is forged in turn.
-    from plg import embed_beta1
-
-    g, rep = embed_beta1(_C40, 4, 3, 2)
-    window = rep["extras"]["k_window"]
-    assert sorted(window) == ["delta_k", "k", "k_l", "k_u", "window_empty"]
-    assert verify_embedding(g, rep, _C40)["ok"]
-    for key, value in window.items():
-        doc = copy.deepcopy(rep)
-        doc["extras"]["k_window"][key] = _perturbed(value)
-        res = verify_embedding(g, doc, _C40)
-        assert failing(res["checks"]) == ["bounds"], key
-        assert next(c["detail"] for c in res["checks"] if c["check"] == "bounds").startswith(f"extras/k_window/{key}: ")
