@@ -180,7 +180,6 @@ def assemble(
     part_ranges = {block: (0, n_embed)}
     certs: dict[str, dict] = {}
     deficits: list[list[int]] = []  # [vertex, target] pairs
-    labels = dict.fromkeys(range(n_embed), "embedded")
     recv_position = np.zeros(0, dtype=np.int64)
     blocks = []
     for i, (name, fill) in enumerate(zip(names, fills)):
@@ -204,7 +203,6 @@ def assemble(
                 # restores it, so the deficit is against the original class.
                 intended += int(recv_units[srt[local]])
             deficits.append([offset + local, intended])
-        labels.update(dict.fromkeys(range(offset, offset + len(fill)), f"residual-{name}"))
         offset += len(fill)
 
     # The head holds every edge with an endpoint in [0, n_embed): the doubled
@@ -224,7 +222,7 @@ def assemble(
     out[:, : stops[0]] = head
     for cols, start, stop in zip(blocks, stops, stops[1:]):
         cols.write(EdgeArrays(*out[:, start:stop]))
-    graph = MultiGraph(offset, EdgeArrays(*out), labels)
+    graph = MultiGraph(offset, EdgeArrays(*out))
 
     witness = map_witness(walks, witness_source).tolist()
     if not is_independent(graph, witness):

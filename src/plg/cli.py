@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e2 = sub.add_parser("embed-beta1", help="embed a walk product into a PLG, beta = 1")
     e2.add_argument("--in", dest="infile", required=True)
     e2.add_argument("--d", type=int, required=True)
-    e2.add_argument("--k", type=int, default=None)
+    e2.add_argument("--k", type=int, default=2)
     e2.add_argument("--seed", type=int, required=True)
     e2.add_argument("--out", required=True)
     e2.add_argument("--report", required=True)

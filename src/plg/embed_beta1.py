@@ -33,14 +33,18 @@ WALK_PAIR_CAP = 20_000_000
 _ROW_BLOCK_ENTRIES = 1 << 20
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_walk_caps(n: int, d: int, k: int) -> int:
     """The walk count n*d^(k-1) of a k-walk product over a d-regular graph on
     n vertices.  Raises ``ResourceLimitError`` when it exceeds
     ``WALK_VERTEX_CAP`` or its walk pairs exceed ``WALK_PAIR_CAP``, so callers
     can refuse before building anything, and ``InputError`` unless n, d and k
-    are integers and k >= 1."""
+    are integers (not bools) and k >= 1."""
     for name, value in (("n", n), ("d", d), ("k", k)):
-        if not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise InputError(f"{name} must be an integer, got {value!r}")
     if k < 1:
         raise InputError("k must be >= 1")
@@ -159,7 +163,7 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
     passes, the best-lambda candidate is returned with passes=False.  An n
     whose C(n, 2) exceeds ``WALK_PAIR_CAP`` is refused before any draw: no
     walk product could use the expander, and its spectrum needs n x n floats.
-    The seed must be a non-negative integer.
+    The seed must be a non-negative integer, not a bool.
     """
     if d < 3:
         raise InputError("expander degree must be >= 3")
@@ -171,7 +175,7 @@ def random_regular_expander(n: int, d: int, seed: int) -> ExpanderCertificate:
         raise ResourceLimitError(
             f"expander on {n} vertices has {n * (n - 1) // 2} vertex pairs (cap {WALK_PAIR_CAP})"
         )
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     bound = 2 * math.sqrt(d - 1) / d
     if n == d + 1:
@@ -558,7 +562,7 @@ def degree_one_heuristic(g: MultiGraph) -> list[int]:
 
 
 def embed_beta1(
-    g: MultiGraph, d: int, seed: int, k_override: int | None = None
+    g: MultiGraph, d: int, seed: int, k: int = 2
 ) -> tuple[MultiGraph, dict]:
     """Embed the walk product of g into a full (alpha, 1)-PLG, and return
     it with its report (see ``plg.report``).
@@ -573,7 +577,6 @@ def embed_beta1(
     if not g.is_simple():
         raise InputError("embedding requires a simple input graph")
     n = g.vertex_count
-    k = 2 if k_override is None else k_override
     wp = walk_block(g, d, seed, k)
     doubled = wp.doubled()
 

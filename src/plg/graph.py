@@ -18,24 +18,19 @@ text a block at a time: lines are laid out a block of rows at a time in a
 uint8 matrix, each field is filled four digits at a time by gathering
 4-byte words of a fixed table of ASCII digit rows, and each block is
 yielded with the zero bytes left where a value is shorter than its field
-dropped.  The label lines follow as one bytes object, each run of
-consecutive lines with one tag rendered by one ``%`` format.  Files are
-written block by block; no whole-text buffer is built.
+dropped.  Files are written block by block; no whole-text buffer is built.
 
-A graph is checked in full and fixed when it is built, labels included,
-and its text is a function of it alone.  So canonical text is what the
-writer emits, and the reader proves a text canonical with one comparison:
-it parses the edge fields a block at a time and the label fields with
-``str.split``, builds the graph, and keeps it only if the graph's render
-is the whole text.  Any other text goes to the line parser.
+A graph is checked in full and fixed when it is built, and its text is a
+function of it alone.  So canonical text is what the writer emits, and the
+reader proves a text canonical with one comparison: it parses the edge
+fields a block at a time, builds the graph, and keeps it only if the
+graph's render is the whole text.  Any other text goes to the line parser.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from itertools import groupby
-from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,9 +42,6 @@ _MAX_KEY_BASE = 3_037_000_499
 _INT64_LIMIT = 1 << 63
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-# A tag the line parser reads back whole: one str.split field (re's \s is
-# str.isspace) with no lone surrogate, which UTF-8 cannot encode.
-_TAG = re.compile("[^\\s\ud800-\udfff]+")
 
 
 class EdgeArrays(NamedTuple):
@@ -99,18 +91,15 @@ class MultiGraph:
 
     The edge set is fixed at construction, given as a dict {(u, v): mult},
     an iterable of (u, v) pairs (multiplicity 1 each) or ``EdgeArrays``;
-    repeated pairs, in either orientation, sum their multiplicities.  Labels
-    are optional per-vertex text tags used by the embedders to record
-    provenance ("embedded", "residual-G1", ...), fixed at construction too.
+    repeated pairs, in either orientation, sum their multiplicities.
     """
 
-    __slots__ = ("vertex_count", "_u", "_v", "_mult", "_edges", "_base", "_labels", "_degrees")
+    __slots__ = ("vertex_count", "_u", "_v", "_mult", "_edges", "_base", "_degrees")
 
     def __init__(
         self,
         vertex_count: int,
         edges: dict[tuple[int, int], int] | Iterable[tuple[int, int]] | EdgeArrays | None = None,
-        labels: dict[int, str] | None = None,
     ):
         try:
             n = self.vertex_count = operator.index(vertex_count)
@@ -143,32 +132,9 @@ class MultiGraph:
         self._edges = _frozen(key)
         self._u, self._v = _frozen(u), _frozen(v)
         self._mult = _frozen(mult)
-        labels = dict(labels) if labels else {}
-        if labels:
-            if not set(map(type, labels)) <= {int}:
-                # Other integer types are stored as int; any other id is refused.
-                try:
-                    labels = dict(zip(map(operator.index, labels), labels.values()))
-                except TypeError:
-                    raise InputError("label ids must be integers") from None
-            ids = sorted(labels)  # one pass: the embedders and the reader give ids in order
-            low, high = ids[0], ids[-1]
-            if low < 0 or high >= n:
-                raise InputError(f"label on unknown vertex {low if low < 0 else high}")
-            if high >= _INT64_LIMIT:
-                raise InputError("labelled vertex ids must be below 2^63")
-            for tag in dict.fromkeys(labels.values()):
-                if not isinstance(tag, str) or not _TAG.fullmatch(tag):
-                    raise InputError(f"label tag {tag!r} is not one whitespace-free UTF-8 string")
-        self._labels = labels
         self._degrees: np.ndarray | None = None
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def labels(self) -> MappingProxyType:
-        """The vertex labels {v: tag}, read-only."""
-        return MappingProxyType(self._labels)
 
     def arrays(self) -> EdgeArrays:
         """The sorted, read-only (u, v, mult) columns."""
@@ -278,7 +244,6 @@ class MultiGraph:
             and np.array_equal(self._u, other._u)
             and np.array_equal(self._v, other._v)
             and np.array_equal(self._mult, other._mult)
-            and self._labels == other._labels
         )
 
     def __hash__(self):
@@ -320,21 +285,17 @@ def is_independent(g: MultiGraph, members: Iterable[int]) -> bool:
 # Header:   p plg <vertex_count> <distinct_edge_count>
 # Edges:    e <u> <v> <multiplicity>       (u <= v, zero-based, one line per
 #                                           distinct edge, sorted)
-# Labels:   l <v> <tag>                    (optional, sorted by v)
 #
 # Canonical text is exactly what ``_graph_blocks`` yields and
-# ``write_graph`` joins: the header, the edge lines of the digit-table
+# ``write_graph`` joins: the header, then the edge lines of the digit-table
 # writer ``_edge_blocks`` (base-10^4 chunks gathered from ``_UNITS_WORDS``
 # and ``_HIGH_WORDS``, one bytes object per block of about
-# ``_WRITE_BLOCK_BYTES``), then ``_label_text``; the writer is the format's
-# only definition, and ``MultiGraph`` refuses any graph it could not write
-# (a tag the line parser would not read back whole, say).  ``read_graph``
-# parses a text's fields (``_digit_runs`` for each block of edge lines,
-# ``str.split`` for the labels), builds the graph, and keeps it only if
-# ``_graph_blocks`` of it lies in place over the whole text.
-# Any text that the writer does not reproduce (extra whitespace, CRLF,
-# signs, leading zeros, unsorted lines, any error) goes to the line
-# parser, the only producer of ParseError.
+# ``_WRITE_BLOCK_BYTES``); the writer is the format's only definition.
+# ``read_graph`` parses a text's fields (``_digit_runs`` for each block of
+# edge lines), builds the graph, and keeps it only if ``_graph_blocks`` of
+# it lies in place over the whole text.  Any text that the writer does not
+# reproduce (extra whitespace, CRLF, signs, leading zeros, unsorted lines,
+# any error) goes to the line parser, the only producer of ParseError.
 
 _HEADER = re.compile(rb"p plg ([0-9]+) [0-9]+\n")
 _CHUNK = 10_000  # the writer's digit chunk, four places
@@ -434,26 +395,15 @@ def _edge_blocks(cols: EdgeArrays) -> Iterator[bytes]:
         yield part.tobytes().translate(None, b"\0")
 
 
-def _label_text(labels: dict[int, str]) -> bytes:
-    """The lines 'l <v> <tag>' in vertex order, each run of consecutive
-    lines with one tag rendered by one ``%`` format."""
-    out = []
-    for tag, run in groupby(sorted(labels), labels.__getitem__):
-        run = tuple(run)
-        out.append((b"l %d " + tag.encode().replace(b"%", b"%%") + b"\n") * len(run) % run)
-    return b"".join(out)
-
-
 def _graph_blocks(g: MultiGraph) -> Iterator[bytes]:
-    """The canonical text of ``g`` as UTF-8 bytes (ASCII but for labels):
-    the header, the edge lines a block at a time, then the label lines."""
+    """The canonical text of ``g`` as ASCII bytes: the header, then the
+    edge lines a block at a time."""
     yield f"p plg {g.vertex_count} {g.distinct_edge_count()}\n".encode("ascii")
     yield from _edge_blocks(g.arrays())
-    yield _label_text(g._labels)
 
 
 def write_graph(g: MultiGraph) -> str:
-    return b"".join(_graph_blocks(g)).decode("utf-8")
+    return b"".join(_graph_blocks(g)).decode("ascii")
 
 
 def _digit_runs(a: np.ndarray) -> np.ndarray:
@@ -505,27 +455,23 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
 
     The edge text is read in blocks of about ``_READ_BLOCK_BYTES`` cut at
     line breaks: a block's rows are the values of its digit runs, three per
-    line, and go into columns sized for the shortest edge line.  The label
-    text is split with ``str.split``, three fields to a line.  The graph
+    line, and go into columns sized for the shortest edge line.  The graph
     built from them is kept only if its render is the whole of ``data``:
-    the writer renders each line from one row or label alone, so an
-    unsorted, repeated or u > v line, a wrong header or any other byte
-    renders differently."""
+    the writer renders each line from one row alone, so an unsorted,
+    repeated or u > v line, a wrong header or any other byte renders
+    differently."""
     try:
         head = _HEADER.match(data)
         if head is None:
             return None
-        cut = data.find(b"l", head.end())  # the first label line: no edge line holds an 'l'
-        if cut < 0:
-            cut = len(data)
         text = np.frombuffer(data, dtype=np.uint8)
-        cols = np.empty((3, (cut - head.end()) // _MIN_EDGE_LINE), dtype=np.int64)
+        cols = np.empty((3, (len(data) - head.end()) // _MIN_EDGE_LINE), dtype=np.int64)
         rows = 0
         lo = head.end()
-        while lo < cut:
-            hi = data.rfind(b"\n", lo, min(lo + _READ_BLOCK_BYTES, cut)) + 1
+        while lo < len(data):
+            hi = data.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES) + 1
             if hi <= lo:  # a line longer than a block
-                hi = data.find(b"\n", lo, cut) + 1 or cut
+                hi = data.find(b"\n", lo) + 1 or len(data)
             block = text[lo:hi]
             digit = block - np.uint8(ord("0")) < 10
             vals = _digit_runs(block)[np.flatnonzero(digit[:-1] > digit[1:])].astype(np.int64)
@@ -534,21 +480,30 @@ def _read_canonical(data: bytes) -> MultiGraph | None:
             cols[:, rows : rows + len(vals) // 3] = vals.reshape(-1, 3).T
             rows += len(vals) // 3
             lo = hi
-        fields = data[cut:].decode().split()
-        g = MultiGraph(int(head[1]), EdgeArrays(*cols[:, :rows]), dict(zip(map(int, fields[1::3]), fields[2::3])))
-    except ValueError:  # InputError and UnicodeError are ValueErrors
+        g = MultiGraph(int(head[1]), EdgeArrays(*cols[:, :rows]))
+    except ValueError:  # InputError is a ValueError
         return None
     return g if _laid_out(data, 0, _graph_blocks(g)) == len(data) else None
 
 
 def read_graph(data: bytes | str) -> MultiGraph:
-    """The graph of a text in the format above, given as UTF-8 bytes (a str
-    is encoded first, a lone surrogate to bytes that are not UTF-8).
+    """The graph of a text in the format above, given as bytes (a str is
+    encoded as UTF-8 first, a lone surrogate to bytes that are not UTF-8).
     Raises ``ParseError`` on a malformed text."""
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     g = _read_canonical(data)
     return g if g is not None else _read_lines(data)
+
+
+# An integer field of the line parser: an optional sign and ASCII digits.
+_INT_FIELD = re.compile("[+-]?[0-9]+")
+
+
+def _int_fields(fields: list[str], what: str, line_no: int) -> list[int]:
+    if not all(map(_INT_FIELD.fullmatch, fields)):
+        raise ParseError(f"non-integer {what} fields", line_no)
+    return list(map(int, fields))
 
 
 def _read_lines(data: bytes) -> MultiGraph:
@@ -563,7 +518,6 @@ def _read_lines(data: bytes) -> MultiGraph:
     n = None
     declared_edges = None
     edges: dict[tuple[int, int], int] = {}
-    labels: dict[int, str] = {}
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -576,10 +530,7 @@ def _read_lines(data: bytes) -> MultiGraph:
                 raise ParseError("expected header 'p plg <n> <edges>'", line_no)
             if len(parts) != 4 or parts[1] != "plg":
                 raise ParseError("malformed header", line_no)
-            try:
-                n, declared_edges = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", line_no) from None
+            n, declared_edges = _int_fields(parts[2:], "header", line_no)
             if n < 0 or declared_edges < 0:
                 raise ParseError("negative header fields", line_no)
             saw_header = True
@@ -587,10 +538,7 @@ def _read_lines(data: bytes) -> MultiGraph:
         if kind == "e":
             if len(parts) != 4:
                 raise ParseError("edge line needs 'e u v multiplicity'", line_no)
-            try:
-                u, v, m = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer edge fields", line_no) from None
+            u, v, m = _int_fields(parts[1:], "edge", line_no)
             if u > v:
                 raise ParseError(f"edge endpoints out of order: {u} > {v}", line_no)
             if not (0 <= u and v < n):
@@ -602,18 +550,6 @@ def _read_lines(data: bytes) -> MultiGraph:
             if (u, v) in edges:
                 raise ParseError(f"duplicate edge ({u},{v})", line_no)
             edges[(u, v)] = m
-        elif kind == "l":
-            if len(parts) != 3:
-                raise ParseError("label line needs 'l v tag'", line_no)
-            try:
-                v = int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer label vertex", line_no) from None
-            if not (0 <= v < n):
-                raise ParseError(f"label vertex {v} out of range", line_no)
-            if v in labels:
-                raise ParseError(f"duplicate label for vertex {v}", line_no)
-            labels[v] = parts[2]
         elif kind == "p":
             raise ParseError("duplicate header", line_no)
         else:
@@ -624,4 +560,4 @@ def _read_lines(data: bytes) -> MultiGraph:
         raise ParseError(
             f"header declares {declared_edges} edges, found {len(edges)}", 1
         )
-    return MultiGraph(n, edges, labels)
+    return MultiGraph(n, edges)

@@ -255,7 +255,7 @@ def test_criterion_8_determinism_and_roundtrip(tmp_path):
     def pipeline_hashes():
         out = []
         g1, r1 = embed_sub1(c5, 0.5)
-        g2, r2 = embed_beta1(c5, d=4, seed=3, k_override=2)
+        g2, r2 = embed_beta1(c5, d=4, seed=3, k=2)
         p = PowerLawParams(3.0, 1.0)
         g3, c3 = realize(interval_degree_sequence(p, 1, p.delta))
         for g in (g1, g2, g3):

@@ -42,7 +42,7 @@ def test_trace_targets_resolve(monkeypatch):
     from plg import MultiGraph, read_graph, write_graph
 
     count = {span: fn for _module, _attr, span, fn in tracing.TARGETS}
-    g = MultiGraph(3, [(0, 1), (1, 2)], {0: "a"})
+    g = MultiGraph(3, [(0, 1), (1, 2)])
     text = write_graph(g)
     assert count["graph.build"]((g, 3), {}, None) == {"graph.build_edges": 2}
     assert count["graph.write"]((g,), {}, text) == {"graph.write_bytes": len(text)}

@@ -323,6 +323,12 @@ def test_walk_caps_refuse_non_integer_k():
     with pytest.raises(InputError, match="k must be an integer"):
         check_walk_caps(5, 4, 2.5)
     assert check_walk_caps(5, 4, np.int64(2)) == 20
+    # isinstance takes a bool for an int, but True is no count or seed.
+    for n, d, k, name in [(True, 4, 2, "n"), (5, True, 2, "d"), (5, 4, True, "k")]:
+        with pytest.raises(InputError, match=f"{name} must be an integer, got True"):
+            check_walk_caps(n, d, k)
+    with pytest.raises(InputError, match="seed must be a non-negative integer, got True"):
+        random_regular_expander(5, 4, True)
 
 
 @pytest.mark.parametrize("least", [0, 1, 2, 3, 5, 17, 64])
@@ -501,7 +507,7 @@ def test_alon_lower_end_below_product_independence_number():
     # gave alon_lo = 28.4 against alpha(D) = 12.
     rng = random.Random(4)
     g = MultiGraph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5])
-    _, rep = embed_beta1(g, 4, seed=3, k_override=3)
+    _, rep = embed_beta1(g, 4, seed=3, k=3)
     dgraph = walk_product(g, random_regular_expander(40, 4, seed=3), 3).product
     res = exact_mis(dgraph)
     assert is_independent(dgraph, res.witness) and len(res.witness) == res.size
@@ -590,7 +596,7 @@ def test_degree_one_lemma_on_beta1_outputs(name, k):
     # alpha is at least delta / 2.  The 35-vertex C5 output at k = 1 is
     # solved exactly.
     graph = _LEMMA_INPUTS[name]
-    g, rep = embed_beta1(graph, d=4, seed=3, k_override=k)
+    g, rep = embed_beta1(graph, d=4, seed=3, k=k)
     got = degree_one_heuristic(g)
     assert is_independent(g, got)
     assert 2 * len(got) >= rep["params"]["delta"]
@@ -603,7 +609,7 @@ def test_degree_one_lemma_on_beta1_outputs(name, k):
 
 
 def test_embed_beta1_c5(c5):
-    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     assert len(rep["parity_deficits"]) <= 2
     assert rep["extras"]["n_d"] == 20
     # exact independence number of the product sits in the spectral bracket
@@ -618,21 +624,21 @@ def test_embed_beta1_c5(c5):
 
 def test_embed_beta1_isolated():
     e5 = MultiGraph(5)
-    g, rep = embed_beta1(e5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(e5, d=4, seed=3, k=2)
     assert len(rep["witness"]) == 20  # product is edgeless
     assert verify_embedding(g, rep, e5)["ok"]
 
 
 def test_embed_beta1_complete():
     k5 = MultiGraph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    g, rep = embed_beta1(k5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(k5, d=4, seed=3, k=2)
     assert rep["witness"] == []  # no walk stays inside a single vertex
     assert verify_embedding(g, rep, k5)["ok"]
 
 
 def test_embed_beta1_deterministic(c5):
-    g1, r1 = embed_beta1(c5, d=4, seed=5, k_override=2)
-    g2, r2 = embed_beta1(c5, d=4, seed=5, k_override=2)
+    g1, r1 = embed_beta1(c5, d=4, seed=5, k=2)
+    g2, r2 = embed_beta1(c5, d=4, seed=5, k=2)
     assert g1 == g2
     assert r1 == r2
 
@@ -641,7 +647,7 @@ def test_embed_beta1_k3_dense_product():
     # 144 walks with 76 pairs stuck at the same top degree: finding alpha
     # needs far more than 64 unit bumps, exercising the step search
     g0 = MultiGraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
-    g, rep = embed_beta1(g0, d=4, seed=2, k_override=3)
+    g, rep = embed_beta1(g0, d=4, seed=2, k=3)
     assert rep["extras"]["n_d"] == 9 * 16
     assert verify_embedding(g, rep, g0)["ok"]
 

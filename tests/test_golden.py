@@ -32,7 +32,7 @@ GOLDEN = {
         ["embed-sub1", "--beta", "0.3"],
         _SUB1_INPUT,
         (
-            "e1a9ab916252e42b73ea6d6cd95ac9fe88449d0e226cf644b24568ab0ab543bc",
+            "9c83de50797014e9dda6700b5c2f92ee905c6a92455a632098106fa83a55c58c",
             "d484cd134809526339d17078c6c475c42ee3af0d6bb404f44198ea6575ceac7a",
             _VERIFY_OK,
         ),
@@ -41,7 +41,7 @@ GOLDEN = {
         ["embed-sub1", "--beta", "0.5"],
         _SUB1_INPUT,
         (
-            "bb8e50784a45466cde5725c58f53d1428f6ec6a2408878a935ed0c5f309eb962",
+            "6d6879dd7d00a25f8e1219a634157ce389a841651911d5fcd1e82cf93f4753f8",
             "1684bfb9fb87fa36471abfe5ad775303378f3dead2a7ad16e2d048fd63aa6a84",
             _VERIFY_OK,
         ),
@@ -50,7 +50,7 @@ GOLDEN = {
         ["embed-sub1", "--beta", "0.8"],
         _SUB1_INPUT,
         (
-            "2d5b71c6cee06a34b89235d824e0ebeb1c5d0ceb1db3153022510b65bfa45df6",
+            "3781b2bc42ae9cfa6606b8f90d9cad15b53f2abb42e4ef799cd294d5a8a76a7e",
             "1e200def50437224e29c2d414b5787e05f312d2361a79f5442bbe09ffe4fbaef",
             _VERIFY_OK,
         ),
@@ -59,7 +59,7 @@ GOLDEN = {
         ["embed-beta1", "--d", "4", "--seed", "3", "--k", "1"],
         _BETA1_INPUT,
         (
-            "8e25f9e9f002df15dfa9e7cb00b8fe144919f98338378d58a05e7c04b79ef47b",
+            "1aa03eb4ebc3ea4b3d1a3771d18ed0a3b5c5658f2910c5d592a9d7317dc3fe7d",
             "46cd72b438b1d2d451f505724004bb9f66cd127d4317039d0ac9cba898a8f39a",
             _VERIFY_OK,
         ),
@@ -68,7 +68,7 @@ GOLDEN = {
         ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"],
         _BETA1_INPUT,
         (
-            "9b639c6e7ef3433ca868cd49b49638de8074d4a2f049877b6441b417a5b46ae4",
+            "fa3aa455f8fc8322c0e2a996044813b4c0c90283eb7a87242b8a154e247dfb44",
             "957858d6a2cc04553bb423e934ed829ccfb04a41075edefbd36c15dc3a75d513",
             _VERIFY_OK,
         ),
@@ -77,7 +77,7 @@ GOLDEN = {
         ["embed-beta1", "--d", "4", "--seed", "3", "--k", "3"],
         _BETA1_INPUT,
         (
-            "758ebd7419b0a00335b413ab0ee830fc05e03509324c283c4290aba8223df907",
+            "a5ed6a5459c3321ba662ee2e08a7e644bffb6bb316fa7d2081b68f12dde06760",
             # alon_lo is 0: its base r + lambda_min*(1 - r) is negative, so it
             # is clamped at 0 before the even power k - 1 = 2.
             "dc12026e8a74b8d78b790fa9ec8574bc2825d93cb8d8387793a96dac677f0366",
@@ -85,6 +85,9 @@ GOLDEN = {
         ),
     ),
 }
+
+# --k defaults to 2: the same bytes as the explicit call.
+GOLDEN["beta1-k-default"] = (["embed-beta1", "--d", "4", "--seed", "3"], _BETA1_INPUT, GOLDEN["beta1-k2"][2])
 
 
 def _sha(data: bytes) -> str:
@@ -134,7 +137,7 @@ def test_golden_tampered_verify(tmp_path, capsys, name):
     g = read_graph(out.read_bytes())
     edges = g.edge_dict()
     del edges[edge(json.loads(rep.read_text()))]
-    out.write_text(write_graph(MultiGraph(g.vertex_count, edges, g.labels)))
+    out.write_text(write_graph(MultiGraph(g.vertex_count, edges)))
     capsys.readouterr()
     assert main(["verify", "--plg", str(out), "--report", str(rep), "--in", str(src)]) == 1
     assert _sha(capsys.readouterr().out.encode()) == want

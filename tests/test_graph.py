@@ -91,6 +91,12 @@ def test_read_examples():
         ("p plg 2 2\ne 0 1 1\ne 0 1 2\n", 3),  # duplicate edge
         ("e 0 1 1\n", 1),  # missing header
         ("p plg 2 1\nz 0 1 1\n", 2),  # unknown line type
+        ("p plg 2 1\ne 0 1 1\nl 0 embedded\n", 3),  # a label line of an earlier version
+        # Integer fields are an optional sign and ASCII digits.
+        ("p plg 20 1\ne 1_0 1_1 1\n", 2),
+        ("p plg 1_2 0\n", 1),
+        ("p plg 2 1\ne \u0660 \u0661 1\n", 2),  # Arabic-Indic digits
+        ("p plg 2 1\ne 0 1 \uff11\n", 2),  # a fullwidth digit
         (b"p plg 2 1\ne 0 1 1\nl 0 \xff\n", 3),  # not UTF-8
         (b"\xffp plg 1 0\n", 1),
         (b"p plg 2 0\r\n\x0bl 0 \xc3\n", 3),  # str.splitlines counts \x0b as a line break
@@ -108,7 +114,6 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_round_trip_seeded_100_vertices():
     rng = random.Random(42)
     g = random_multigraph(rng, 100, 300)
-    g = MultiGraph(g.vertex_count, g.arrays(), {3: "embedded", 7: "residual-G1"})
     text = write_graph(g)
     again = read_graph(text)
     assert again == g
@@ -220,29 +225,7 @@ def _reverse_endpoints(line, data):
     return [re.sub(r"^(e\s+)(\S+)(\s+)(\S+)", r"\1\4\3\2", line)]
 
 
-def _label_vertex_out_of_range(line, data):
-    return [re.sub(r"^(l\s+)\S+", lambda m: m[1] + str(data.draw(st.integers(10, 12))), line)]
-
-
-def _label_vertex_skipped(line, data):
-    # The next id: the line leaves its run (or repeats the next line's id).
-    return [re.sub(r"^(l )([0-9]+)", lambda m: m[1] + str(int(m[2]) + 1), line)]
-
-
-def _swap_label_lines(lines, data):
-    label_lines = [i for i, line in enumerate(lines) if line.startswith("l ")]
-    if len(label_lines) > 1:
-        i, j = data.draw(st.lists(st.sampled_from(label_lines), min_size=2, max_size=2, unique=True))
-        lines[i], lines[j] = lines[j], lines[i]
-    return lines
-
-
-def _tag_char(line, data):
-    # A character inside the tag: NUL is part of a tag, \x1c and a space
-    # split it for the line parser.
-    at = line.index(" ", 2) + 1 + data.draw(st.integers(0, len(line) - line.index(" ", 2) - 1))
-    return [line[:at] + data.draw(st.sampled_from(["\x00", "\x1c", " "])) + line[at:]]
-
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 MUTATIONS = {
     "none": lambda lines, data: lines,
@@ -264,14 +247,12 @@ MUTATIONS = {
     "19-digit field": _field_edit(lambda f, data: str(data.draw(st.integers(10**18, 2**63 - 1)))),
     "2^63 field": _field_edit(lambda f, data: str(2**63)),
     "separator char": _line_edit(_insert_char),
-    "label tag with space": _edit_kind("l ", lambda line, data: [line + " b"]),
-    "label vertex out of range": _edit_kind("l ", _label_vertex_out_of_range),
+    "underscore in field": _field_edit(lambda f, data: f[:1] + "_" + f[1:]),
+    "non-ASCII digits": _field_edit(lambda f, data: f.translate(_ARABIC_INDIC)),
     "swapped edge lines": _swap_edge_lines,
     "duplicated edge line": _edit_kind("e ", lambda line, data: [line, line]),
     "u > v edge line": _edit_kind("e ", _reverse_endpoints),
-    "label id skipped": _edit_kind("l ", _label_vertex_skipped),
-    "labels out of order": _swap_label_lines,
-    "char inside a tag": _edit_kind("l ", _tag_char),
+    "label line": _line_edit(lambda s, data: s + "\nl 0 embedded"),
     "20-digit zero-padded field": _field_edit(lambda f, data: "0" * 19 + "1"),
     "fourth edge field": _edit_kind("e ", lambda line, data: [line + " " + str(data.draw(st.integers(0, 9)))]),
 }
@@ -282,7 +263,7 @@ NEVER_CANONICAL = {
     "swapped edge lines",
     "duplicated edge line",
     "u > v edge line",
-    "label tag with space",
+    "label line",
 }
 
 
@@ -291,14 +272,6 @@ NEVER_CANONICAL = {
 def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 10), rng.randint(0, 12))
-    # Labelled vertices keep the tag before them at even odds, so runs of
-    # one tag over consecutive ids are common.
-    tags = ["embedded", "residual-G1", "residual-G2", "x", "naïve", "nul\x00tag", "l", "e", "1", "%d", "5%"]
-    tag, labels = rng.choice(tags), {}
-    for v in sorted(rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))):
-        tag = tag if rng.random() < 0.5 else rng.choice(tags)
-        labels[v] = tag
-    g = MultiGraph(g.vertex_count, g.arrays(), labels)
     lines = write_graph(g).split("\n")[:-1]
     for name in names:
         lines = MUTATIONS[name](lines, data)
@@ -321,19 +294,29 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
 @pytest.mark.parametrize(
     "text",
     [
-        "p plg 3 0\nl 1 a\nl 1 b\n",  # a repeated label
-        "p plg 3 0\nl 2 a\nl 1 a\n",  # labels out of order
-        "p plg 3 0\nl 0 a\nl 1 a",  # no final line break
-        "p plg 12 0\nl 9 a\nl 10 a\nl 011 a\n",  # a leading zero inside a run
-        "p plg 2 0\nl abcdefghijklmnopqr x\n",  # an id of 18 non-digits
-        b"p plg 2 0\nl " + b"\x94" * 18 + b" x\n",  # one whose place values pass 2^63
-        "p plg 10000000000000000000 0\nl 9999999999999999999 x\n",  # an id of 19 digits
-        "p plg 2 0\nl 0 a\nzz",  # a last line with no separator
-        "p plg 2 0\nl 0 a\x1cb\nl 1 a\x1cb\n",  # a tag the line parser splits
+        "p plg 3 1\ne 0 1 1",  # no final line break
         "p plg 2 1\ne 0 1 1\ne\n",  # rendered rows followed by a line with no field
+        "p plg 20 1\ne 1_0 1_1 1\n",  # digit runs split by an underscore
+        "p plg 2 1\ne \u0660 \u0661 1\n",  # digits that are not ASCII
+        # Label lines, which the format no longer has: the labelled file of
+        # an earlier version, and texts whose label lines that version
+        # refused or read.
+        "p plg 2 1\ne 0 1 1\nl 0 embedded\n",
+        "p plg 3 0\nl 1 a\nl 1 b\n",
+        "p plg 3 0\nl 2 a\nl 1 a\n",
+        "p plg 3 0\nl 0 a\nl 1 a",
+        "p plg 12 0\nl 9 a\nl 10 a\nl 011 a\n",
+        "p plg 2 0\nl abcdefghijklmnopqr x\n",
+        b"p plg 2 0\nl " + b"\x94" * 18 + b" x\n",
+        "p plg 10000000000000000000 0\nl 9999999999999999999 x\n",
+        "p plg 2 0\nl 0 a\nzz",
+        "p plg 2 0\nl 0 a\x1cb\nl 1 a\x1cb\n",
         "p plg 2 1\ne 0 1 1\nx\nl 0 a\n",
-        "p plg 1 0\nl",  # label text with no separator
+        "p plg 1 0\nl",
         "p plg 2 1\ne 0 1 1\nl0",
+        "p plg 2 0\nl 0 a b\n",
+        "p plg 2 0\nl 0 a b 1 c\n",
+        "p plg 2 0\nl 0  a\n",
         # One case per check that the whole-text render stands for.
         "p plg 3 2\ne 0 1 1\n",  # a header edge count one too high
         "p plg 3 1\ne 0 1 1\ne 1 2 1\n",  # and one too low
@@ -341,9 +324,6 @@ def test_fast_reader_agrees_with_line_parser(seed, names, crlf, data):
         "p plg 3 2\ne 0 1 1\ne 0 1 1\n",  # a repeated edge line
         "p plg 3 1\ne 0 1 1\ne 0 1 1\n",
         "p plg 3 1\ne 1 0 1\n",  # u > v
-        "p plg 2 0\nl 0 a b\n",  # a label line with a second space
-        "p plg 2 0\nl 0 a b 1 c\n",  # whose fields still come in threes
-        "p plg 2 0\nl 0  a\n",
     ],
 )
 def test_fast_reader_refuses_text_it_does_not_render(text):
@@ -361,8 +341,7 @@ def test_round_trip_seeded_loops_multi_edges_labels(monkeypatch):
             if rng.random() < 0.1:
                 v = u
             edges[(u, v)] = edges.get((u, v), 0) + rng.randint(1, top)
-        labels = {v: rng.choice(["embedded", "residual-G1", "residual-G2"]) for v in range(0, n, 3)}
-        g = MultiGraph(n, edges, labels)
+        g = MultiGraph(n, edges)
         text = write_graph(g)
         assert text == write_graph(_read_lines(text.encode()))
         # Blocks of a few lines, of a few hundred, and the default.
@@ -370,55 +349,32 @@ def test_round_trip_seeded_loops_multi_edges_labels(monkeypatch):
             monkeypatch.setattr(graph_module, "_READ_BLOCK_BYTES", block_bytes)
             assert _read_canonical(text.encode()) == g == read_graph(text)
             assert write_graph(read_graph(text)) == text
-
-
-@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 18])
-def test_label_runs_round_trip_across_powers_of_ten(monkeypatch, block_bytes):
-    # Every vertex labelled, in runs that cross 9 -> 10, 99 -> 100 and
-    # 9999 -> 10000, and a run of one vertex: a head's width changes at
-    # each power of ten, and the writer's blocks cut runs anywhere.
-    monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
-    n = 10_005
-    bounds = [0, 5, 12, 95, 96, 105, 9_990, 10_003, n]
-    tags = ["embedded", "residual-G1", "residual-G2", "x\x00y", "naïve", "%d%%"]
-    labels = {v: tags[i % len(tags)] for i in range(len(bounds) - 1) for v in range(bounds[i], bounds[i + 1])}
-    g = MultiGraph(n, [(0, 9), (9, 10), (99, 100), (9_999, 10_000)], labels)
-    text = write_graph(g)
-    assert text == (
-        f"p plg {n} 4\ne 0 9 1\ne 9 10 1\ne 99 100 1\ne 9999 10000 1\n"
-        + "".join(f"l {v} {labels[v]}\n" for v in range(n))
-    )
-    assert _read_canonical(text.encode()) == g == _read_lines(text.encode())
-
-
-@pytest.mark.parametrize("block_bytes", [1, 64, 1 << 18])
-def test_labels_on_ids_of_scattered_widths_round_trip(monkeypatch, block_bytes):
-    # Ids of 1, 4, 6 and 18 digits and no width in between, with tags of
-    # several lengths: each block lays out only the widths it holds.
-    monkeypatch.setattr(graph_module, "_WRITE_BLOCK_BYTES", block_bytes)
-    labels = {5: "a", 1000: "bb", 1001: "a", 123_456: "residual-G1", 10**17: "x\x00y"}
-    g = MultiGraph(10**18, labels=labels)
-    text = write_graph(g)
-    assert text == f"p plg {10**18} 0\n" + "".join(f"l {v} {labels[v]}\n" for v in sorted(labels))
-    assert _read_canonical(text.encode()) == g == _read_lines(text.encode())
+        # The format has no label lines: a file of an earlier version reads
+        # as this graph once its 'l' lines are deleted.
+        labelled = text + "".join(f"l {v} embedded\n" for v in range(0, n, 3))
+        with pytest.raises(ParseError, match="unknown line type 'l'") as err:
+            read_graph(labelled)
+        assert err.value.line_no == text.count("\n") + 1
+        assert read_graph("".join(line for line in labelled.splitlines(True) if not line.startswith("l "))) == g
 
 
 def test_read_renders_edges_and_labels_once(monkeypatch):
-    # A canonical read of many blocks renders its edge rows once, and its
-    # label lines once from the parsed labels, three runs of one tag.
+    # A canonical read of many blocks renders its edge rows once; a text
+    # with a label line ends its digit runs off the rows of three and goes
+    # to the line parser with no render.
     rng = random.Random(26)
     n = 400
-    labels = {v: "embedded" if v < 40 else "residual-G2" if v < 250 else "residual-G1" for v in range(n)}
-    g = MultiGraph(n, {tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(1, 3) for _ in range(600)}, labels)
+    g = MultiGraph(n, {tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(1, 3) for _ in range(600)})
     text = write_graph(g).encode()
-    edge_calls, label_calls = [], []
-    edge_blocks, label_text = graph_module._edge_blocks, graph_module._label_text
+    edge_calls = []
+    edge_blocks = graph_module._edge_blocks
     monkeypatch.setattr(graph_module, "_READ_BLOCK_BYTES", 64)
     monkeypatch.setattr(graph_module, "_edge_blocks", lambda cols: edge_calls.append(len(cols.u)) or edge_blocks(cols))
-    monkeypatch.setattr(graph_module, "_label_text", lambda parsed: label_calls.append(dict(parsed)) or label_text(parsed))
     assert read_graph(text) == g
     assert edge_calls == [g.distinct_edge_count()]
-    assert label_calls == [labels]
+    with pytest.raises(ParseError, match="unknown line type 'l'"):
+        read_graph(text + b"l 0 embedded\n")
+    assert edge_calls == [g.distinct_edge_count()]
 
 
 @pytest.mark.parametrize(
@@ -438,51 +394,10 @@ def test_huge_header_keys_do_not_overflow(text, u, v, m):
     assert write_graph(g) == text
 
 
-def test_labels_are_on_vertices_below_n_and_2_to_the_63():
-    # Vertex ids are int64 throughout, so a label id of 2^63 or more is
-    # refused even where the header's n is larger.
-    with pytest.raises(InputError, match="label on unknown vertex 3"):
-        MultiGraph(3, labels={0: "a", 3: "b"})
-    with pytest.raises(InputError, match="label on unknown vertex -1"):
-        MultiGraph(3, labels={-1: "a", 3: "b"})
-    with pytest.raises(InputError, match="labelled vertex ids must be below 2\\^63"):
-        MultiGraph(2**64, labels={2**63: "x"})
-    g = MultiGraph(2**64, labels={2**63 - 1: "x"})
-    assert read_graph(write_graph(g)) == g
-
-
-@pytest.mark.parametrize("tag", ["a b", "", "x\ty", "a\u2028b", 7, "a\ud800", "\udfff"])
-def test_labels_refuse_tags_that_do_not_round_trip(tag):
-    # The writer renders each tag as one UTF-8 field of its line: a tag that
-    # str.split does not keep whole, or that holds a lone surrogate, is
-    # refused before any text is written.
-    with pytest.raises(InputError, match="label tag"):
-        MultiGraph(2, labels={0: "a", 1: tag})
-
-
-def test_labels_are_fixed_at_construction():
-    given = {0: "a", 1: "b"}
-    g = MultiGraph(2, labels=given)
-    given[0] = "a b"
-    with pytest.raises(TypeError):
-        g.labels[0] = "a b"
-    with pytest.raises(AttributeError):
-        g.labels = {}
-    assert g.labels == {0: "a", 1: "b"}
-    assert write_graph(g) == "p plg 2 0\nl 0 a\nl 1 b\n"
-
-
 @pytest.mark.parametrize(
     "make",
-    [
-        lambda: MultiGraph(2, labels={0.5: "x"}),  # written as 'l 0 x' at the parent
-        lambda: MultiGraph(2, labels={1.0: "x"}),
-        lambda: MultiGraph(2, labels={"1": "x"}),
-        lambda: MultiGraph(2, labels={0: "a", "1": "x"}),
-        lambda: MultiGraph(2.5),
-        lambda: MultiGraph("2"),
-    ],
-    ids=["float id", "integral float id", "str id", "int and str ids", "float n", "str n"],
+    [lambda: MultiGraph(2.5), lambda: MultiGraph("2")],
+    ids=["float n", "str n"],
 )
 def test_vertex_count_and_label_ids_must_be_integers(make):
     with pytest.raises(InputError, match="integer"):
@@ -490,9 +405,9 @@ def test_vertex_count_and_label_ids_must_be_integers(make):
 
 
 def test_integer_types_are_stored_as_int():
-    g = MultiGraph(np.int64(3), labels={np.int64(2): "x", True: "y"})
-    assert type(g.vertex_count) is int and list(map(type, g.labels)) == [int, int]
-    assert g.labels == {1: "y", 2: "x"} and read_graph(write_graph(g)) == g
+    g = MultiGraph(np.int64(3), [(0, 2)])
+    assert type(g.vertex_count) is int and g.vertex_count == 3
+    assert write_graph(g) == "p plg 3 1\ne 0 2 1\n" and read_graph(write_graph(g)) == g
 
 
 def _run_values(text: str) -> list[int]:
@@ -617,17 +532,12 @@ def test_graph_bytes_match_per_place_writer_across_blocks(monkeypatch, tmp_path,
         for _ in range(edge_count):
             u, v = sorted((rng.randrange(n), rng.randrange(n)))
             edges[(u, v)] = rng.randint(1, top)
-        labels = {v: rng.choice(["embedded", "residual-G1", "étiquette"]) for v in range(0, min(n, 40), 7)}
-        g = MultiGraph(n, edges, labels)
-        text = (
-            f"p plg {n} {g.distinct_edge_count()}\n"
-            + _per_place_format_edges(g.arrays())
-            + "".join(f"l {w} {labels[w]}\n" for w in sorted(labels))
-        )
-        assert b"".join(_graph_blocks(g)) == text.encode("utf-8")
+        g = MultiGraph(n, edges)
+        text = f"p plg {n} {g.distinct_edge_count()}\n" + _per_place_format_edges(g.arrays())
+        assert b"".join(_graph_blocks(g)) == text.encode("ascii")
         assert write_graph(g) == text
         _write_graph_file(tmp_path / "g.plg", g)
-        assert (tmp_path / "g.plg").read_bytes() == text.encode("utf-8")
+        assert (tmp_path / "g.plg").read_bytes() == text.encode("ascii")
         assert _format_edges(g.arrays()) == _per_place_format_edges(g.arrays())
 
 

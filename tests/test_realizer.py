@@ -429,9 +429,9 @@ def _recorded_builds(monkeypatch, module) -> list:
     calls = []
 
     class Recording(MultiGraph):
-        def __init__(self, vertex_count, edges=None, labels=None):
+        def __init__(self, vertex_count, edges=None):
             calls.append((vertex_count, edges))
-            super().__init__(vertex_count, edges, labels)
+            super().__init__(vertex_count, edges)
 
     monkeypatch.setattr(module, "MultiGraph", Recording)
     return calls
@@ -460,7 +460,7 @@ def test_final_builds_receive_sorted_keys(monkeypatch, embed):
     assembled = _recorded_builds(monkeypatch, _assembly)
     parts = _recorded_parts(monkeypatch)
     graph, _ = embed()
-    assert graph == MultiGraph(assembled[-1][0], assembled[-1][1], graph.labels)
+    assert graph == MultiGraph(*assembled[-1])
     assert isinstance(assembled[-1][1], EdgeArrays) and len(assembled[-1][1].u) > 1000
     assert _keys_strictly_increase(*assembled[-1])
     # The realizer builds only each part's summed fill; the parts reach the

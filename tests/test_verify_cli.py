@@ -51,7 +51,7 @@ def test_verify_detects_deleted_edge(c5):
     edges = g.edge_dict()
     key = max(edges)  # drop an edge inside the last fill clique
     del edges[key]
-    mutated = MultiGraph(g.vertex_count, edges, g.labels)
+    mutated = MultiGraph(g.vertex_count, edges)
     res = verify_embedding(mutated, rep, c5)
     assert not res["ok"]
     bad = failing(res["checks"])
@@ -110,7 +110,7 @@ def test_verify_detects_unjoined_pair(c5):
     g, rep = embed_sub1(c5, 0.5)
     edges = g.edge_dict()
     del edges[(0, 1)]
-    res = verify_embedding(MultiGraph(g.vertex_count, edges, g.labels), rep, c5)
+    res = verify_embedding(MultiGraph(g.vertex_count, edges), rep, c5)
     assert not res["ok"]
     detail = next(c["detail"] for c in res["checks"] if c["check"] == "embedded")
     assert detail == "pair (0,1) not joined"
@@ -119,7 +119,7 @@ def test_verify_detects_unjoined_pair(c5):
 def test_verify_beta1(c5):
     from plg import embed_beta1
 
-    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     assert verify_embedding(g, rep, c5)["ok"]
     doc = copy.deepcopy(rep)
     doc["bounds"]["alon_hi"] *= 2
@@ -145,7 +145,7 @@ def test_returned_report_is_the_written_document(c5, tmp_path, kind):
         g, rep = embed_sub1(c5, 0.5)
     else:
         argv = ["embed-beta1", "--d", "4", "--seed", "3", "--k", "2"]
-        g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+        g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     out, report = tmp_path / "out.plg", tmp_path / "report.json"
     assert main(argv + ["--in", str(tmp_path / "c5.plg"), "--out", str(out), "--report", str(report)]) == 0
     assert _jsonio.dumps(rep) == report.read_text()
@@ -160,7 +160,7 @@ def test_returned_report_is_the_written_document(c5, tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["sub1", "beta1"])
 def test_report_has_exactly_the_report_keys(c5, kind):
-    _, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k_override=2)
+    _, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k=2)
     assert sorted(rep) == sorted(KEYS)
 
 
@@ -241,7 +241,7 @@ def test_cli_verify_fails_on_tampered_graph(tmp_path, capsys):
     g = read_graph((tmp_path / "e.plg").read_text())
     edges = g.edge_dict()
     del edges[max(edges)]
-    (tmp_path / "bad.plg").write_text(write_graph(MultiGraph(g.vertex_count, edges, g.labels)))
+    (tmp_path / "bad.plg").write_text(write_graph(MultiGraph(g.vertex_count, edges)))
     code = main(
         ["verify", "--plg", str(tmp_path / "bad.plg"),
          "--report", str(tmp_path / "e.json"), "--in", str(tmp_path / "c5.plg")]
@@ -263,7 +263,7 @@ def test_cli_verify_fails_on_two_swapped_block(tmp_path, capsys):
     assert edges.pop((0, 2)) == 1 and edges.pop((5, 6)) == 1
     assert (0, 5) not in edges and (2, 6) not in edges
     edges[(0, 5)] = edges[(2, 6)] = 1
-    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    swapped = MultiGraph(g.vertex_count, edges)
     assert sorted(swapped.degrees()) == sorted(g.degrees())
     (tmp_path / "s.plg").write_text(write_graph(swapped))
     capsys.readouterr()
@@ -302,7 +302,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["latin1.plg", "."], ids=["not-utf8", "directory"])
+@pytest.mark.parametrize("bad", ["latin1.plg", ".", "labelled.plg"], ids=["not-utf8", "directory", "labelled"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -318,11 +318,15 @@ def test_cli_unreadable_graph_file_exits_2(tmp_path, monkeypatch, capsys, argv, 
     write_c5(tmp_path / "c5.plg")
     (tmp_path / "r.json").write_text("{}")
     (tmp_path / "latin1.plg").write_bytes(b"p plg 2 1\ne 0 1 1\nl 0 na\xefve\n")
+    # A labelled file of an earlier version: the format has no label lines.
+    (tmp_path / "labelled.plg").write_bytes(b"p plg 2 1\ne 0 1 1\nl 0 embedded\n")
     assert main(argv + [bad]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    if bad != ".":
+    if bad == "latin1.plg":
         assert err == "error: line 3: text is not UTF-8\n"
+    elif bad == "labelled.plg":
+        assert err == "error: line 3: unknown line type 'l'\n"
 
 
 @pytest.mark.parametrize("text", ["", "{", "not json", "\ufeff{]"])
@@ -556,7 +560,7 @@ def test_certificate_check_matches_pairwise_reference(petersen):
             cliques[rng.randrange(len(cliques))][rng.randint(0, 1)] += rng.choice([-1, 1])
         if trial % 5 == 2:
             doc["is_upper_bounds"]["G1"] += 1
-        tampered = MultiGraph(g.vertex_count, edges, g.labels)
+        tampered = MultiGraph(g.vertex_count, edges)
         got = _check_certificates(tampered, doc)
         assert got["detail"] == reference_check_certificates(tampered, doc)
         assert got["ok"] == (got["detail"] == "")
@@ -835,7 +839,7 @@ def test_cli_verify_fails_on_two_swapped_beta1_block(tmp_path, capsys):
     assert edges.pop((2, 4)) == 1 and edges.pop((17, 24)) == 1
     assert (2, 17) not in edges and (4, 24) not in edges
     edges[(2, 17)] = edges[(4, 24)] = 1
-    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    swapped = MultiGraph(g.vertex_count, edges)
     assert sorted(swapped.degrees()) == sorted(g.degrees())
     (tmp_path / "e.plg").write_text(write_graph(swapped))
     capsys.readouterr()
@@ -851,7 +855,7 @@ def _swap_edges(path, old, new):
     edges = g.edge_dict()
     assert all(edges.pop(e) == 1 for e in old) and not any(e in edges for e in new)
     edges.update(dict.fromkeys(new, 1))
-    swapped = MultiGraph(g.vertex_count, edges, g.labels)
+    swapped = MultiGraph(g.vertex_count, edges)
     assert sorted(swapped.degrees()) == sorted(g.degrees())
     path.write_text(write_graph(swapped))
 
@@ -917,7 +921,7 @@ def _embedded_check(g, doc, original):
 def test_verify_beta1_block_from_forged_extras(c5, field, value, detail):
     from plg import embed_beta1
 
-    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     doc = copy.deepcopy(rep)
     assert _embedded_check(g, doc, c5)["ok"]
     doc["extras"][field] = value
@@ -928,7 +932,7 @@ def test_verify_beta1_block_from_forged_extras(c5, field, value, detail):
 def test_verify_beta1_block_range(c5):
     from plg import embed_beta1
 
-    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     doc = copy.deepcopy(rep)
     n_d = doc["extras"]["n_d"]
     doc["parts"]["D"]["range"] = [0, 2 * n_d - 2]
@@ -993,7 +997,7 @@ def test_cli_verify_fails_forged_witness(tmp_path, capsys, embed, graph, forge):
 def test_verify_beta1_witness_walk_count(c5):
     from plg import embed_beta1
 
-    g, rep = embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_beta1(c5, d=4, seed=3, k=2)
     doc = copy.deepcopy(rep)
     doc["extras"]["witness_walk_count"] += 1
     res = verify_embedding(g, doc, c5)
@@ -1009,7 +1013,7 @@ _CHECK_ORDER = ["conformance", "parts", "certificates", "witness", "bounds", "em
 def _c5_outputs(c5, kind):
     from plg import embed_beta1
 
-    g, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k_override=2)
+    g, rep = embed_sub1(c5, 0.5) if kind == "sub1" else embed_beta1(c5, d=4, seed=3, k=2)
     return g, copy.deepcopy(rep)
 
 
@@ -1414,9 +1418,10 @@ def c5_embeddings(tmp_path_factory):
         pytest.param("beta1", _floated("extras", "product_max_degree"), ["embedded"], id="max-degree-float"),
         pytest.param("beta1", _floated("extras", "is_g"), ["bounds"], id="is-g-float"),
         # A bool in place of an integer, or an int in place of a bool: the
-        # walk product rebuilt from seed True or k True is that of 1.
-        pytest.param("beta1-k1", _set("extras", "seed", True), ["bounds"], id="seed-bool"),
-        pytest.param("beta1-k1", _set("extras", "k", True), ["bounds"], id="k-bool"),
+        # walk product is not rebuilt from seed True or k True, as from a
+        # float (seed-float, k-float).
+        pytest.param("beta1-k1", _set("extras", "seed", True), ["witness", "bounds", "embedded"], id="seed-bool"),
+        pytest.param("beta1-k1", _set("extras", "k", True), ["witness", "bounds", "embedded"], id="k-bool"),
         pytest.param("beta1-k1", _set("extras", "is_g_optimal", 1), ["bounds"], id="is-g-optimal-int"),
     ],
 )
